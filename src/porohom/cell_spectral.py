@@ -51,21 +51,29 @@ class Spectrum:
     def coefficients(self):
         return np.array([p.a for p in self.pairs])
 
-    def clusters(self, rtol=CLUSTER_RTOL):
-        """Index groups of eigenvalues with relative gaps below rtol."""
-        lams = self.eigenvalues
-        groups = [[0]]
-        for k in range(1, len(lams)):
-            if lams[k] - lams[groups[-1][0]] <= rtol * lams[groups[-1][0]]:
-                groups[-1].append(k)
-            else:
-                groups.append([k])
-        return groups
+    def clusters(self):
+        """Index groups of eigenvalues within CLUSTER_RTOL of each other."""
+        return cluster_groups(self.eigenvalues)
 
 
-def averaging_coefficients(system, vector):
-    """Cell averages of the velocity part of a saddle vector."""
-    return system.velocity_average(vector)
+def cluster_groups(lams):
+    """Index groups of ascending eigenvalues near their group's first."""
+    groups, first = [], None
+    for k, lam in enumerate(lams):
+        if groups and lam - first <= CLUSTER_RTOL * first:
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+            first = lam
+    return groups
+
+
+def complete_clusters(lams, count):
+    """Smallest keep >= count such that lams[:keep] splits no cluster."""
+    for group in cluster_groups(lams):
+        if group[0] < count <= group[-1]:
+            return group[-1] + 1
+    return count
 
 
 def _fix_sign(vector, a):
@@ -126,11 +134,7 @@ def solve_eigen(mesh, num_modes, system=None, seed=20260816, extra=6):
     vecs = vecs[:, order]
 
     # Keep num_modes, extending to finish a cluster cut at the boundary.
-    keep = num_modes
-    while keep < len(lams) and lams[keep] - lams[keep - 1] <= CLUSTER_RTOL * lams[keep - 1]:
-        keep += 1
-    if keep > len(lams) - 1 and keep < num_modes + extra:
-        pass  # cluster ran into the buffer end; keep what we have
+    keep = complete_clusters(lams, num_modes)
     lams = lams[:keep]
     vecs = vecs[:, :keep]
 
@@ -138,13 +142,7 @@ def solve_eigen(mesh, num_modes, system=None, seed=20260816, extra=6):
     # inside clusters where the basis is only defined up to rotation.
     mnorm = np.sqrt(np.einsum("ij,ij->j", vecs, mass @ vecs))
     vecs /= mnorm[None, :]
-    groups = [[0]]
-    for k in range(1, len(lams)):
-        if lams[k] - lams[groups[-1][0]] <= CLUSTER_RTOL * lams[groups[-1][0]]:
-            groups[-1].append(k)
-        else:
-            groups.append([k])
-    for group in groups:
+    for group in cluster_groups(lams):
         for pos, k in enumerate(group):
             v = vecs[:, k]
             for j in group[:pos]:
@@ -165,7 +163,7 @@ def solve_eigen(mesh, num_modes, system=None, seed=20260816, extra=6):
                 f"lambda ({lams[k]:.4f}) at mode {k + 1}"
             )
         residuals.append(res)
-        a = averaging_coefficients(system, vecs[:, k])
+        a = system.velocity_average(vecs[:, k])
         vector, a = _fix_sign(vecs[:, k], a)
         pairs.append(EigenPair(lams[k], vector, a))
     return Spectrum(pairs, residuals, system)

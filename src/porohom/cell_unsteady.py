@@ -9,7 +9,6 @@ direction i.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fem import SolverError, SparseFactor, StokesSystem
 
@@ -27,8 +26,7 @@ class KernelSamples:
         return self.values[:, i, j]
 
 
-def solve_cell_unsteady(mesh, tau, horizon, system=None, lambda1_hint=40.0,
-                        store_every=1):
+def solve_cell_unsteady(mesh, tau, horizon, system=None, lambda1_hint=40.0):
     """March the unsteady cell problems and sample the kernel.
 
     Parameters
@@ -37,8 +35,6 @@ def solve_cell_unsteady(mesh, tau, horizon, system=None, lambda1_hint=40.0,
         Time step; must resolve the slowest mode, tau <= 0.1/lambda1_hint.
     horizon : float
         Final time; the number of steps is round(horizon / tau).
-    store_every : int
-        Keep every store_every-th sample (sample 0 is always kept).
 
     Returns KernelSamples whose first row is the raw t=0 average, equal
     to the fluid area times the identity.
@@ -56,17 +52,9 @@ def solve_cell_unsteady(mesh, tau, horizon, system=None, lambda1_hint=40.0,
     if system is None:
         system = StokesSystem(mesh)
 
-    nv = system.n_velocity
-    npr = system.n_pressure
-    mass_tau = (system.mass_r / tau).tocsr()
-    cvec = sp.csr_matrix(system.mean_r[:, None])
-    stepper = sp.bmat([
-        [system.stiff_r + mass_tau, None, system.bx_r.T, None],
-        [None, system.stiff_r + mass_tau, system.by_r.T, None],
-        [system.bx_r, system.by_r, None, cvec],
-        [None, None, cvec.T, None],
-    ], format="csc")
-    factor = SparseFactor(stepper)
+    # Backward Euler on the saddle pencil: (K + M / tau) x_n = M x_{n-1} / tau.
+    mass_tau = system.mass_saddle / tau
+    factor = SparseFactor(system.operator + mass_tau)
 
     area = float(np.sum(mesh.triangle_areas()))
     times = [0.0]
@@ -81,14 +69,10 @@ def solve_cell_unsteady(mesh, tau, horizon, system=None, lambda1_hint=40.0,
                 raise SolverError(
                     f"unsteady step {n} direction {j}: divergence {div:.2e}"
                 )
-            rhs = np.zeros_like(x)
-            rhs[:nv] = mass_tau @ x[:nv]
-            rhs[nv:2 * nv] = mass_tau @ x[nv:2 * nv]
-            states[j] = rhs
+            states[j] = mass_tau @ x
             sample[:, j] = system.velocity_average(x)
-        if n % store_every == 0 or n == nsteps:
-            times.append(n * tau)
-            values.append(sample)
+        times.append(n * tau)
+        values.append(sample)
     return KernelSamples(np.array(times), np.array(values))
 
 

@@ -9,27 +9,21 @@ import argparse
 import os
 import sys
 
-from .cell_spectral import read_spectrum_csv, solve_eigen, write_spectrum_csv
-from .cell_steady import (
-    read_permeability_csv,
-    solve_cell_steady,
-    write_permeability_csv,
-)
-from .cell_unsteady import solve_cell_unsteady, write_samples_csv
+from .cell_spectral import read_spectrum_csv
 from .fem import SolverError
-from .kernel_model import build_kernel_model, read_model_csv, write_model_csv
-from .macro import MacroProblem, run, write_ledger_csv, write_state_csv
 from .meshing import (
     EllipseSpec,
     MeshFormatError,
     MeshQualityError,
     gen_cell_mesh,
     gen_rect_mesh,
-    read_mesh,
     write_mesh,
 )
-from .pipeline import PipelineError, parse_config, run_pipeline
-from .svgplot import render_field_svg
+from .pipeline import PipelineError, parse_config, run_pipeline, run_stage
+
+
+# Failures of the numerics rather than of the input (exit code 3).
+_NUMERICAL = (SolverError, MeshQualityError, ArithmeticError)
 
 
 def _cmd_mesh(args):
@@ -46,66 +40,34 @@ def _cmd_mesh(args):
           f"{mesh.num_triangles} triangles)")
 
 
-def _cmd_cell_steady(args):
-    mesh = read_mesh(args.mesh)
-    solution = solve_cell_steady(mesh)
-    write_permeability_csv(solution.k_bar, args.out)
-    print(f"wrote {args.out} (K11={solution.k_bar[0, 0]:.8f})")
+# Per stage subcommand: the flags that set config keys, and the flags
+# that name artifact files (see pipeline.run_stage).
+_STAGE_FLAGS = {
+    "cell-steady": ((), {"mesh": "cell.mesh", "out": "k_bar.csv"}),
+    "eigen": (("modes",), {"mesh": "cell.mesh", "out": "spectrum.csv"}),
+    "oracle": (("oracle_tau", "oracle_horizon"),
+               {"mesh": "cell.mesh", "out": "oracle.csv"}),
+    "kernel": (("epsilon", "modes"),
+               {"spectrum": "spectrum.csv", "kbar": "k_bar.csv",
+                "out": "kernel.csv"}),
+    "macro": (("sigma", "tau", "t_final", "bc", "snapshots", "svg"),
+              {"mesh": "macro.mesh", "model": "kernel.csv", "out": "macro_"}),
+}
 
 
-def _cmd_eigen(args):
-    mesh = read_mesh(args.mesh)
-    spectrum = solve_eigen(mesh, args.modes)
-    write_spectrum_csv(spectrum, args.out)
-    print(f"wrote {args.out} ({spectrum.eigenvalues.size} modes, "
-          f"lambda1={spectrum.eigenvalues[0]:.6f})")
-
-
-def _cmd_oracle(args):
-    mesh = read_mesh(args.mesh)
-    samples = solve_cell_unsteady(mesh, args.tau, args.horizon)
-    write_samples_csv(samples, args.out)
-    print(f"wrote {args.out} ({samples.times.size} samples)")
-
-
-def _cmd_kernel(args):
-    k_bar = read_permeability_csv(args.kbar)
-    lams, coeffs = read_spectrum_csv(args.spectrum)
-    num_modes = args.modes if args.modes is not None else None
-    model = build_kernel_model(k_bar, lams, coeffs, epsilon=args.epsilon,
-                               num_modes=num_modes)
-    write_model_csv(model, args.out)
-    print(f"wrote {args.out} ({model.num_modes} retained modes, "
-          f"Ktilde11={model.k_tilde[0, 0]:.6e})")
-
-
-def _parse_times(text):
-    return tuple(float(part) for part in text.split(",") if part.strip())
-
-
-def _cmd_macro(args):
-    mesh = read_mesh(args.mesh)
-    model = read_model_csv(args.model)
-    problem = MacroProblem(mesh, model, args.bc, sigma=args.sigma,
-                           tau=args.tau)
-    snapshots = _parse_times(args.snapshots) if args.snapshots else ()
-    result = run(problem, args.t_final, snapshots)
-    prefix_dir = os.path.dirname(args.out_prefix)
-    if prefix_dir:
-        os.makedirs(prefix_dir, exist_ok=True)
-    for t_req, state in result.snapshots:
-        stamp = f"{t_req:.6g}"
-        path = f"{args.out_prefix}_state_{stamp}.csv"
-        write_state_csv(path, mesh, state)
+def _cmd_stage(args):
+    """Run one pipeline stage; outputs without a flag land next to --out."""
+    keys, flags = _STAGE_FLAGS[args.command]
+    overrides = {key: getattr(args, key) for key in keys}
+    if args.command == "kernel" and args.modes is None:
+        # Without --modes the kernel keeps the whole spectrum.
+        overrides["modes"] = read_spectrum_csv(args.spectrum)[0].size
+    overrides["out_dir"] = os.path.dirname(args.out) or "."
+    os.makedirs(overrides["out_dir"], exist_ok=True)
+    config = parse_config(overrides=overrides)
+    paths = {name: getattr(args, flag) for flag, name in flags.items()}
+    for _, path in run_stage(args.command, config, paths):
         print(f"wrote {path}")
-        if args.svg:
-            path = f"{args.out_prefix}_field_{stamp}.svg"
-            render_field_svg(path, mesh, state.v,
-                             title=f"pressure at t={stamp}")
-            print(f"wrote {path}")
-    path = f"{args.out_prefix}_ledger.csv"
-    write_ledger_csv(path, result.ledger)
-    print(f"wrote {path}")
 
 
 def _cmd_pipeline(args):
@@ -140,28 +102,33 @@ def build_parser():
     p = sub.add_parser("cell-steady", help="steady permeability tensor")
     p.add_argument("--mesh", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_cell_steady)
+    p.set_defaults(func=_cmd_stage)
 
     p = sub.add_parser("eigen", help="leading Stokes eigenmodes")
     p.add_argument("--mesh", required=True)
     p.add_argument("--modes", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_eigen)
+    p.add_argument("--out", required=True,
+                   help="spectrum CSV; table3.txt is written (or replaced) "
+                        "in the same directory")
+    p.set_defaults(func=_cmd_stage)
 
     p = sub.add_parser("oracle", help="time-stepped kernel samples")
     p.add_argument("--mesh", required=True)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--horizon", type=float, required=True)
+    p.add_argument("--tau", type=float, required=True, dest="oracle_tau")
+    p.add_argument("--horizon", type=float, required=True,
+                   dest="oracle_horizon")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_oracle)
+    p.set_defaults(func=_cmd_stage)
 
     p = sub.add_parser("kernel", help="exponential kernel model")
     p.add_argument("--spectrum", required=True)
     p.add_argument("--kbar", required=True)
     p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--modes", type=int, default=None)
+    p.add_argument("--modes", type=int, default=None,
+                   help="modes to keep, at most the spectrum's length "
+                        "(default: all)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_kernel)
+    p.set_defaults(func=_cmd_stage)
 
     p = sub.add_parser("macro", help="macroscale filtration run")
     p.add_argument("--mesh", required=True)
@@ -171,14 +138,16 @@ def build_parser():
     p.add_argument("--t-final", type=float, required=True, dest="t_final")
     p.add_argument("--bc", required=True)
     p.add_argument("--snapshots", default="")
-    p.add_argument("--out-prefix", required=True, dest="out_prefix")
+    p.add_argument("--out-prefix", required=True, dest="out",
+                   help="replaces 'macro' in the output file names")
     p.add_argument("--svg", action="store_true",
                    help="also render contour SVGs")
-    p.set_defaults(func=_cmd_macro)
+    p.set_defaults(func=_cmd_stage)
 
     p = sub.add_parser("pipeline", help="run the configured stage chain")
     p.add_argument("--config", default=None)
-    p.add_argument("--only", default=None, help="run a single stage")
+    p.add_argument("--only", default=None,
+                   help="comma-separated stages to run, e.g. mesh,eigen")
     p.add_argument("--out", default=None, help="output directory override")
     p.set_defaults(func=_cmd_pipeline)
 
@@ -189,15 +158,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except PipelineError as exc:
+    except (PipelineError, MeshFormatError, ValueError, OSError,
+            *_NUMERICAL) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        cause = exc.__cause__
-        return 3 if isinstance(cause, (SolverError, MeshQualityError,
-                                       ArithmeticError)) else 2
-    except (MeshFormatError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SolverError, MeshQualityError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        cause = exc.__cause__ if isinstance(exc, PipelineError) else exc
+        return 3 if isinstance(cause, _NUMERICAL) else 2
     return 0

@@ -163,18 +163,34 @@ def assemble_divergence(mesh, dofmap):
     return bx, by
 
 
-def assemble_p1_stiffness(mesh, tensor):
-    """P1 stiffness with a constant 2x2 coefficient tensor."""
-    tensor = np.asarray(tensor, dtype=float)
-    if tensor.shape != (2, 2):
-        raise ValueError(f"tensor must be 2x2, got {tensor.shape}")
-    _, det, inv_t = _geometry(mesh)
-    gphys = np.einsum("eab,ib->eia", inv_t, P1_GRADS)      # (e, 3, 2)
-    flux = np.einsum("ab,ejb->eja", tensor, gphys)
-    elem = 0.5 * det[:, None, None] * np.einsum("eia,eja->eij", gphys, flux)
-    rows, cols, vals = _element_matrix_to_coo(mesh.triangles, elem)
-    nv = mesh.num_vertices
-    return _accumulate(rows, cols, vals, (nv, nv))
+class P1Stiffness:
+    """P1 stiffness matrices for constant 2x2 coefficient tensors.
+
+    The per-triangle gradient products and the COO index arrays are
+    built once, so the matrices for many tensors on one mesh come from a
+    single geometric pass.
+    """
+
+    def __init__(self, mesh):
+        _, det, inv_t = _geometry(mesh)
+        gphys = np.einsum("eab,ib->eia", inv_t, P1_GRADS)   # (e, 3, 2)
+        area = 0.5 * det
+        # products[a, b][e, i, j] = area_e * d_a(phi_i) * d_b(phi_j)
+        self._products = np.einsum("e,eia,ejb->abeij", area, gphys, gphys)
+        tris = mesh.triangles
+        self._rows = np.repeat(tris, 3, axis=1).ravel()
+        self._cols = np.tile(tris, (1, 3)).ravel()
+        self._nv = mesh.num_vertices
+
+    def matrix(self, tensor):
+        """CSR stiffness for a constant 2x2 tensor."""
+        tensor = np.asarray(tensor, dtype=float)
+        if tensor.shape != (2, 2):
+            raise ValueError(f"tensor must be 2x2, got {tensor.shape}")
+        vals = np.einsum("ab,abeij->eij", tensor, self._products)
+        mat = sp.coo_matrix((vals.ravel(), (self._rows, self._cols)),
+                            shape=(self._nv, self._nv))
+        return mat.tocsr()
 
 
 def assemble_p1_mass(mesh):
@@ -316,21 +332,19 @@ class StokesSystem:
     def __init__(self, mesh):
         self.mesh = mesh
         k2, m2, dofmap = assemble_p2_stiffness_mass(mesh)
-        self.dofmap = dofmap
         bx, by = assemble_divergence(mesh, dofmap)
         pairs2, fixed2, pairs1 = cell_constraints(mesh, dofmap)
-        self.prol_v, self.reduced_v = build_prolongation(
-            dofmap.num_dofs, pairs2, fixed2)
-        self.prol_p, self.reduced_p = build_prolongation(
+        rv, _ = build_prolongation(dofmap.num_dofs, pairs2, fixed2)
+        rp, _ = build_prolongation(
             mesh.num_vertices, pairs1, np.zeros(mesh.num_vertices, dtype=bool))
 
-        rv, rp = self.prol_v, self.prol_p
         self.stiff_r = (rv.T @ k2 @ rv).tocsr()
         self.mass_r = (rv.T @ m2 @ rv).tocsr()
         self.bx_r = (rp.T @ bx @ rv).tocsr()
         self.by_r = (rp.T @ by @ rv).tocsr()
         self.mean_r = rp.T @ p1_integral_vector(mesh)
-        self.mass_full = m2
+        # pairing a velocity component with these weights integrates it
+        self.velocity_weights = rv.T @ (m2 @ np.ones(dofmap.num_dofs))
 
         nvr = self.stiff_r.shape[0]
         npr = self.bx_r.shape[0]
@@ -357,35 +371,17 @@ class StokesSystem:
 
     def unit_load(self, axis):
         """Reduced load for a constant unit body force along an axis."""
-        ones = np.ones(self.dofmap.num_dofs)
-        comp = self.prol_v.T @ (self.mass_full @ ones)
         rhs = np.zeros(self.operator.shape[0])
-        if axis == 0:
-            rhs[:self.n_velocity] = comp
-        else:
-            rhs[self.n_velocity:2 * self.n_velocity] = comp
+        start = axis * self.n_velocity
+        rhs[start:start + self.n_velocity] = self.velocity_weights
         return rhs
 
     def velocity_average(self, x):
         """Cell integral of the velocity in a saddle vector, per component."""
-        ones = np.ones(self.dofmap.num_dofs)
-        weights = self.prol_v.T @ (self.mass_full @ ones)
         return np.array([
-            weights @ x[:self.n_velocity],
-            weights @ x[self.n_velocity:2 * self.n_velocity],
+            self.velocity_weights @ x[:self.n_velocity],
+            self.velocity_weights @ x[self.n_velocity:2 * self.n_velocity],
         ])
-
-    def velocity_field(self, x):
-        """Full-space velocity dof values (n_dofs, 2) from a saddle vector."""
-        ux = self.prol_v @ x[:self.n_velocity]
-        uy = self.prol_v @ x[self.n_velocity:2 * self.n_velocity]
-        return np.stack([ux, uy], axis=1)
-
-    def velocity_l2(self, x):
-        """L2 norm of the velocity block of a saddle vector."""
-        ux = x[:self.n_velocity]
-        uy = x[self.n_velocity:2 * self.n_velocity]
-        return float(np.sqrt(ux @ (self.mass_r @ ux) + uy @ (self.mass_r @ uy)))
 
     def divergence_norm(self, x):
         bu = (self.bx_r @ x[:self.n_velocity]
@@ -416,7 +412,3 @@ class SparseFactor:
                 )
         return x
 
-
-def solve_sparse(matrix, rhs, rtol=1e-10):
-    """Direct sparse solve with a backward-error check."""
-    return SparseFactor(matrix).solve(rhs, rtol=rtol)

@@ -18,6 +18,8 @@ contribution is then re-absorbed into K_tilde.
 
 import numpy as np
 
+from .cell_spectral import complete_clusters
+
 
 class KernelModelError(ValueError):
     pass
@@ -70,10 +72,6 @@ class KernelModel:
         out = np.einsum("nk,kij->nij", decay, self.d_scaled)
         return out.reshape(t.shape + (2, 2))
 
-    def total_integral(self):
-        """Closed form of the kernel's time integral, K_bar - K_tilde."""
-        return np.sum(self.d_scaled, axis=0)
-
     def forcing_vector(self, f, t):
         """g(t) = (K_bar - Phi(t)) f for a constant body force f."""
         f = np.asarray(f, dtype=float)
@@ -101,7 +99,9 @@ def build_kernel_model(k_bar, lams, coeffs, epsilon=0.0, num_modes=None):
     k_bar : (2, 2) steady permeability
     lams, coeffs : spectral data, ascending eigenvalues
     epsilon : filter threshold on the entries of D^k / lambda_k
-    num_modes : use only the first num_modes input modes (default all)
+    num_modes : use only the first num_modes input modes (default all),
+        extended to the end of a cluster of near-equal eigenvalues it
+        would cut, since only a whole cluster's tensor sum is defined
     """
     lams = np.asarray(lams, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
@@ -115,6 +115,7 @@ def build_kernel_model(k_bar, lams, coeffs, epsilon=0.0, num_modes=None):
         if num_modes < 0 or num_modes > lams.size:
             raise KernelModelError(
                 f"num_modes={num_modes} outside [0, {lams.size}]")
+        num_modes = complete_clusters(lams, num_modes)
         lams = lams[:num_modes]
         coeffs = coeffs[:num_modes]
     keep = filter_modes(lams, coeffs, epsilon)

@@ -41,13 +41,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import (
+    P1Stiffness,
     SolverError,
     SparseFactor,
     boundary_edge_load,
     p1_gradient_load,
     p1_integral_vector,
-    P1_GRADS,
-    _geometry,
 )
 
 _SIDES = ("OuterLeft", "OuterRight", "OuterBottom", "OuterTop")
@@ -60,27 +59,33 @@ _SIDE_ALIASES = {
 _BC_KINDS = ("dirichlet", "natural")
 
 
-def parse_bc(text):
-    """Parse a boundary spec like "left=dirichlet:0,right=natural:1".
+def parse_bc(bc):
+    """Normalize a boundary spec to a dict side tag -> (kind, value).
 
-    Returns a dict side tag -> (kind, value) covering all four sides.
-    """
+    bc is a string like "left=dirichlet:0,right=natural:1", whose kinds
+    may be in any case, or a dict side -> (kind, value).  All four sides
+    must be given."""
+    if isinstance(bc, str):
+        items = []
+        for item in bc.split(","):
+            item = item.strip()
+            if not item:
+                continue
+            try:
+                side, rest = item.split("=", 1)
+                kind, value = rest.split(":", 1)
+            except ValueError:
+                raise ValueError(f"malformed boundary item {item!r}, "
+                                 f"expected side=kind:value") from None
+            items.append((side.strip(), kind.strip().lower(), value))
+    else:
+        items = [(side, kind, value)
+                 for side, (kind, value) in dict(bc).items()]
     table = {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        try:
-            side, rest = item.split("=", 1)
-            kind, value = rest.split(":", 1)
-        except ValueError:
-            raise ValueError(f"malformed boundary item {item!r}, "
-                             f"expected side=kind:value") from None
-        side = side.strip()
-        tag = _SIDE_ALIASES.get(side.lower(), side)
+    for side, kind, value in items:
+        tag = _SIDE_ALIASES.get(str(side).lower(), side)
         if tag not in _SIDES:
             raise ValueError(f"unknown side {side!r}")
-        kind = kind.strip().lower()
         if kind not in _BC_KINDS:
             raise ValueError(f"unknown boundary kind {kind!r}")
         if tag in table:
@@ -92,31 +97,51 @@ def parse_bc(text):
     return table
 
 
-class _GradPattern:
-    """Per-triangle P1 gradient products for repeated tensor assembly.
+def _boundary(mesh, bc, source=0.0):
+    """Boundary data of a spec on a rectangle mesh.
 
-    Stores the COO index arrays once so stiffness matrices for many
-    constant tensors come from a single geometric pass.
+    Returns (table, fixed_idx, fixed_val, free_idx, load): the parse_bc
+    table, the Dirichlet vertices and their values, the other vertices,
+    and the load of the source psi plus the natural fluxes.  All-natural
+    data must carry no net influx.
     """
+    table = parse_bc(bc)
+    values = {}
+    for edge, tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+        try:
+            kind, value = table[tag]
+        except KeyError:
+            raise ValueError(
+                f"mesh boundary tag {tag!r} has no boundary condition; "
+                "the domain must be a plain rectangle") from None
+        if kind != "dirichlet":
+            continue
+        for vert in edge:
+            prev = values.get(int(vert))
+            if prev is not None and abs(prev - value) > 1e-12:
+                raise ValueError(
+                    f"conflicting Dirichlet values {prev} and {value} "
+                    f"meet at vertex {int(vert)}")
+            values[int(vert)] = value
+    fixed_idx = np.array(sorted(values), dtype=np.int64)
+    fixed_val = np.array([values[i] for i in fixed_idx], dtype=float)
+    mask = np.ones(mesh.num_vertices, dtype=bool)
+    mask[fixed_idx] = False
+    free_idx = np.flatnonzero(mask)
 
-    def __init__(self, mesh):
-        _, det, inv_t = _geometry(mesh)
-        gphys = np.einsum("eab,ib->eia", inv_t, P1_GRADS)   # (e, 3, 2)
-        area = 0.5 * det
-        # products[a, b][e, i, j] = area_e * d_a(phi_i) * d_b(phi_j)
-        self._products = np.einsum("e,eia,ejb->abeij", area, gphys, gphys)
-        tris = mesh.triangles
-        self._rows = np.repeat(tris, 3, axis=1).ravel()
-        self._cols = np.tile(tris, (1, 3)).ravel()
-        self._nv = mesh.num_vertices
-
-    def stiffness(self, tensor):
-        """CSR stiffness for a constant 2x2 tensor."""
-        tensor = np.asarray(tensor, dtype=float)
-        vals = np.einsum("ab,abeij->eij", tensor, self._products)
-        mat = sp.coo_matrix((vals.ravel(), (self._rows, self._cols)),
-                            shape=(self._nv, self._nv))
-        return mat.tocsr()
+    load = source * p1_integral_vector(mesh)
+    for side, (kind, value) in table.items():
+        if kind == "natural" and value != 0.0:
+            load += boundary_edge_load(mesh, side, value)
+    if not values:
+        scale = abs(source) * mesh.area() + sum(
+            abs(v) for _, v in table.values()) + 1e-30
+        total = load.sum()
+        if abs(total) > 1e-10 * scale:
+            raise ValueError(
+                "all-natural data are incompatible: net influx "
+                f"{total:.3e} does not vanish")
+    return table, fixed_idx, fixed_val, free_idx, load
 
 
 class _EllipticSolver:
@@ -126,13 +151,13 @@ class _EllipticSolver:
     is fixed, a mean-zero constraint through one Lagrange multiplier.
     """
 
-    def __init__(self, matrix, fixed_idx, fixed_val, free_idx, mean_vector):
+    def __init__(self, matrix, mesh, fixed_idx, fixed_val, free_idx):
         self._n = matrix.shape[0]
         self._fixed_idx = fixed_idx
         self._fixed_val = fixed_val
         self._free_idx = free_idx
         if fixed_idx.size == 0:
-            column = sp.csr_matrix(mean_vector.reshape(-1, 1))
+            column = sp.csr_matrix(p1_integral_vector(mesh).reshape(-1, 1))
             op = sp.bmat([[matrix, column], [column.T, None]], format="csc")
             self._factor = SparseFactor(op)
             self._coupling = None
@@ -214,30 +239,16 @@ class MacroProblem:
         if self.f.shape != (2,):
             raise ValueError("f must be a 2-vector")
         self.source = float(source)
-        table = parse_bc(bc) if isinstance(bc, str) else dict(bc)
-        normalized = {}
-        for side, (kind, value) in table.items():
-            tag = _SIDE_ALIASES.get(str(side).lower(), side)
-            if tag not in _SIDES:
-                raise ValueError(f"unknown side {side!r}")
-            if kind not in _BC_KINDS:
-                raise ValueError(f"unknown boundary kind {kind!r}")
-            if tag in normalized:
-                raise ValueError(f"duplicate condition for side {side!r}")
-            normalized[tag] = (kind, float(value))
-        missing = [s for s in _SIDES if s not in normalized]
-        if missing:
-            raise ValueError(f"missing boundary condition for {missing}")
-        self.bc = normalized
+        (self.bc, self._fixed_idx, self._fixed_val, self._free_idx,
+         self._static_load) = _boundary(mesh, bc, self.source)
 
-        self._pattern = _GradPattern(mesh)
-        self._stiff_tilde = self._pattern.stiffness(model.k_tilde)
-        self._stiff_modes = [self._pattern.stiffness(d)
+        self._stiffness = P1Stiffness(mesh)
+        self._stiff_tilde = self._stiffness.matrix(model.k_tilde)
+        self._stiff_modes = [self._stiffness.matrix(d)
                              for d in model.d_tensors]
         self._k_tilde_inv = np.linalg.inv(model.k_tilde)
         self._area = mesh.area()
 
-        self._collect_boundary()
         lam = model.lams
         self._denom = 1.0 + self.sigma * lam * self.tau
         k_eff = model.k_tilde + np.sum(
@@ -245,66 +256,19 @@ class MacroProblem:
             * model.d_tensors, axis=0)
         self._grad_load_x = p1_gradient_load(mesh, (1.0, 0.0))
         self._grad_load_y = p1_gradient_load(mesh, (0.0, 1.0))
-        self._static_load = self.source * p1_integral_vector(mesh)
-        for side, (kind, value) in self.bc.items():
-            if kind == "natural" and value != 0.0:
-                self._static_load += boundary_edge_load(mesh, side, value)
-        if self.all_natural:
-            scale = abs(self.source) * self._area + sum(
-                abs(v) for _, v in self.bc.values()) + 1e-30
-            total = self._static_load.sum()
-            if abs(total) > 1e-10 * scale:
-                raise ValueError(
-                    "all-natural data are incompatible: net influx "
-                    f"{total:.3e} does not vanish")
-        mean_vec = p1_integral_vector(mesh) if self.all_natural else None
-        self._tilde_solver = _EllipticSolver(
-            self._stiff_tilde, self._fixed_idx, self._fixed_val,
-            self._free_idx, mean_vec)
+        nodes = (self._fixed_idx, self._fixed_val, self._free_idx)
+        self._tilde_solver = _EllipticSolver(self._stiff_tilde, mesh, *nodes)
         if self.sigma > 0.0 and lam.size:
             self._eff_solver = _EllipticSolver(
-                self._pattern.stiffness(k_eff), self._fixed_idx,
-                self._fixed_val, self._free_idx, mean_vec)
+                self._stiffness.matrix(k_eff), mesh, *nodes)
         else:
             self._eff_solver = self._tilde_solver
-
-    def _collect_boundary(self):
-        mesh = self.mesh
-        values = {}
-        for edge, tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-            try:
-                kind, value = self.bc[tag]
-            except KeyError:
-                raise ValueError(
-                    f"mesh boundary tag {tag!r} has no boundary condition; "
-                    "the domain must be a plain rectangle") from None
-            if kind != "dirichlet":
-                continue
-            for vert in edge:
-                prev = values.get(int(vert))
-                if prev is not None and abs(prev - value) > 1e-12:
-                    raise ValueError(
-                        f"conflicting Dirichlet values {prev} and {value} "
-                        f"meet at vertex {int(vert)}")
-                values[int(vert)] = value
-        self._fixed_idx = np.array(sorted(values), dtype=np.int64)
-        self._fixed_val = np.array([values[i] for i in self._fixed_idx],
-                                   dtype=float)
-        mask = np.ones(mesh.num_vertices, dtype=bool)
-        mask[self._fixed_idx] = False
-        self._free_idx = np.flatnonzero(mask)
-
-    @property
-    def all_natural(self):
-        return all(kind == "natural" for kind, _ in self.bc.values())
 
     @property
     def ledger_guaranteed(self):
         """True when the stability inequality is a contract, not a hint."""
-        fluxes_zero = all(kind != "natural" or value == 0.0
-                          for kind, value in self.bc.values())
-        return (self.all_natural and fluxes_zero and self.source == 0.0
-                and self.sigma >= 0.5)
+        homogeneous = all(bc == ("natural", 0.0) for bc in self.bc.values())
+        return homogeneous and self.source == 0.0 and self.sigma >= 0.5
 
     def _load(self, t):
         """Elliptic right-hand side at time t, memory term excluded."""
@@ -372,7 +336,7 @@ class MacroProblem:
         return (n, state.t, lhs, rhs, rhs - lhs)
 
 
-def solve_steady(mesh, tensor, bc, pattern=None):
+def solve_steady(mesh, tensor, bc):
     """Steady filtration: -div(tensor grad p) = 0 with the given data.
 
     Dirichlet values are imposed strongly, natural fluxes weakly.  With
@@ -383,60 +347,19 @@ def solve_steady(mesh, tensor, bc, pattern=None):
     eigs = np.linalg.eigvalsh(0.5 * (tensor + tensor.T))
     if eigs[0] <= 0.0:
         raise ValueError("tensor must be positive definite")
-    table = parse_bc(bc) if isinstance(bc, str) else {
-        _SIDE_ALIASES.get(str(k).lower(), k): (kind, float(val))
-        for k, (kind, val) in dict(bc).items()}
-    for side in _SIDES:
-        if side not in table:
-            raise ValueError(f"missing boundary condition for {side}")
-    if pattern is None:
-        pattern = _GradPattern(mesh)
-    matrix = pattern.stiffness(tensor)
-
-    values = {}
-    load = np.zeros(mesh.num_vertices)
-    for edge, tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        try:
-            kind, value = table[tag]
-        except KeyError:
-            raise ValueError(
-                f"mesh boundary tag {tag!r} has no boundary condition; "
-                "the domain must be a plain rectangle") from None
-        if kind != "dirichlet":
-            continue
-        for vert in edge:
-            prev = values.get(int(vert))
-            if prev is not None and abs(prev - value) > 1e-12:
-                raise ValueError("conflicting Dirichlet values at a corner")
-            values[int(vert)] = value
-    for side, (kind, value) in table.items():
-        if kind == "natural" and value != 0.0:
-            load += boundary_edge_load(mesh, side, value)
-    fixed_idx = np.array(sorted(values), dtype=np.int64)
-    fixed_val = np.array([values[i] for i in fixed_idx], dtype=float)
-    mask = np.ones(mesh.num_vertices, dtype=bool)
-    mask[fixed_idx] = False
-    free_idx = np.flatnonzero(mask)
-    mean_vec = None
-    if fixed_idx.size == 0:
-        total = load.sum()
-        scale = sum(abs(v) for _, v in table.values()) + 1e-30
-        if abs(total) > 1e-10 * scale:
-            raise ValueError("all-natural data are incompatible")
-        mean_vec = p1_integral_vector(mesh)
-    solver = _EllipticSolver(matrix, fixed_idx, fixed_val, free_idx, mean_vec)
-    return solver.solve(load)
+    _, *nodes, load = _boundary(mesh, bc)
+    return _EllipticSolver(P1Stiffness(mesh).matrix(tensor), mesh,
+                           *nodes).solve(load)
 
 
-def run(problem, t_final, snapshot_times=(), initial_state=None,
-        checked=True):
+def run(problem, t_final, snapshot_times=(), initial_state=None):
     """March to t_final collecting snapshots and the energy ledger.
 
     Snapshot times must lie in [start, t_final] and are taken at the
-    nearest time-grid point.  With checked=True a ledger margin below
-    -1e-10 * max(lhs, rhs) in the guaranteed regime (all-natural
-    homogeneous-flux data, sigma >= 1/2) raises SolverError, since it
-    would signal an assembly or update bug.
+    nearest time-grid point.  A ledger margin below -1e-10 * max(lhs,
+    rhs) in the guaranteed regime (all-natural homogeneous-flux data,
+    sigma >= 1/2) raises SolverError, since it would signal an assembly
+    or update bug.
 
     Returns a MacroRun.
     """
@@ -462,7 +385,7 @@ def run(problem, t_final, snapshot_times=(), initial_state=None,
     for index, t_req in requests:
         if index == 0:
             snapshots[(0, t_req)] = state
-    guarded = checked and problem.ledger_guaranteed
+    guarded = problem.ledger_guaranteed
     ledger = []
     for n in range(1, nsteps + 1):
         state = problem.step(state)

@@ -9,7 +9,7 @@ format (``MESH2D 1``) is plain ASCII and round-trips exactly.
 import math
 
 import numpy as np
-from scipy.spatial import Delaunay, cKDTree
+from scipy.spatial import Delaunay
 
 BOUNDARY_TAGS = ("OuterLeft", "OuterRight", "OuterBottom", "OuterTop", "Inclusion")
 
@@ -78,10 +78,6 @@ class EllipseSpec:
         self.a = a
         self.b = b
         self.center = _CENTER.copy()
-
-    @property
-    def semi_axes(self):
-        return (self.a, self.b)
 
     @property
     def circular(self):

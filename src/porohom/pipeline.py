@@ -168,84 +168,104 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-class _StageWriter:
-    """Tracks a stage's outputs so failures leave only .partial files."""
+class _StageFiles:
+    """Where stages find artifacts, plus the run's shared cell system.
 
-    def __init__(self, out_dir):
+    paths maps an artifact name to a file, or a prefix key like "macro_"
+    maps "macro_ledger.csv" to path + "_ledger.csv"; other names live
+    under out_dir.  Outputs are written as name.partial and renamed by
+    commit, so a failing stage leaves only .partial files.
+    """
+
+    def __init__(self, out_dir, paths=()):
         self.out_dir = out_dir
+        self.paths = dict(paths)
+        self.system = None
         self._pending = []
 
+    def locate(self, name):
+        for key, path in self.paths.items():
+            if name == key:
+                return path
+            if key.endswith("_") and name.startswith(key):
+                return f"{path}_{name[len(key):]}"
+        return os.path.join(self.out_dir, name)
+
     def path(self, name):
-        partial = os.path.join(self.out_dir, name + ".partial")
-        self._pending.append((partial, os.path.join(self.out_dir, name)))
-        return partial
+        final = self.locate(name)
+        self._pending.append((name, final))
+        return final + ".partial"
+
+    def cell_system(self):
+        if self.system is None:
+            self.system = StokesSystem(read_mesh(self.locate("cell.mesh")))
+        return self.system
 
     def commit(self):
-        done = []
-        for partial, final in self._pending:
-            os.replace(partial, final)
-            done.append(os.path.basename(final))
-        self._pending.clear()
+        """Rename the staged outputs; returns their (name, path) pairs."""
+        done, self._pending = self._pending, []
+        for _, final in done:
+            os.replace(final + ".partial", final)
         return done
 
 
-def _stage_mesh(config, writer):
+def _stage_mesh(config, files):
     cell = gen_cell_mesh(EllipseSpec(config["gamma"]), config["cell_h"])
-    write_mesh(cell, writer.path("cell.mesh"))
+    write_mesh(cell, files.path("cell.mesh"))
     macro_mesh = gen_rect_mesh(config["macro_lx"], config["macro_ly"],
                                config["macro_h"])
-    write_mesh(macro_mesh, writer.path("macro.mesh"))
+    write_mesh(macro_mesh, files.path("macro.mesh"))
 
 
-def _stage_cell_steady(config, writer):
-    mesh = read_mesh(os.path.join(writer.out_dir, "cell.mesh"))
-    solution = solve_cell_steady(mesh)
-    write_permeability_csv(solution.k_bar, writer.path("k_bar.csv"))
+def _stage_cell_steady(config, files):
+    system = files.cell_system()
+    solution = solve_cell_steady(system.mesh, system=system)
+    write_permeability_csv(solution.k_bar, files.path("k_bar.csv"))
 
 
-def _stage_eigen(config, writer):
-    mesh = read_mesh(os.path.join(writer.out_dir, "cell.mesh"))
-    system = StokesSystem(mesh)
-    spectrum = solve_eigen(mesh, config["modes"], system=system)
-    write_spectrum_csv(spectrum, writer.path("spectrum.csv"))
+def _stage_eigen(config, files):
+    system = files.cell_system()
+    spectrum = solve_eigen(system.mesh, config["modes"], system=system)
+    write_spectrum_csv(spectrum, files.path("spectrum.csv"))
     shown = min(spectrum.eigenvalues.size, 3)
     text = render_table({"lams": spectrum.eigenvalues[:shown],
                          "coeffs": spectrum.coefficients[:shown]}, "table3")
-    with open(writer.path("table3.txt"), "w", encoding="ascii") as handle:
+    with open(files.path("table3.txt"), "w", encoding="ascii") as handle:
         handle.write(text)
 
 
-def _stage_kernel(config, writer):
-    k_bar = read_permeability_csv(os.path.join(writer.out_dir, "k_bar.csv"))
-    lams, coeffs = read_spectrum_csv(
-        os.path.join(writer.out_dir, "spectrum.csv"))
+def _stage_kernel(config, files):
+    k_bar = read_permeability_csv(files.locate("k_bar.csv"))
+    lams, coeffs = read_spectrum_csv(files.locate("spectrum.csv"))
     model = build_kernel_model(k_bar, lams, coeffs,
                                epsilon=config["epsilon"],
-                               num_modes=min(config["modes"], lams.size))
-    write_model_csv(model, writer.path("kernel.csv"))
+                               num_modes=config["modes"])
+    write_model_csv(model, files.path("kernel.csv"))
 
 
-def _stage_oracle(config, writer):
-    mesh = read_mesh(os.path.join(writer.out_dir, "cell.mesh"))
+def _stage_oracle(config, files):
+    # Its own system: the stepper's factorization then never lives next
+    # to the saddle factorization of the cell-steady and eigen stages.
+    mesh = read_mesh(files.locate("cell.mesh"))
     samples = solve_cell_unsteady(mesh, config["oracle_tau"],
                                   config["oracle_horizon"])
-    write_samples_csv(samples, writer.path("oracle.csv"))
+    write_samples_csv(samples, files.path("oracle.csv"))
 
 
-def _stage_macro(config, writer):
-    mesh = read_mesh(os.path.join(writer.out_dir, "macro.mesh"))
-    model = read_model_csv(os.path.join(writer.out_dir, "kernel.csv"))
+def _stage_macro(config, files):
+    mesh = read_mesh(files.locate("macro.mesh"))
+    model = read_model_csv(files.locate("kernel.csv"))
     problem = MacroProblem(mesh, model, config["bc"], f=config["f"],
                            source=config["source"], sigma=config["sigma"],
                            tau=config["tau"])
     result = run(problem, config["t_final"], config["snapshots"])
     for t_req, state in result.snapshots:
         stamp = f"{t_req:.6g}"
-        write_state_csv(writer.path(f"macro_state_{stamp}.csv"), mesh, state)
+        write_state_csv(files.path(f"macro_state_{stamp}.csv"), mesh, state)
         if config["svg"]:
-            render_field_svg(writer.path(f"macro_field_{stamp}.svg"), mesh,
+            render_field_svg(files.path(f"macro_field_{stamp}.svg"), mesh,
                              state.v, title=f"pressure at t={stamp}")
-    write_ledger_csv(writer.path("macro_ledger.csv"), result.ledger)
+    write_ledger_csv(files.path("macro_ledger.csv"), result.ledger)
 
 
 _STAGE_RUNNERS = {
@@ -258,6 +278,22 @@ _STAGE_RUNNERS = {
 }
 
 
+# Stages that work on the shared cell StokesSystem.
+_SYSTEM_STAGES = ("cell-steady", "eigen")
+
+
+def run_stage(stage, config, paths):
+    """Run one stage on its own, outside a pipeline run.
+
+    paths maps artifact names (or "macro_"-style prefixes) to files;
+    other names live under config["out_dir"].  Returns the (name, path)
+    pairs of the files written.
+    """
+    files = _StageFiles(config["out_dir"], paths)
+    _STAGE_RUNNERS[stage](config, files)
+    return files.commit()
+
+
 def run_pipeline(config):
     """Execute the configured stages and write manifest.json.
 
@@ -265,20 +301,22 @@ def run_pipeline(config):
     """
     out_dir = config["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
+    files = _StageFiles(out_dir)
+    stages = config["stages"]
     artifacts = {}
-    for stage in config["stages"]:
+    for pos, stage in enumerate(stages):
         for name in _STAGE_INPUTS[stage]:
-            path = os.path.join(out_dir, name)
-            if not os.path.exists(path):
+            if not os.path.exists(files.locate(name)):
                 raise PipelineError(
                     stage, f"missing input {name} (run its stage first)")
-        writer = _StageWriter(out_dir)
         try:
-            _STAGE_RUNNERS[stage](config, writer)
+            _STAGE_RUNNERS[stage](config, files)
         except Exception as exc:
             raise PipelineError(stage, str(exc)) from exc
-        for name in writer.commit():
-            artifacts[name] = _sha256(os.path.join(out_dir, name))
+        if not set(_SYSTEM_STAGES) & set(stages[pos + 1:]):
+            files.system = None
+        for name, path in files.commit():
+            artifacts[name] = _sha256(path)
     manifest = {
         "config": _config_json(config),
         "artifacts": dict(sorted(artifacts.items())),
@@ -301,33 +339,11 @@ def _config_json(config):
 
 
 def render_table(artifacts, which):
-    """Fixed-width text rendering of the summary tables.
+    """Fixed-width text rendering of a summary table.
 
-    which selects the layout:
-      "table1": artifacts["sweep"] = [(gamma, k_bar 2x2), ...]
-      "table2": artifacts["columns"] = [(label, eigenvalues), ...]
-      "table3": artifacts["lams"], artifacts["coeffs"]
+    The one layout, "table3", lists artifacts["lams"] with the mode
+    coefficients artifacts["coeffs"].
     """
-    if which == "table1":
-        rows = ["{:<8}{:>14}{:>14}".format("gamma", "K11", "K12")]
-        for gamma, k_bar in artifacts["sweep"]:
-            k_bar = np.asarray(k_bar, dtype=float)
-            rows.append("{:<8g}{:>14.8f}{:>14.8f}".format(
-                gamma, k_bar[0, 0], k_bar[0, 1]))
-        return "\n".join(rows) + "\n"
-    if which == "table2":
-        columns = artifacts["columns"]
-        head = "{:<6}".format("k")
-        for label, _ in columns:
-            head += "{:>14}".format(label)
-        rows = [head]
-        depth = min(len(vals) for _, vals in columns)
-        for i in range(depth):
-            line = "{:<6}".format(i + 1)
-            for _, vals in columns:
-                line += "{:>14.5f}".format(float(vals[i]))
-            rows.append(line)
-        return "\n".join(rows) + "\n"
     if which == "table3":
         lams = np.asarray(artifacts["lams"], dtype=float)
         coeffs = np.asarray(artifacts["coeffs"], dtype=float)

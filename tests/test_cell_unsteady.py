@@ -69,14 +69,11 @@ def test_tau_guards(cell_mesh_g1, system_g1):
         solve_cell_unsteady(cell_mesh_g1, 1e-3, 1e-5, system=system_g1)
 
 
-def test_store_every_thins_but_keeps_endpoints(cell_mesh_g1, system_g1):
-    full = solve_cell_unsteady(cell_mesh_g1, TAU, 0.02, system=system_g1)
-    thin = solve_cell_unsteady(cell_mesh_g1, TAU, 0.02, system=system_g1,
-                               store_every=4)
-    assert thin.times[0] == 0.0
-    assert thin.times[-1] == full.times[-1]
-    keep = np.isin(full.times, thin.times)
-    assert np.array_equal(full.values[keep], thin.values)
+def test_samples_cover_every_step(samples_g1):
+    nsteps = round(HORIZON / TAU)
+    assert samples_g1.times.size == nsteps + 1
+    assert samples_g1.times[0] == 0.0
+    assert np.array_equal(samples_g1.times, TAU * np.arange(nsteps + 1))
 
 
 def test_samples_csv_round_trip(tmp_path, samples_g1):

@@ -8,11 +8,11 @@ from porohom.fem import (
     QUAD_POINTS,
     QUAD_WEIGHTS,
     DofMapP2,
+    P1Stiffness,
     SolverError,
     SparseFactor,
     assemble_divergence,
     assemble_p1_mass,
-    assemble_p1_stiffness,
     assemble_p2_stiffness_mass,
     boundary_edge_load,
     build_prolongation,
@@ -21,7 +21,6 @@ from porohom.fem import (
     p1_integral_vector,
     p2_grads,
     p2_shape,
-    solve_sparse,
 )
 from porohom.meshing import TriMesh, gen_rect_mesh
 
@@ -111,13 +110,18 @@ def test_divergence_of_linear_field(rect_mesh):
 
 def test_p1_stiffness_matches_quadratic_form(rect_mesh):
     tensor = np.array([[2.0, 0.3], [0.3, 1.0]])
-    stiff = assemble_p1_stiffness(rect_mesh, tensor)
+    stiffness = P1Stiffness(rect_mesh)
+    stiff = stiffness.matrix(tensor)
     c = np.array([0.7, -0.4])
     u = rect_mesh.vertices @ c
     exact = (c @ tensor @ c) * rect_mesh.area()
     assert u @ (stiff @ u) == pytest.approx(exact, rel=1e-12)
+    # one pattern serves every tensor: the matrix is linear in it
+    other = np.array([[0.5, -0.1], [-0.1, 3.0]])
+    combined = stiffness.matrix(tensor + 2.0 * other)
+    assert abs(combined - stiff - 2.0 * stiffness.matrix(other)).max() < 1e-12
     with pytest.raises(ValueError, match="2x2"):
-        assemble_p1_stiffness(rect_mesh, np.eye(3))
+        stiffness.matrix(np.eye(3))
 
 
 def test_p1_mass_row_sums(rect_mesh):
@@ -175,10 +179,13 @@ def test_sparse_factor_contract():
     dense = rng.standard_normal((40, 40)) + 40.0 * np.eye(40)
     matrix = sp.csc_matrix(dense)
     rhs = rng.standard_normal(40)
-    x = solve_sparse(matrix, rhs)
-    assert np.linalg.norm(matrix @ x - rhs, np.inf) < 1e-8
     factor = SparseFactor(matrix)
-    assert np.allclose(factor.solve(rhs), x)
+    x = factor.solve(rhs)
+    assert np.linalg.norm(matrix @ x - rhs, np.inf) < 1e-8
+    assert np.allclose(x, np.linalg.solve(dense, rhs))
+    # a loose right-hand side misses the backward-error contract
+    with pytest.raises(SolverError, match="residual"):
+        factor.solve(rhs, rtol=0.0)
     singular = sp.csc_matrix((40, 40))
     with pytest.raises(SolverError, match="factorization failed"):
         SparseFactor(singular)

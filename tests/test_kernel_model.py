@@ -49,7 +49,8 @@ def test_phi_and_total_integral(model3):
     # Phi(0) recovers the full mode integral, K_bar - K_tilde
     phi0 = model3.eval_phi(0.0)
     assert np.allclose(phi0, model3.k_bar - model3.k_tilde, atol=1e-18)
-    assert np.allclose(model3.total_integral(), phi0, atol=1e-18)
+    # the kernel's time integral in closed form, sum_k D^k / lambda_k
+    assert np.allclose(model3.d_scaled.sum(axis=0), phi0, atol=1e-18)
     # Phi decays to zero
     assert np.abs(model3.eval_phi(1e3)).max() < 1e-30
 
@@ -93,6 +94,23 @@ def test_truncation_level_is_monotone(model3):
     assert vals[0] == KBAR3[0, 0]
     diffs = np.diff(vals)
     assert np.all(diffs <= 0.0)
+
+
+def test_truncation_never_splits_a_cluster():
+    # a rotated basis of a double eigenvalue: either member alone gives
+    # an anisotropic tensor, the pair an isotropic one
+    lams = np.array([36.0, 36.0, 70.0])
+    coeffs = np.array([[0.3, -0.2], [0.2, 0.3], [0.0, 0.0]])
+    k_bar = 0.01 * np.eye(2)
+    model = build_kernel_model(k_bar, lams, coeffs, num_modes=1)
+    assert model.num_modes == 2
+    assert np.array_equal(model.mode_ids, [1, 2])
+    assert abs(model.k_tilde[0, 1]) < 1e-15
+    assert model.k_tilde[0, 0] == pytest.approx(model.k_tilde[1, 1],
+                                                rel=1e-14)
+    # a cut between clusters stays where it was asked for
+    assert build_kernel_model(k_bar, lams, coeffs, num_modes=2).num_modes == 2
+    assert build_kernel_model(k_bar, lams, coeffs, num_modes=0).num_modes == 0
 
 
 def test_empty_model_is_valid():

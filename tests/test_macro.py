@@ -59,6 +59,61 @@ def test_parse_bc_rejects_garbage(text, fragment):
         parse_bc(text)
 
 
+def _sides(**extra):
+    table = {"left": ("dirichlet", 0.0), "right": ("dirichlet", 1.0),
+             "top": ("natural", 0.0), "bottom": ("natural", 0.0)}
+    table.update(extra)
+    return table
+
+
+# Boundary specs with the message each one is refused with, or None.
+BC_SPECS = [
+    pytest.param(BC_DIR, None, id="string"),
+    pytest.param("LEFT=Dirichlet:0, right=dirichlet:1,top=natural:0,"
+                 "bottom=natural:0", None, id="string-any-case"),
+    pytest.param(_sides(), None, id="dict-names"),
+    pytest.param({"OuterLeft": ("dirichlet", 0),
+                  "OuterRight": ("dirichlet", "1"),
+                  "OuterTop": ("natural", 0.0),
+                  "OuterBottom": ("natural", 0.0)}, None, id="dict-tags"),
+    pytest.param(_sides(right=("Dirichlet", 1.0)), "unknown boundary kind",
+                 id="dict-misspelled-kind"),
+    pytest.param(_sides(front=("natural", 0.0)), "unknown side",
+                 id="dict-unknown-side"),
+    pytest.param(dict(_sides(), OuterRight=("natural", 0.0)),
+                 "duplicate condition", id="dict-duplicate-side"),
+    pytest.param({"left": ("dirichlet", 0.0)}, "missing boundary condition",
+                 id="dict-missing-sides"),
+    pytest.param("left=dirichlet:0,right=dirichlet:1,top=natural:0",
+                 "missing boundary condition", id="string-missing-side"),
+    pytest.param(BC_DIR + ",front=natural:0", "unknown side",
+                 id="string-unknown-side"),
+    pytest.param("left=dirichlet", "malformed boundary item",
+                 id="string-malformed"),
+    pytest.param(_sides(left=("dirichlet", "zero")), "could not convert",
+                 id="dict-bad-value"),
+]
+
+
+@pytest.mark.parametrize("spec,fragment", BC_SPECS)
+def test_every_boundary_path_agrees(rect_mesh, model3, spec, fragment):
+    # parse_bc, MacroProblem and solve_steady share one boundary path,
+    # so they accept and refuse exactly the same specs
+    calls = (lambda: parse_bc(spec),
+             lambda: MacroProblem(rect_mesh, model3, spec),
+             lambda: solve_steady(rect_mesh, np.eye(2), spec))
+    if fragment is None:
+        table = calls[0]()
+        assert table == parse_bc(BC_DIR)
+        calls[1]()
+        v = calls[2]()
+        assert np.max(np.abs(v - rect_mesh.vertices[:, 0] / 2.0)) < 1e-10
+    else:
+        for call in calls:
+            with pytest.raises(ValueError, match=fragment):
+                call()
+
+
 def test_problem_validates_sides_and_parameters(rect_mesh, model3):
     with pytest.raises(ValueError, match="missing boundary condition"):
         MacroProblem(rect_mesh, model3, {"left": ("dirichlet", 0.0)})
@@ -204,7 +259,7 @@ def test_ledger_margin_is_nonnegative(rect_mesh, model3, sigma):
     f = np.array([1.0, 0.25])
     prob = MacroProblem(rect_mesh, model3, BC_NAT, f=f, sigma=sigma, tau=2e-4)
     assert prob.ledger_guaranteed
-    res = run(prob, 0.02, checked=True)
+    res = run(prob, 0.02)
     ratios = []
     for n, t, lhs, rhs, margin in res.ledger:
         assert margin >= -1e-10 * max(lhs, rhs)
@@ -219,7 +274,7 @@ def test_explicit_scheme_breaks_the_ledger(rect_mesh, model3):
     f = np.array([1.0, 0.25])
     prob = MacroProblem(rect_mesh, model3, BC_NAT, f=f, sigma=0.0, tau=0.02)
     assert not prob.ledger_guaranteed
-    res = run(prob, 0.8, checked=True)
+    res = run(prob, 0.8)
     margins = np.array([row[4] for row in res.ledger])
     scales = np.array([max(row[2], row[3]) for row in res.ledger])
     assert margins[-1] < -1e6 * scales[0]

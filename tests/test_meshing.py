@@ -19,7 +19,7 @@ from porohom.meshing import (
 def test_ellipse_area_is_gamma_independent():
     for gamma in (1.0, 2.0, 3.0, 4.0):
         spec = EllipseSpec(gamma)
-        a, b = spec.semi_axes
+        a, b = spec.a, spec.b
         assert a * b * np.pi == pytest.approx(EllipseSpec.AREA, rel=1e-14)
         assert a / b == pytest.approx(gamma, rel=1e-14)
 

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from porohom.cli import main
+from porohom.cell_spectral import read_spectrum_csv
+from porohom.kernel_model import read_model_csv
 from porohom.pipeline import (
     DEFAULTS,
     STAGES,
@@ -102,6 +104,61 @@ def test_stage_subsets_resume_from_artifacts(tmp_path):
     assert (out / "macro_ledger.csv").exists()
 
 
+def test_kernel_stage_keeps_whole_clusters(tmp_path):
+    # modes = 4 cuts the circular cell's degenerate fourth and fifth
+    # modes; eigen completes the pair and kernel must keep it as well,
+    # or K_tilde of an isotropic cell comes out anisotropic
+    out = tmp_path / "run"
+    run_pipeline(fast_config(out, stages="mesh,cell-steady,eigen,kernel"))
+    lams, _ = read_spectrum_csv(out / "spectrum.csv")
+    model = read_model_csv(out / "kernel.csv")
+    assert lams.size == 5
+    assert model.num_modes == 5
+    k = model.k_tilde
+    assert abs(k[0, 1]) <= 1e-12 * k[0, 0]
+    assert abs(k[1, 1] - k[0, 0]) <= 1e-12 * k[0, 0]
+
+
+def test_kernel_mode_count_must_fit_the_spectrum(tmp_path, capsys):
+    # more modes than the spectrum holds is an error, not a silent cap;
+    # the kernel subcommand without --modes keeps the whole spectrum
+    out = tmp_path / "run"
+    run_pipeline(fast_config(out, stages="mesh,cell-steady,eigen"))
+    with pytest.raises(PipelineError) as info:
+        run_pipeline(fast_config(out, stages="kernel", modes="6"))
+    assert isinstance(info.value.__cause__, ValueError)
+    args = ["kernel", "--spectrum", str(out / "spectrum.csv"),
+            "--kbar", str(out / "k_bar.csv"), "--out", str(out / "k.csv")]
+    assert main(args + ["--modes", "6"]) == 2
+    assert "num_modes=6 outside [0, 5]" in capsys.readouterr().err
+    assert not (out / "k.csv").exists()
+    assert main(args) == 0
+    assert read_model_csv(out / "k.csv").num_modes == 5
+
+
+def test_pipeline_shares_one_cell_system(tmp_path, monkeypatch):
+    # cell-steady and eigen reuse one assembly and one factorization
+    from porohom import fem
+
+    counts = {"assembly": 0, "factor": 0}
+    build, factor = fem.StokesSystem.__init__, fem.SparseFactor.__init__
+
+    def counted(key, fn):
+        def wrapper(self, *args):
+            counts[key] += 1
+            fn(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(fem.StokesSystem, "__init__",
+                        counted("assembly", build))
+    monkeypatch.setattr(fem.SparseFactor, "__init__",
+                        counted("factor", factor))
+    out = tmp_path / "run"
+    run_pipeline(fast_config(out, stages="mesh"))
+    run_pipeline(fast_config(out, stages="cell-steady,eigen"))
+    assert counts == {"assembly": 1, "factor": 1}
+
+
 def test_missing_stage_input_names_the_stage(tmp_path):
     with pytest.raises(PipelineError, match="missing input") as err:
         run_pipeline(fast_config(tmp_path / "run", stages="kernel"))
@@ -127,15 +184,6 @@ def test_failed_stage_keeps_partial_files_only(tmp_path):
 
 
 def test_render_tables():
-    sweep = [(1.0, np.array([[0.0127, 0.0], [0.0, 0.0127]]))]
-    text = render_table({"sweep": sweep}, "table1")
-    assert "gamma" in text.splitlines()[0]
-    assert "0.01270000" in text
-
-    columns = [("h=0.02", np.arange(1.0, 11.0)), ("h=0.01", np.arange(1.0, 11.0))]
-    text = render_table({"columns": columns}, "table2")
-    assert len(text.splitlines()) == 11
-
     text = render_table({"lams": np.array([40.0, 51.0, 114.0]),
                          "coeffs": np.array([[-0.5, -0.5],
                                              [-0.4, 0.4],
@@ -239,3 +287,39 @@ def test_cli_pipeline_and_resume(tmp_path, capsys):
     code = main(["pipeline", "--config", str(cfg),
                  "--out", str(tmp_path / "fresh"), "--only", "macro"])
     assert code == 2
+
+
+def test_cli_stages_match_the_pipeline(tmp_path, capsys):
+    # the subcommands run the pipeline's stage code, so the same inputs
+    # give the same bytes
+    ref = tmp_path / "ref"
+    run_pipeline(fast_config(ref))
+    cli = tmp_path / "cli"
+    cell, domain = str(ref / "cell.mesh"), str(ref / "macro.mesh")
+    assert main(["cell-steady", "--mesh", cell,
+                 "--out", str(cli / "k_bar.csv")]) == 0
+    assert main(["eigen", "--mesh", cell, "--modes", FAST["modes"],
+                 "--out", str(cli / "spectrum.csv")]) == 0
+    assert main(["kernel", "--spectrum", str(cli / "spectrum.csv"),
+                 "--kbar", str(cli / "k_bar.csv"), "--modes", FAST["modes"],
+                 "--out", str(cli / "kernel.csv")]) == 0
+    capsys.readouterr()
+    assert main(["macro", "--mesh", domain, "--model", str(cli / "kernel.csv"),
+                 "--sigma", "0.5", "--tau", FAST["tau"],
+                 "--t-final", FAST["t_final"], "--bc", DEFAULTS["bc"],
+                 "--snapshots", FAST["snapshots"], "--svg",
+                 "--out-prefix", str(cli / "run")]) == 0
+    wrote = capsys.readouterr().out.splitlines()
+    assert wrote == [f"wrote {cli / name}" for name in (
+        "run_state_0.csv", "run_field_0.svg", "run_state_0.0004.csv",
+        "run_field_0.0004.svg", "run_ledger.csv")]
+    ref_names = ["k_bar.csv", "spectrum.csv", "table3.txt", "kernel.csv",
+                 "macro_state_0.csv", "macro_field_0.svg",
+                 "macro_state_0.0004.csv", "macro_field_0.0004.svg",
+                 "macro_ledger.csv"]
+    for name in ref_names:
+        cli_name = name.replace("macro_", "run_")
+        assert (cli / cli_name).read_bytes() == (ref / name).read_bytes(), \
+            name
+    assert sorted(p.name for p in cli.iterdir()) == sorted(
+        n.replace("macro_", "run_") for n in ref_names)
