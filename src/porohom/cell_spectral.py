@@ -49,7 +49,7 @@ class Spectrum:
 
     @property
     def coefficients(self):
-        return np.array([p.a for p in self.pairs])
+        return np.array([p.a for p in self.pairs]).reshape(-1, 2)
 
     def clusters(self):
         """Index groups of eigenvalues within CLUSTER_RTOL of each other."""
@@ -90,12 +90,15 @@ def solve_eigen(mesh, num_modes, system=None, seed=20260816, extra=6):
     straddles the requested cut is returned in full, so the spectrum can
     be slightly longer than num_modes.  Each returned pair satisfies
     ||K x - lam M x|| <= 1e-8 * lam for the reduced saddle operator K and
-    mass M, with the velocity normalized to unit L2 norm.
+    mass M, with the velocity normalized to unit L2 norm.  num_modes = 0
+    gives an empty spectrum, the input of a memoryless kernel model.
     """
-    if num_modes < 1:
-        raise ValueError("num_modes must be at least 1")
+    if num_modes < 0:
+        raise ValueError("num_modes must be nonnegative")
     if system is None:
         system = StokesSystem(mesh)
+    if num_modes == 0:
+        return Spectrum([], [], system)
     op = system.operator
     mass = system.mass_saddle
     n = op.shape[0]
@@ -181,8 +184,8 @@ def write_spectrum_csv(spectrum, path):
 def read_spectrum_csv(path):
     """Read mode data written by write_spectrum_csv.
 
-    Returns (lams, coeffs) arrays; the eigenfunctions themselves are not
-    stored in the file.
+    Returns (lams, coeffs) arrays of shapes (m,) and (m, 2); the
+    eigenfunctions themselves are not stored in the file.
     """
     lams = []
     coeffs = []
@@ -198,4 +201,4 @@ def read_spectrum_csv(path):
                 raise ValueError(f"mode index {k} out of order")
             lams.append(float(lam))
             coeffs.append((float(a1), float(a2)))
-    return np.array(lams), np.array(coeffs)
+    return np.array(lams), np.array(coeffs).reshape(-1, 2)

@@ -8,9 +8,14 @@ eliminated symbolically through a prolongation matrix so that reduced
 operators keep the spectrum of the constrained problem.
 """
 
+import logging
+import time
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+_log = logging.getLogger(__name__)
 
 # 6-point, degree-4 triangle rule (barycentric orbits).  Weights sum to
 # the reference-triangle area 1/2.
@@ -323,10 +328,12 @@ def cell_constraints(mesh, dofmap):
 class StokesSystem:
     """Constrained Taylor-Hood saddle operator on the perforated cell.
 
-    The reduced unknown is (ux, uy, p, mu) where mu is the multiplier
-    enforcing zero mean pressure.  The operator matrix is symmetric; the
-    companion mass matrix carries the velocity mass in its leading
-    blocks.
+    The reduced unknown is (ux, uy, p) with the last reduced pressure
+    dof pinned to zero, so p is defined up to a constant.  That dof's
+    divergence row, minus the sum of the others, is left out of the
+    operator but kept in bx_r and by_r.  The operator matrix is
+    symmetric; the companion mass matrix carries the velocity mass in
+    its leading blocks.
     """
 
     def __init__(self, mesh):
@@ -342,7 +349,6 @@ class StokesSystem:
         self.mass_r = (rv.T @ m2 @ rv).tocsr()
         self.bx_r = (rp.T @ bx @ rv).tocsr()
         self.by_r = (rp.T @ by @ rv).tocsr()
-        self.mean_r = rp.T @ p1_integral_vector(mesh)
         # pairing a velocity component with these weights integrates it
         self.velocity_weights = rv.T @ (m2 @ np.ones(dofmap.num_dofs))
 
@@ -350,16 +356,14 @@ class StokesSystem:
         npr = self.bx_r.shape[0]
         self.n_velocity = nvr
         self.n_pressure = npr
-        cvec = sp.csr_matrix(self.mean_r[:, None])
+        bx, by = self.bx_r[:-1], self.by_r[:-1]
         self.operator = sp.bmat([
-            [self.stiff_r, None, self.bx_r.T, None],
-            [None, self.stiff_r, self.by_r.T, None],
-            [self.bx_r, self.by_r, None, cvec],
-            [None, None, cvec.T, None],
+            [self.stiff_r, None, bx.T],
+            [None, self.stiff_r, by.T],
+            [bx, by, None],
         ], format="csc")
         self.mass_saddle = sp.block_diag(
-            [self.mass_r, self.mass_r,
-             sp.csr_matrix((npr, npr)), sp.csr_matrix((1, 1))],
+            [self.mass_r, self.mass_r, sp.csr_matrix((npr - 1, npr - 1))],
             format="csr")
         self._factor = None
 
@@ -390,18 +394,31 @@ class StokesSystem:
 
 
 class SparseFactor:
-    """LU factorization of a sparse matrix with a residual guarantee."""
+    """LU factorization of a sparse matrix with a residual guarantee.
+
+    Statistics: n and nnz of the matrix, fill (stored entries of L and
+    U), factor_s (wall time of the factorization) and solve_count.
+    """
 
     def __init__(self, matrix):
         self.matrix = matrix.tocsc()
+        start = time.perf_counter()
         try:
             self.lu = spla.splu(self.matrix)
         except RuntimeError as exc:
             raise SolverError(f"sparse factorization failed: {exc}") from exc
+        self.factor_s = time.perf_counter() - start
+        self.n = self.matrix.shape[0]
+        self.nnz = self.matrix.nnz
+        self.fill = self.lu.nnz
+        self.solve_count = 0
         self._norm = spla.norm(self.matrix, np.inf)
+        _log.debug("sparse LU: n=%d nnz=%d fill=%d in %.3f s",
+                   self.n, self.nnz, self.fill, self.factor_s)
 
     def solve(self, rhs, check=True, rtol=1e-10):
         x = self.lu.solve(rhs)
+        self.solve_count += 1
         if check:
             residual = np.linalg.norm(self.matrix @ x - rhs, np.inf)
             scale = self._norm * np.linalg.norm(x, np.inf) + np.linalg.norm(rhs, np.inf)

@@ -164,7 +164,8 @@ def read_model_csv(path):
                 raise KernelModelError(f"line {lineno}: bad record {line!r}")
     if np.isnan(k_bar).any():
         raise KernelModelError("model file is missing KBAR entries")
-    model = KernelModel(k_bar, np.array(lams), np.array(coeffs),
+    model = KernelModel(k_bar, np.array(lams),
+                        np.array(coeffs).reshape(-1, 2),
                         np.array(mode_ids, dtype=np.int64), epsilon=0.0)
     if not np.isnan(k_tilde).any():
         stored_dev = np.max(np.abs(model.k_tilde - k_tilde))

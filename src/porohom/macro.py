@@ -38,7 +38,6 @@ sides carry homogeneous natural data and sigma >= 1/2.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fem import (
     P1Stiffness,
@@ -147,34 +146,33 @@ def _boundary(mesh, bc, source=0.0):
 class _EllipticSolver:
     """Factorized constant-coefficient elliptic operator.
 
-    Handles either strongly imposed Dirichlet values or, when no node
-    is fixed, a mean-zero constraint through one Lagrange multiplier.
+    Dirichlet values are imposed strongly.  When no node is fixed the
+    operator is singular on constants: vertex 0 is pinned to zero for
+    the factorization and each solution is shifted to zero P1-weighted
+    mean.
     """
 
     def __init__(self, matrix, mesh, fixed_idx, fixed_val, free_idx):
         self._n = matrix.shape[0]
+        self._weights = None
+        if fixed_idx.size == 0:
+            self._weights = p1_integral_vector(mesh)
+            fixed_idx, fixed_val = np.zeros(1, dtype=np.int64), np.zeros(1)
+            free_idx = np.arange(1, self._n)
         self._fixed_idx = fixed_idx
         self._fixed_val = fixed_val
         self._free_idx = free_idx
-        if fixed_idx.size == 0:
-            column = sp.csr_matrix(p1_integral_vector(mesh).reshape(-1, 1))
-            op = sp.bmat([[matrix, column], [column.T, None]], format="csc")
-            self._factor = SparseFactor(op)
-            self._coupling = None
-        else:
-            sub = matrix[free_idx][:, free_idx].tocsc()
-            self._factor = SparseFactor(sub)
-            self._coupling = matrix[free_idx][:, fixed_idx].tocsr()
+        self._factor = SparseFactor(matrix[free_idx][:, free_idx])
+        self._coupling = matrix[free_idx][:, fixed_idx].tocsr()
 
     def solve(self, load):
         """Nodal solution for a full-length load vector."""
-        if self._coupling is None:
-            ext = np.concatenate([load, [0.0]])
-            return self._factor.solve(ext)[:-1]
         out = np.zeros(self._n)
         out[self._fixed_idx] = self._fixed_val
         rhs = load[self._free_idx] - self._coupling @ self._fixed_val
         out[self._free_idx] = self._factor.solve(rhs)
+        if self._weights is not None:
+            out -= (self._weights @ out) / self._weights.sum()
         return out
 
 

@@ -165,10 +165,11 @@ def test_02_eigenvalue_mesh_convergence(spectrum100, chain_coarse):
 
 
 def test_02_fine_mesh_lambda1_shift(spectrum100):
-    # The h = 0.005 factorization takes on the order of 12 GB; on
-    # smaller machines only the h = 0.02 / h = 0.01 pair is checked.
-    if _mem_available_gb() < 12.0:
-        pytest.skip("h = 0.005 cell spectrum needs about 12 GB free")
+    # The h = 0.005 mesh and one-mode eigensolve peak at 2.9 GB RSS
+    # (LU fill 236 M); the probe asks for that plus a 1.1 GB margin.
+    # With less memory only the h = 0.02 / h = 0.01 pair is checked.
+    if _mem_available_gb() < 4.0:
+        pytest.skip("h = 0.005 cell spectrum needs about 4 GB free")
     mesh = gen_cell_mesh(EllipseSpec(3.0), 0.005)
     lam_fine = solve_eigen(mesh, 1).eigenvalues[0]
     assert abs(lam_fine - LAM1_H0005) <= 0.01 * LAM1_H0005

@@ -100,8 +100,8 @@ def test_seed_changes_nothing_observable(cell_mesh_g1, system_g1, spectrum_g1):
 
 
 def test_rejects_bad_mode_count(cell_mesh_g1, system_g1):
-    with pytest.raises(ValueError, match="at least 1"):
-        solve_eigen(cell_mesh_g1, 0, system=system_g1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_eigen(cell_mesh_g1, -1, system=system_g1)
 
 
 def test_spectrum_csv_round_trip(tmp_path, spectrum_g1):

@@ -174,15 +174,24 @@ def test_cell_constraints_close_the_torus(cell_mesh_g1):
     assert len(pairs2) > len(pairs1)
 
 
-def test_sparse_factor_contract():
+def test_sparse_factor_contract(caplog):
     rng = np.random.default_rng(3)
     dense = rng.standard_normal((40, 40)) + 40.0 * np.eye(40)
     matrix = sp.csc_matrix(dense)
     rhs = rng.standard_normal(40)
-    factor = SparseFactor(matrix)
+    with caplog.at_level("DEBUG", logger="porohom"):
+        factor = SparseFactor(matrix)
     x = factor.solve(rhs)
     assert np.linalg.norm(matrix @ x - rhs, np.inf) < 1e-8
     assert np.allclose(x, np.linalg.solve(dense, rhs))
+    # statistics, and one DEBUG line per factorization
+    assert (factor.n, factor.nnz) == (40, 1600)
+    assert factor.fill == factor.lu.nnz >= 1600
+    assert factor.factor_s >= 0.0
+    assert factor.solve_count == 1
+    lines = [r for r in caplog.records if r.name.startswith("porohom")]
+    assert len(lines) == 1 and lines[0].levelname == "DEBUG"
+    assert f"fill={factor.fill}" in lines[0].getMessage()
     # a loose right-hand side misses the backward-error contract
     with pytest.raises(SolverError, match="residual"):
         factor.solve(rhs, rtol=0.0)
@@ -193,9 +202,15 @@ def test_sparse_factor_contract():
 
 def test_stokes_system_shapes_and_symmetry(system_g1):
     op = system_g1.operator
-    assert op.shape[0] == 2 * system_g1.n_velocity + system_g1.n_pressure + 1
+    # one pressure dof is pinned, and no multiplier is added
+    assert op.shape[0] == 2 * system_g1.n_velocity + system_g1.n_pressure - 1
     asym = abs(op - op.T).max()
     assert asym < 1e-14
+    # Taylor-Hood rows couple a few dozen neighbours whatever the mesh
+    # size; a mean-value border row would hold all n_pressure = 83
+    row_nnz = np.diff(op.tocsr().indptr)
+    assert system_g1.n_pressure > 80
+    assert row_nnz.max() <= 64
     # the saddle mass only weights velocity blocks
     mass = system_g1.mass_saddle
     n2 = 2 * system_g1.n_velocity
@@ -209,6 +224,15 @@ def test_stokes_system_shapes_and_symmetry(system_g1):
     x[: system_g1.n_velocity] = rng.standard_normal(system_g1.n_velocity)
     assert load @ x == pytest.approx(system_g1.velocity_average(x)[0], rel=1e-12)
     assert system_g1.unit_load(1) @ x == 0.0
+
+
+def test_divergence_rows_sum_to_zero(system_g1):
+    # the integral of div u vanishes for periodic, no-slip velocities, so
+    # the pinned pressure dof's divergence row is minus the sum of the
+    # others and leaving it out of the operator loses no constraint
+    for block in (system_g1.bx_r, system_g1.by_r):
+        col_sums = np.ones(system_g1.n_pressure) @ block
+        assert np.abs(col_sums).max() <= 1e-12 * np.linalg.norm(block.data)
 
 
 def test_scaled_divergence_has_healthy_inf_sup(system_g1):

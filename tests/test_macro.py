@@ -10,7 +10,12 @@ Dirichlet data reduce the same way to a scalar recurrence per mode.
 import numpy as np
 import pytest
 
-from porohom.fem import assemble_p1_mass, p1_integral_vector
+from porohom.fem import (
+    P1Stiffness,
+    assemble_p1_mass,
+    boundary_edge_load,
+    p1_integral_vector,
+)
 from porohom.kernel_model import build_kernel_model
 from porohom.macro import (
     MacroProblem,
@@ -155,6 +160,26 @@ def test_steady_balanced_natural_data(rect_mesh):
     left = v[rect_mesh.vertices[:, 0] < 1e-12].mean()
     right = v[rect_mesh.vertices[:, 0] > 2.0 - 1e-12].mean()
     assert left > right
+
+
+def test_all_natural_steady_matches_bordered_reference(rect_mesh):
+    # the solver pins vertex 0 and shifts to zero weighted mean; the
+    # reference borders the singular stiffness with the mean constraint
+    tensor = np.array([[2.0, 0.5], [0.5, 1.0]])
+    fluxes = {"OuterLeft": 0.5, "OuterRight": -0.5,
+              "OuterBottom": 0.25, "OuterTop": -0.25}
+    v = solve_steady(rect_mesh, tensor,
+                     {tag: ("natural", flux) for tag, flux in fluxes.items()})
+    weights = p1_integral_vector(rect_mesh)
+    load = sum(boundary_edge_load(rect_mesh, tag, flux)
+               for tag, flux in fluxes.items())
+    n = weights.size
+    bordered = np.zeros((n + 1, n + 1))
+    bordered[:n, :n] = P1Stiffness(rect_mesh).matrix(tensor).toarray()
+    bordered[:n, n] = bordered[n, :n] = weights
+    ref = np.linalg.solve(bordered, np.append(load, 0.0))[:n]
+    assert np.max(np.abs(v - ref)) <= 1e-10 * np.max(np.abs(ref))
+    assert abs(weights @ v) <= 1e-14 * np.max(np.abs(v))
 
 
 def test_steady_rejects_bad_input(rect_mesh):

@@ -119,6 +119,21 @@ def test_kernel_stage_keeps_whole_clusters(tmp_path):
     assert abs(k[1, 1] - k[0, 0]) <= 1e-12 * k[0, 0]
 
 
+def test_memoryless_chain_runs_end_to_end(tmp_path):
+    # modes = 0: eigen writes an empty spectrum, kernel a model with no
+    # modes, and macro marches with K_tilde = K_bar alone
+    out = tmp_path / "run"
+    run_pipeline(fast_config(out, modes="0"))
+    lams, coeffs = read_spectrum_csv(out / "spectrum.csv")
+    assert lams.shape == (0,) and coeffs.shape == (0, 2)
+    model = read_model_csv(out / "kernel.csv")
+    assert model.num_modes == 0
+    assert np.array_equal(model.k_tilde, model.k_bar)
+    state = (out / "macro_state_0.0004.csv").read_text().splitlines()
+    assert state[0] == "node,x,y,v"
+    assert len((out / "macro_ledger.csv").read_text().splitlines()) == 5
+
+
 def test_kernel_mode_count_must_fit_the_spectrum(tmp_path, capsys):
     # more modes than the spectrum holds is an error, not a silent cap;
     # the kernel subcommand without --modes keeps the whole spectrum
