@@ -77,7 +77,14 @@ def complete_clusters(lams, count):
 
 
 def _fix_sign(vector, a):
-    k = int(np.argmax(np.abs(a)))
+    """Orient a mode so the first of its largest coefficients is positive.
+
+    A coefficient within a relative 1e-8 of the largest magnitude counts
+    as largest, so components equal up to rounding (|a1| = |a2| on a
+    cell symmetric about the diagonal) do not let noise pick the sign.
+    """
+    mags = np.abs(a)
+    k = int(np.argmax(mags >= (1.0 - 1e-8) * mags.max()))
     if a[k] < 0.0:
         return -vector, -a
     return vector, a

@@ -19,23 +19,46 @@ elliptic solve per step with the constant effective tensor
 factorized once and reused.  Afterwards the auxiliary fields advance by
 the nodal recurrence
 
-    v_k^{n+1} = [tau v^{n+sigma} + (1 - (1-sigma) lambda_k tau) v_k^n]
-                / (1 + sigma lambda_k tau)
+    v_k^{n+1} = q_k v_k^n + p_k w,
+    q_k = (1 - (1-sigma) lambda_k tau) / (1 + sigma lambda_k tau),
+    p_k = tau / (1 + sigma lambda_k tau),
 
-and v^{n+1} = (v^{n+sigma} - (1-sigma) v^n) / sigma.  At sigma = 0 the
-auxiliary fields advance explicitly and the balance is solved at the
-new level with K_tilde alone; this variant is conditionally stable and
-kept as a negative control.
+with w = v^{n+sigma}, and v^{n+1} = (v^{n+sigma} - (1-sigma) v^n) / sigma.
+At sigma = 0 the auxiliary fields advance explicitly by the same
+recurrence with w = v^n, and the balance is solved at the new level with
+K_tilde alone; this variant is conditionally stable and kept as a
+negative control.
+
+Each mode tensor is rank one, D^k = a^k (a^k)^T, so its stiffness is
+
+    S(D^k) = (a1^k)^2 Sxx + a1^k a2^k Sxy + (a2^k)^2 Syy
+
+for the three constant matrices Sxx = S([[1,0],[0,0]]),
+Sxy = S([[0,1],[1,0]]) and Syy = S([[0,0],[0,1]]).  The memory load
+sum_k S(D^k) v_k / (1 + sigma lambda_k tau) is one dense (3 x m) @
+(m x nv) product followed by three sparse matvecs, whatever the number
+m of modes.
 
 Every step appends a row to the energy ledger,
 
     lhs_N = tau sum_{n<N} (K_tilde grad v^{n+sigma}, grad v^{n+sigma})
-            + sum_k (D^k grad v_k^N, grad v_k^N),
+            + sum_k E_k^N,    E_k^N = (D^k grad v_k^N, grad v_k^N),
     rhs_N = tau sum_{n<N} (K_tilde^{-1} g^{n+sigma}, g^{n+sigma}),
 
 whose margin rhs - lhs stays nonnegative (up to roundoff) whenever all
-sides carry homogeneous natural data and sigma >= 1/2.
+sides carry homogeneous natural data and sigma >= 1/2.  The per-mode
+energies are carried by the state and advanced by the exact identity
+
+    E_k^{n+1} = q_k^2 E_k^n + 2 p_k q_k (v_k^n, S(D^k) w)
+                + p_k^2 (w, S(D^k) w),
+
+which costs the three matvecs S_b w and one (m x nv) @ (nv x 3)
+product.  run() evaluates sum_k E_k directly on its final state and
+raises SolverError when the recurrence has drifted from it.
 """
+
+import logging
+import time
 
 import numpy as np
 
@@ -47,6 +70,8 @@ from .fem import (
     p1_gradient_load,
     p1_integral_vector,
 )
+
+_log = logging.getLogger(__name__)
 
 _SIDES = ("OuterLeft", "OuterRight", "OuterBottom", "OuterTop")
 _SIDE_ALIASES = {
@@ -177,7 +202,12 @@ class _EllipticSolver:
 
 
 class MacroState:
-    """One time level: pressure, auxiliary fields, ledger accumulators."""
+    """One time level: pressure, auxiliary fields, ledger accumulators.
+
+    energies holds the per-mode memory energies (D^k grad v_k, grad v_k)
+    that MacroProblem.step carries forward.  A state built by hand has
+    none (None); the problem then evaluates them directly.
+    """
 
     def __init__(self, t, v, v_aux, dissipation=0.0, source_work=0.0):
         self.t = float(t)
@@ -185,6 +215,7 @@ class MacroState:
         self.v_aux = np.asarray(v_aux, dtype=float)
         self.dissipation = float(dissipation)
         self.source_work = float(source_work)
+        self.energies = None
 
 
 class MacroRun:
@@ -192,12 +223,29 @@ class MacroRun:
 
     snapshots is a list of (requested time, MacroState) in request
     order; ledger is a list of (n, t, lhs, rhs, margin) rows, one per
-    completed step.
+    completed step.  The run statistics, which no artifact depends on,
+    are steps, step_ms (mean wall time of a step with its ledger row),
+    min_margin (smallest ledger margin, None without steps) and
+    memory_check (relative difference between the final memory energy
+    from the recurrence and from a direct evaluation).
     """
 
-    def __init__(self, snapshots, ledger):
+    def __init__(self, snapshots, ledger, step_ms, memory_check):
         self.snapshots = snapshots
         self.ledger = ledger
+        self.steps = len(ledger)
+        self.step_ms = step_ms
+        self.min_margin = min((row[4] for row in ledger), default=None)
+        self.memory_check = memory_check
+
+
+def _sym_weights(tensors):
+    """Weights (T11, (T12 + T21) / 2, T22) of Sxx, Sxy, Syy in S(T).
+
+    tensors has shape (..., 2, 2); the result has shape (3, ...)."""
+    t = np.asarray(tensors, dtype=float)
+    return np.stack([t[..., 0, 0], 0.5 * (t[..., 0, 1] + t[..., 1, 0]),
+                     t[..., 1, 1]])
 
 
 class MacroProblem:
@@ -240,25 +288,34 @@ class MacroProblem:
         (self.bc, self._fixed_idx, self._fixed_val, self._free_idx,
          self._static_load) = _boundary(mesh, bc, self.source)
 
-        self._stiffness = P1Stiffness(mesh)
-        self._stiff_tilde = self._stiffness.matrix(model.k_tilde)
-        self._stiff_modes = [self._stiffness.matrix(d)
-                             for d in model.d_tensors]
+        stiffness = P1Stiffness(mesh)
+        # Sxx, Sxy, Syy: S(T) = T11 Sxx + T12 Sxy + T22 Syy, T symmetric
+        self._basis = [stiffness.matrix(e) for e in (
+            ((1.0, 0.0), (0.0, 0.0)),
+            ((0.0, 1.0), (1.0, 0.0)),
+            ((0.0, 0.0), (0.0, 1.0)))]
+        self._mode_weights = _sym_weights(model.d_tensors)      # (3, m)
+        self._tilde_weights = _sym_weights(model.k_tilde)       # (3,)
         self._k_tilde_inv = np.linalg.inv(model.k_tilde)
         self._area = mesh.area()
 
         lam = model.lams
-        self._denom = 1.0 + self.sigma * lam * self.tau
+        denom = 1.0 + self.sigma * lam * self.tau
+        # v_k^{n+1} = q_k v_k^n + p_k w; at sigma = 0 denom is 1
+        self._q = (1.0 - (1.0 - self.sigma) * lam * self.tau) / denom
+        self._p = self.tau / denom
+        self._load_weights = self._mode_weights / denom
         k_eff = model.k_tilde + np.sum(
-            (self.sigma * self.tau / self._denom)[:, None, None]
+            (self.sigma * self.tau / denom)[:, None, None]
             * model.d_tensors, axis=0)
         self._grad_load_x = p1_gradient_load(mesh, (1.0, 0.0))
         self._grad_load_y = p1_gradient_load(mesh, (0.0, 1.0))
         nodes = (self._fixed_idx, self._fixed_val, self._free_idx)
-        self._tilde_solver = _EllipticSolver(self._stiff_tilde, mesh, *nodes)
+        self._tilde_solver = _EllipticSolver(
+            stiffness.matrix(model.k_tilde), mesh, *nodes)
         if self.sigma > 0.0 and lam.size:
             self._eff_solver = _EllipticSolver(
-                self._stiffness.matrix(k_eff), mesh, *nodes)
+                stiffness.matrix(k_eff), mesh, *nodes)
         else:
             self._eff_solver = self._tilde_solver
 
@@ -276,6 +333,11 @@ class MacroProblem:
             load += g[0] * self._grad_load_x + g[1] * self._grad_load_y
         return load
 
+    def _memory_load(self, v_aux):
+        """sum_k S(D^k) v_k / (1 + sigma lambda_k tau)."""
+        u = self._load_weights @ v_aux
+        return sum(s_b @ u_b for s_b, u_b in zip(self._basis, u))
+
     def _source_rate(self, t):
         """Integrand |Omega| g . K_tilde^{-1} g of the ledger right side."""
         if not self.f.any():
@@ -283,53 +345,74 @@ class MacroProblem:
         g = self.model.forcing_vector(self.f, t)
         return self._area * float(g @ (self._k_tilde_inv @ g))
 
+    def _mode_energies(self, v_aux):
+        """Per-mode (D^k grad v_k, grad v_k), evaluated directly."""
+        energies = np.zeros(v_aux.shape[0])
+        for s_b, weights in zip(self._basis, self._mode_weights):
+            energies += weights * np.einsum("kn,nk->k", v_aux, s_b @ v_aux.T)
+        return energies
+
+    def _energies(self, state):
+        """The state's per-mode memory energies, stored or evaluated."""
+        if state.energies is None:
+            return self._mode_energies(state.v_aux)
+        return state.energies
+
     def init_state(self):
         """Elliptic solve at t = 0 with all auxiliary fields zero."""
         v0 = self._tilde_solver.solve(self._load(0.0))
         v_aux = np.zeros((self.model.num_modes, self.mesh.num_vertices))
-        return MacroState(0.0, v0, v_aux)
+        state = MacroState(0.0, v0, v_aux)
+        state.energies = np.zeros(self.model.num_modes)
+        return state
 
     def step(self, state):
         """Advance one time level."""
-        lam = self.model.lams
         tau = self.tau
         sigma = self.sigma
         if sigma == 0.0:
-            v_aux = state.v_aux + tau * (state.v[None, :]
-                                         - lam[:, None] * state.v_aux)
-            t_new = state.t + tau
-            load = self._load(t_new)
-            for s_k, field in zip(self._stiff_modes, v_aux):
-                load -= s_k @ field
-            v_new = self._tilde_solver.solve(load)
             v_mid = state.v
             t_mid = state.t
+            v_aux = self._advance(state.v_aux, v_mid)
+            t_new = state.t + tau
+            v_new = self._tilde_solver.solve(
+                self._load(t_new) - self._memory_load(v_aux))
         else:
             t_mid = state.t + sigma * tau
-            load = self._load(t_mid)
-            for s_k, field, denom in zip(self._stiff_modes, state.v_aux,
-                                         self._denom):
-                load -= (s_k @ field) / denom
-            v_mid = self._eff_solver.solve(load)
-            weight = 1.0 - (1.0 - sigma) * lam * tau
-            v_aux = (tau * v_mid[None, :]
-                     + weight[:, None] * state.v_aux) / self._denom[:, None]
+            v_mid = self._eff_solver.solve(
+                self._load(t_mid) - self._memory_load(state.v_aux))
+            v_aux = self._advance(state.v_aux, v_mid)
             v_new = (v_mid - (1.0 - sigma) * state.v) / sigma
             t_new = state.t + tau
+        # the ledger's quadratic forms all come from the products S_b v_mid
+        s_mid = np.stack([s_b @ v_mid for s_b in self._basis])
+        forms = s_mid @ v_mid
+        cross = np.einsum("bk,kb->k", self._mode_weights,
+                          state.v_aux @ s_mid.T)
+        q, p = self._q, self._p
+        energies = (q * q * self._energies(state) + 2.0 * p * q * cross
+                    + p * p * (forms @ self._mode_weights))
         dissipation = state.dissipation \
-            + tau * float(v_mid @ (self._stiff_tilde @ v_mid))
+            + tau * float(self._tilde_weights @ forms)
         source_work = state.source_work + tau * self._source_rate(t_mid)
-        return MacroState(t_new, v_new, v_aux, dissipation, source_work)
+        new = MacroState(t_new, v_new, v_aux, dissipation, source_work)
+        new.energies = energies
+        return new
+
+    def _advance(self, v_aux, w):
+        """q_k v_k + p_k w in one new array; v_aux is left untouched."""
+        out = self._q[:, None] * v_aux
+        for row, p_k in zip(out, self._p):
+            row += p_k * w
+        return out
 
     def memory_energy(self, state):
-        """sum_k (D^k grad v_k, grad v_k) at the state's time level."""
-        total = 0.0
-        for s_k, field in zip(self._stiff_modes, state.v_aux):
-            total += float(field @ (s_k @ field))
-        return total
+        """sum_k (D^k grad v_k, grad v_k) at the state's time level,
+        evaluated directly from the auxiliary fields."""
+        return float(self._mode_energies(state.v_aux).sum())
 
     def ledger_row(self, state, n):
-        lhs = state.dissipation + self.memory_energy(state)
+        lhs = state.dissipation + float(self._energies(state).sum())
         rhs = state.source_work
         return (n, state.t, lhs, rhs, rhs - lhs)
 
@@ -357,7 +440,9 @@ def run(problem, t_final, snapshot_times=(), initial_state=None):
     nearest time-grid point.  A ledger margin below -1e-10 * max(lhs,
     rhs) in the guaranteed regime (all-natural homogeneous-flux data,
     sigma >= 1/2) raises SolverError, since it would signal an assembly
-    or update bug.
+    or update bug.  So does a final memory energy whose recurrence
+    differs from a direct evaluation by more than 1e-10 * max(lhs, rhs)
+    of the last ledger row.
 
     Returns a MacroRun.
     """
@@ -385,6 +470,7 @@ def run(problem, t_final, snapshot_times=(), initial_state=None):
             snapshots[(0, t_req)] = state
     guarded = problem.ledger_guaranteed
     ledger = []
+    start = time.perf_counter()
     for n in range(1, nsteps + 1):
         state = problem.step(state)
         row = problem.ledger_row(state, n)
@@ -397,9 +483,25 @@ def run(problem, t_final, snapshot_times=(), initial_state=None):
         for index, t_req in requests:
             if index == n:
                 snapshots[(n, t_req)] = state
+    step_ms = 1e3 * (time.perf_counter() - start) / max(nsteps, 1)
+    memory_check = 0.0
+    if ledger:
+        _, _, lhs, rhs, _ = ledger[-1]
+        carried = float(state.energies.sum())
+        drift = abs(problem.memory_energy(state) - carried)
+        scale = max(lhs, rhs)
+        if drift > 1e-10 * scale:
+            raise SolverError(
+                f"memory energy recurrence drifted by {drift:.3e} "
+                f"(ledger scale {scale:.3e}) over {nsteps} steps")
+        memory_check = drift / scale if scale > 0.0 else 0.0
     ordered = [(t_req, snapshots[(index, t_req)])
                for index, t_req in requests]
-    return MacroRun(ordered, ledger)
+    result = MacroRun(ordered, ledger, step_ms, memory_check)
+    _log.debug("macro run: %d steps, %.3f ms per step, min margin %s, "
+               "memory check %.1e", result.steps, result.step_ms,
+               result.min_margin, result.memory_check)
+    return result
 
 
 def write_state_csv(path, mesh, state):

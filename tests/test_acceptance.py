@@ -37,6 +37,8 @@ from porohom import (
 from porohom.cell_unsteady import kernel_time_integral
 from porohom.macro import run
 
+pytestmark = pytest.mark.slow
+
 # Reference steady permeability (K11, K12) for the ellipse sweep at
 # h = 0.01, and the first ten eigenvalues of the gamma = 3 cell problem
 # on the h = 0.02 and h = 0.01 meshes.

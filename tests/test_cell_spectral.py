@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from porohom.cell_spectral import (
+    _fix_sign,
     read_spectrum_csv,
     solve_eigen,
     write_spectrum_csv,
@@ -73,6 +74,17 @@ def test_sign_convention(spectrum_g1):
         a = pair.a
         if np.linalg.norm(a) > 1e-8:
             assert a[np.argmax(np.abs(a))] >= 0.0
+
+
+@pytest.mark.parametrize("a", [(-0.076, 0.076 * (1.0 + 1e-15)),
+                               (0.076 * (1.0 + 1e-15), -0.076)])
+def test_sign_tie_break_ignores_rounding(a):
+    # |a1| = |a2| up to rounding: the first component decides, not noise
+    a_in = np.array(a)
+    vector, a_out = _fix_sign(np.array([1.0, -2.0]), a_in)
+    assert a_out[0] > 0.0
+    flip = np.sign(a_out[0] / a_in[0])
+    assert np.array_equal(vector, flip * np.array([1.0, -2.0]))
 
 
 def test_cluster_completion_extends_the_cut(cell_mesh_g1, system_g1):

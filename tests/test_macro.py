@@ -7,11 +7,14 @@ must track a two-component recurrence to rounding accuracy.  Uniform
 Dirichlet data reduce the same way to a scalar recurrence per mode.
 """
 
+import logging
+
 import numpy as np
 import pytest
 
 from porohom.fem import (
     P1Stiffness,
+    SolverError,
     assemble_p1_mass,
     boundary_edge_load,
     p1_integral_vector,
@@ -318,6 +321,89 @@ def test_memory_energy_closed_form(rect_mesh, model3):
     want = sum(c @ model3.d_tensors[k] @ c * rect_mesh.area()
                for k, c in enumerate(coeffs))
     assert prob.memory_energy(state) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+def test_rank_one_load_matches_per_mode_sum(rect_mesh, model3, sigma):
+    # three matrices weighted by (a1^2, a1 a2, a2^2) give the same load
+    # as one stiffness matrix per mode tensor D^k = a^k (a^k)^T
+    tau = 1e-3
+    prob = MacroProblem(rect_mesh, model3, BC_NAT, sigma=sigma, tau=tau)
+    rng = np.random.default_rng(11)
+    v_aux = rng.standard_normal((3, rect_mesh.num_vertices))
+    stiffness = P1Stiffness(rect_mesh)
+    denom = 1.0 + sigma * LAMS3 * tau
+    want = sum(stiffness.matrix(d) @ field / c for d, field, c
+               in zip(model3.d_tensors, v_aux, denom))
+    got = prob._memory_load(v_aux)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
+def test_energy_recurrence_matches_direct_evaluation(rect_mesh, model3,
+                                                     sigma):
+    prob = MacroProblem(rect_mesh, model3, BC_NAT, f=(1.0, 0.25),
+                        sigma=sigma, tau=1e-3)
+    state = prob.init_state()
+    assert np.array_equal(state.energies, np.zeros(3))
+    for _ in range(20):
+        before = state.v_aux.copy()
+        after = prob.step(state)
+        # snapshots hold earlier states, so a step must not write to them
+        assert np.array_equal(state.v_aux, before)
+        state = after
+    direct = prob.memory_energy(state)
+    assert direct > 0.0
+    assert state.energies.sum() == pytest.approx(direct, rel=1e-12)
+    assert np.max(np.abs(state.energies
+                         - prob._mode_energies(state.v_aux))) <= 1e-12 * direct
+
+
+def test_hand_built_state_seeds_energies_directly(rect_mesh, model3):
+    f = np.array([1.0, 0.25])
+    v_aux = np.stack([linear_field(rect_mesh, f / (2.0 * lam))
+                      for lam in LAMS3])
+    state = MacroState(0.0, linear_field(rect_mesh, f), v_aux)
+    assert state.energies is None
+    # the ledger of a state with memory but no accumulated work carries
+    # no guarantee, so use data outside the guarded regime
+    prob = MacroProblem(rect_mesh, model3, BC_DIR, sigma=0.5, tau=1e-3)
+    first = prob.ledger_row(state, 0)
+    assert first[2] == pytest.approx(prob.memory_energy(state), rel=1e-14)
+    res = run(prob, 0.01, snapshot_times=[0.01], initial_state=state)
+    final = res.snapshots[0][1]
+    assert final.energies.sum() == pytest.approx(prob.memory_energy(final),
+                                                 rel=1e-12)
+    assert res.memory_check < 1e-12
+
+
+def test_tampered_energies_fail_the_final_check(rect_mesh, model3):
+    f = np.array([1.0, 0.25])
+    prob = MacroProblem(rect_mesh, model3, BC_NAT, f=f, sigma=0.5, tau=1e-3)
+    state = run(prob, 0.005, snapshot_times=[0.005]).snapshots[0][1]
+    tampered = MacroState(state.t, state.v, state.v_aux, state.dissipation,
+                          state.source_work)
+    # smaller energies widen every ledger margin, so only the final
+    # direct-versus-recurrence check can catch them
+    tampered.energies = 0.5 * state.energies
+    with pytest.raises(SolverError, match="memory energy recurrence"):
+        run(prob, 0.01, initial_state=tampered)
+
+
+def test_run_statistics(rect_mesh, model3, caplog):
+    prob = MacroProblem(rect_mesh, model3, BC_NAT, f=(1.0, 0.25),
+                        sigma=0.5, tau=1e-3)
+    with caplog.at_level(logging.DEBUG, logger="porohom.macro"):
+        res = run(prob, 0.01)
+    assert res.steps == len(res.ledger) == 10
+    assert res.step_ms > 0.0
+    assert res.min_margin == min(row[4] for row in res.ledger)
+    assert 0.0 <= res.memory_check < 1e-12
+    lines = [rec.getMessage() for rec in caplog.records
+             if rec.name == "porohom.macro"]
+    assert len(lines) == 1 and lines[0].startswith("macro run: 10 steps")
+    empty = run(prob, 0.0)
+    assert (empty.steps, empty.min_margin, empty.memory_check) == (0, None, 0.0)
 
 
 # -------------------------------------------------------------- run driver
