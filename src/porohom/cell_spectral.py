@@ -12,6 +12,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .fem import SolverError, StokesSystem
+from .textio import INDEX, POSITIVE, FormatError, Records, write_rows
 
 CLUSTER_RTOL = 1e-6
 RESIDUAL_RTOL = 1e-8
@@ -111,7 +112,7 @@ def solve_eigen(mesh, num_modes, system=None, seed=20260816, extra=6):
     n = op.shape[0]
     k_req = min(num_modes + extra, n - 2)
     factor = system.factor
-    opinv = LinearOperator((n, n), matvec=lambda b: factor.solve(b, check=False))
+    opinv = LinearOperator((n, n), matvec=factor.solve)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
     try:
@@ -132,7 +133,7 @@ def solve_eigen(mesh, num_modes, system=None, seed=20260816, extra=6):
     # contamination.  Eigenvalues are re-estimated by Rayleigh quotient
     # and move only at rounding level.
     for j in range(vecs.shape[1]):
-        y = factor.solve(mass @ vecs[:, j], check=False)
+        y = factor.solve(mass @ vecs[:, j])
         nrm = np.sqrt(y @ (mass @ y))
         if nrm <= 0.0:
             raise SolverError(f"purification collapsed mode {j + 1}")
@@ -181,31 +182,22 @@ def solve_eigen(mesh, num_modes, system=None, seed=20260816, extra=6):
 
 def write_spectrum_csv(spectrum, path):
     """CSV rows k,lambda,a1,a2 with 1-based mode index."""
-    with open(path, "w") as fh:
-        fh.write("k,lambda,a1,a2\n")
-        for k, pair in enumerate(spectrum, start=1):
-            fh.write(f"{k},{float(pair.lam)!r},{float(pair.a[0])!r},"
-                     f"{float(pair.a[1])!r}\n")
+    write_rows(path, ((k, pair.lam, *pair.a)
+                      for k, pair in enumerate(spectrum, start=1)),
+               header="k,lambda,a1,a2")
 
 
 def read_spectrum_csv(path):
     """Read mode data written by write_spectrum_csv.
 
     Returns (lams, coeffs) arrays of shapes (m,) and (m, 2); the
-    eigenfunctions themselves are not stored in the file.
+    eigenfunctions themselves are not stored in the file.  Mode indices
+    run 1, 2, ... in order and eigenvalues are positive.
     """
-    lams = []
-    coeffs = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "k,lambda,a1,a2":
-            raise ValueError(f"bad spectrum header {header!r}")
-        for expected, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            k, lam, a1, a2 = line.split(",")
-            if int(k) != expected:
-                raise ValueError(f"mode index {k} out of order")
-            lams.append(float(lam))
-            coeffs.append((float(a1), float(a2)))
-    return np.array(lams), np.array(coeffs).reshape(-1, 2)
+    lines, (k, lams, a1, a2) = Records(path, header="k,lambda,a1,a2").table(
+        (("mode index", INDEX), ("eigenvalue", POSITIVE),
+         ("coefficient", float), ("coefficient", float)))
+    bad = np.flatnonzero(k != np.arange(1, k.size + 1))
+    if bad.size:
+        raise FormatError(f"mode index {k[bad[0]]} out of order", lines[bad[0]])
+    return lams, np.column_stack((a1, a2))

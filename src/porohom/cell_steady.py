@@ -10,6 +10,7 @@ solution.
 import numpy as np
 
 from .fem import SolverError, StokesSystem
+from .textio import Records, write_rows
 
 
 class CellSolution:
@@ -76,26 +77,13 @@ def energy_tensor(solution):
 
 def write_permeability_csv(k_bar, path):
     """CSV rows i,j,value with 1-based indices."""
-    with open(path, "w") as fh:
-        fh.write("i,j,value\n")
-        for i in range(2):
-            for j in range(2):
-                fh.write(f"{i + 1},{j + 1},{float(k_bar[i, j])!r}\n")
+    write_rows(path, ((i + 1, j + 1, k_bar[i, j]) for i in range(2)
+                      for j in range(2)), header="i,j,value")
 
 
 def read_permeability_csv(path):
-    k = np.zeros((2, 2))
-    seen = np.zeros((2, 2), dtype=bool)
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "i,j,value":
-            raise ValueError(f"bad permeability header {header!r}")
-        for line in fh:
-            if not line.strip():
-                continue
-            i, j, value = line.split(",")
-            k[int(i) - 1, int(j) - 1] = float(value)
-            seen[int(i) - 1, int(j) - 1] = True
-    if not seen.all():
-        raise ValueError("permeability file is missing entries")
-    return k
+    """The symmetric tensor written by write_permeability_csv."""
+    records = Records(path, header="i,j,value")
+    k_bar = records.tensor()
+    records.finish()
+    return k_bar

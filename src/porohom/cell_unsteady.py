@@ -11,6 +11,7 @@ direction i.
 import numpy as np
 
 from .fem import SolverError, SparseFactor, StokesSystem
+from .textio import Records, write_rows
 
 
 class KernelSamples:
@@ -63,7 +64,7 @@ def solve_cell_unsteady(mesh, tau, horizon, system=None, lambda1_hint=40.0):
     for n in range(1, nsteps + 1):
         sample = np.empty((2, 2))
         for j in range(2):
-            x = factor.solve(states[j], check=False)
+            x = factor.solve(states[j])
             div = system.divergence_norm(x)
             if div > 1e-8 * max(1.0, np.linalg.norm(x)):
                 raise SolverError(
@@ -96,29 +97,18 @@ def kernel_time_integral(samples, component=(0, 0), tail=True):
 
 def write_samples_csv(samples, path):
     """CSV rows t,K11,K12,K22 (the sampled kernel is symmetric)."""
-    asym = np.max(np.abs(samples.values[:, 0, 1] - samples.values[:, 1, 0]))
-    scale = max(1e-30, np.max(np.abs(samples.values)))
+    k11, k01, k10, k22 = samples.values.reshape(-1, 4).T
+    asym = np.max(np.abs(k01 - k10), initial=0.0)
+    scale = max(1e-30, np.max(np.abs(samples.values), initial=0.0))
     if asym > 1e-8 * scale:
         raise ValueError(f"kernel samples asymmetric by {asym:.2e}")
-    with open(path, "w") as fh:
-        fh.write("t,K11,K12,K22\n")
-        for t, k in zip(samples.times, samples.values):
-            k12 = 0.5 * (k[0, 1] + k[1, 0])
-            fh.write(f"{float(t)!r},{float(k[0, 0])!r},{float(k12)!r},"
-                     f"{float(k[1, 1])!r}\n")
+    k12 = np.where(k01 == k10, k01, 0.5 * k01 + 0.5 * k10)
+    write_rows(path, np.column_stack((samples.times, k11, k12, k22)),
+               header="t,K11,K12,K22")
 
 
 def read_samples_csv(path):
-    times = []
-    values = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "t,K11,K12,K22":
-            raise ValueError(f"bad kernel samples header {header!r}")
-        for line in fh:
-            if not line.strip():
-                continue
-            t, k11, k12, k22 = map(float, line.split(","))
-            times.append(t)
-            values.append([[k11, k12], [k12, k22]])
-    return KernelSamples(np.array(times), np.array(values))
+    _, (t, k11, k12, k22) = Records(path, header="t,K11,K12,K22").table(
+        (("time", float),) + (("kernel value", float),) * 3)
+    return KernelSamples(t, np.stack((np.column_stack((k11, k12)),
+                                      np.column_stack((k12, k22))), axis=1))

@@ -13,7 +13,6 @@ from .cell_spectral import read_spectrum_csv
 from .fem import SolverError
 from .meshing import (
     EllipseSpec,
-    MeshFormatError,
     MeshQualityError,
     gen_cell_mesh,
     gen_rect_mesh,
@@ -158,9 +157,12 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (PipelineError, MeshFormatError, ValueError, OSError,
-            *_NUMERICAL) as exc:
+    except (PipelineError, ValueError, OSError, *_NUMERICAL) as exc:
         print(f"error: {exc}", file=sys.stderr)
         cause = exc.__cause__ if isinstance(exc, PipelineError) else exc
         return 3 if isinstance(cause, _NUMERICAL) else 2
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,10 +19,11 @@ contribution is then re-absorbed into K_tilde.
 import numpy as np
 
 from .cell_spectral import complete_clusters
+from .textio import INDEX, POSITIVE, FormatError, Records, write_rows
 
 
-class KernelModelError(ValueError):
-    pass
+class KernelModelError(FormatError):
+    """Spectral data or a model file that make no valid kernel model."""
 
 
 class KernelModel:
@@ -30,7 +31,7 @@ class KernelModel:
 
     Fields
     ------
-    k_bar : (2, 2) steady permeability
+    k_bar : (2, 2) steady permeability, the symmetric part of the input
     lams : (m,) retained decay rates, ascending
     coeffs : (m, 2) retained averaged coefficients a^k
     mode_ids : (m,) 1-based positions of the retained modes in the input
@@ -39,16 +40,24 @@ class KernelModel:
     """
 
     def __init__(self, k_bar, lams, coeffs, mode_ids, epsilon):
-        self.k_bar = np.asarray(k_bar, dtype=float)
+        k = np.asarray(k_bar, dtype=float)
+        if k.shape != (2, 2) or not np.isfinite(k).all() or abs(
+                k[0, 1] - k[1, 0]) > 1e-12 * np.abs(k).max():
+            raise KernelModelError("k_bar must be a finite symmetric 2x2 tensor")
+        self.k_bar = 0.5 * (k + k.T)
         self.lams = np.asarray(lams, dtype=float)
         self.coeffs = np.asarray(coeffs, dtype=float)
+        if not (np.all(np.isfinite(self.lams) & (self.lams > 0.0))
+                and np.isfinite(self.coeffs).all()):
+            raise KernelModelError("eigenvalues must be finite and positive "
+                                   "and coefficients finite")
         self.mode_ids = np.asarray(mode_ids, dtype=np.int64)
         self.epsilon = float(epsilon)
         self.d_tensors = np.einsum("ki,kj->kij", self.coeffs, self.coeffs)
         self.d_scaled = self.d_tensors / self.lams[:, None, None]
         self.k_tilde = self.k_bar - np.sum(self.d_scaled, axis=0)
         eigs = np.linalg.eigvalsh(self.k_tilde)
-        if eigs[0] <= 0.0:
+        if not eigs[0] > 0.0:
             raise KernelModelError(
                 f"corrected tensor not positive definite (eigenvalues {eigs}); "
                 f"use more modes or a larger filter threshold"
@@ -109,8 +118,6 @@ def build_kernel_model(k_bar, lams, coeffs, epsilon=0.0, num_modes=None):
         raise KernelModelError("inconsistent spectral data shapes")
     if np.any(np.diff(lams) < 0.0):
         raise KernelModelError("eigenvalues must be ascending")
-    if np.any(lams <= 0.0):
-        raise KernelModelError("eigenvalues must be positive")
     if num_modes is not None:
         if num_modes < 0 or num_modes > lams.size:
             raise KernelModelError(
@@ -119,59 +126,30 @@ def build_kernel_model(k_bar, lams, coeffs, epsilon=0.0, num_modes=None):
         lams = lams[:num_modes]
         coeffs = coeffs[:num_modes]
     keep = filter_modes(lams, coeffs, epsilon)
-    k_bar = np.asarray(k_bar, dtype=float)
-    if k_bar.shape != (2, 2) or abs(k_bar[0, 1] - k_bar[1, 0]) > 1e-12 * max(
-            1e-30, float(np.abs(k_bar).max())):
-        raise KernelModelError("k_bar must be a symmetric 2x2 tensor")
     return KernelModel(k_bar, lams[keep], coeffs[keep], keep + 1, epsilon)
 
 
 def write_model_csv(model, path):
     """Rows KBAR,i,j,value / KTILDE,i,j,value / MODE,k,lambda,a1,a2."""
-    with open(path, "w") as fh:
-        for i in range(2):
-            for j in range(2):
-                fh.write(f"KBAR,{i + 1},{j + 1},{float(model.k_bar[i, j])!r}\n")
-        for i in range(2):
-            for j in range(2):
-                fh.write(f"KTILDE,{i + 1},{j + 1},{float(model.k_tilde[i, j])!r}\n")
-        for k, lam, a in zip(model.mode_ids, model.lams, model.coeffs):
-            fh.write(f"MODE,{k},{float(lam)!r},{float(a[0])!r},{float(a[1])!r}\n")
+    rows = [(name, i + 1, j + 1, k[i, j])
+            for name, k in (("KBAR", model.k_bar), ("KTILDE", model.k_tilde))
+            for i in range(2) for j in range(2)]
+    rows += [("MODE", k, lam, *a)
+             for k, lam, a in zip(model.mode_ids, model.lams, model.coeffs)]
+    write_rows(path, rows)
 
 
 def read_model_csv(path):
-    k_bar = np.full((2, 2), np.nan)
-    k_tilde = np.full((2, 2), np.nan)
-    mode_ids = []
-    lams = []
-    coeffs = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            kind = parts[0]
-            if kind == "KBAR" and len(parts) == 4:
-                k_bar[int(parts[1]) - 1, int(parts[2]) - 1] = float(parts[3])
-            elif kind == "KTILDE" and len(parts) == 4:
-                k_tilde[int(parts[1]) - 1, int(parts[2]) - 1] = float(parts[3])
-            elif kind == "MODE" and len(parts) == 5:
-                mode_ids.append(int(parts[1]))
-                lams.append(float(parts[2]))
-                coeffs.append((float(parts[3]), float(parts[4])))
-            else:
-                raise KernelModelError(f"line {lineno}: bad record {line!r}")
-    if np.isnan(k_bar).any():
-        raise KernelModelError("model file is missing KBAR entries")
-    model = KernelModel(k_bar, np.array(lams),
-                        np.array(coeffs).reshape(-1, 2),
-                        np.array(mode_ids, dtype=np.int64), epsilon=0.0)
-    if not np.isnan(k_tilde).any():
-        stored_dev = np.max(np.abs(model.k_tilde - k_tilde))
-        if stored_dev > 1e-12 * max(1e-30, float(np.abs(k_tilde).max())):
-            raise KernelModelError(
-                f"stored KTILDE deviates from KBAR minus mode sum by "
-                f"{stored_dev:.2e}"
-            )
+    """The model written by write_model_csv, KTILDE checked against it."""
+    records = Records(path, error=KernelModelError)
+    k_bar = records.tensor(("record", ("KBAR",)))
+    k_tilde = records.tensor(("record", ("KTILDE",)))
+    _, (_, ids, lams, a1, a2) = records.table(
+        (("record", ("MODE",)), ("mode id", INDEX), ("eigenvalue", POSITIVE),
+         ("coefficient", float), ("coefficient", float)))
+    model = KernelModel(k_bar, lams, np.column_stack((a1, a2)), ids, 0.0)
+    dev = np.max(np.abs(model.k_tilde - k_tilde))
+    if dev > 1e-12 * max(1e-30, float(np.abs(k_tilde).max())):
+        raise KernelModelError(f"stored KTILDE deviates from KBAR minus mode "
+                               f"sum by {dev:.2e}")
     return model

@@ -70,6 +70,7 @@ from .fem import (
     p1_gradient_load,
     p1_integral_vector,
 )
+from .textio import write_rows
 
 _log = logging.getLogger(__name__)
 
@@ -508,20 +509,12 @@ def write_state_csv(path, mesh, state):
     """State table: node,x,y,v,v_1..v_m rows."""
     m = state.v_aux.shape[0]
     header = "node,x,y,v" + "".join(f",v_{k + 1}" for k in range(m))
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(header + "\n")
-        for i in range(mesh.num_vertices):
-            x, y = mesh.vertices[i]
-            row = [str(i), repr(float(x)), repr(float(y)),
-                   repr(float(state.v[i]))]
-            row += [repr(float(state.v_aux[k, i])) for k in range(m)]
-            handle.write(",".join(row) + "\n")
+    write_rows(path, ([i, x, y, v] + state.v_aux[:, i].tolist()
+                      for i, ((x, y), v) in enumerate(
+                          zip(mesh.vertices.tolist(), state.v.tolist()))),
+               header=header)
 
 
 def write_ledger_csv(path, ledger):
     """Ledger table: n,t,lhs,rhs,margin rows."""
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write("n,t,lhs,rhs,margin\n")
-        for n, t, lhs, rhs, margin in ledger:
-            handle.write(f"{n},{repr(float(t))},{repr(float(lhs))},"
-                         f"{repr(float(rhs))},{repr(float(margin))}\n")
+    write_rows(path, ledger, header="n,t,lhs,rhs,margin")

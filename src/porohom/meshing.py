@@ -6,10 +6,13 @@ downstream assembly can identify opposite faces node by node.  The text
 format (``MESH2D 1``) is plain ASCII and round-trips exactly.
 """
 
+import itertools
 import math
 
 import numpy as np
 from scipy.spatial import Delaunay
+
+from .textio import FormatError, Records, write_rows
 
 BOUNDARY_TAGS = ("OuterLeft", "OuterRight", "OuterBottom", "OuterTop", "Inclusion")
 
@@ -33,14 +36,8 @@ _SYM_EXTRA = (
 )
 
 
-class MeshFormatError(ValueError):
-    """Raised when a MESH2D file cannot be parsed; carries the line number."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+# What read_mesh raises: the one format error of every artifact.
+MeshFormatError = FormatError
 
 
 class MeshQualityError(RuntimeError):
@@ -109,12 +106,10 @@ class TriMesh:
     boundary_edges : (nb, 2) int array
     boundary_tags : list of str, one tag per boundary edge
     periodic_pairs : (np, 3) int array of (master, slave, axis)
-    h_target : float or None
-        Requested mesh size; not stored in the text format.
     """
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_tags,
-                 periodic_pairs=None, h_target=None):
+                 periodic_pairs=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         self.boundary_edges = np.ascontiguousarray(boundary_edges, dtype=np.int64)
@@ -122,7 +117,6 @@ class TriMesh:
         if periodic_pairs is None or len(periodic_pairs) == 0:
             periodic_pairs = np.zeros((0, 3), dtype=np.int64)
         self.periodic_pairs = np.ascontiguousarray(periodic_pairs, dtype=np.int64)
-        self.h_target = h_target
 
     @property
     def num_vertices(self):
@@ -490,7 +484,7 @@ class _CellBuilder:
         for i in range(n + 1):
             pairs.append((bottom[i], top[i], 1))
 
-        mesh = TriMesh(pts, simp, bedges, btags, np.array(pairs), h_target=self.h)
+        mesh = TriMesh(pts, simp, bedges, btags, np.array(pairs))
         validate_mesh(mesh)
         return mesh
 
@@ -609,122 +603,40 @@ def gen_rect_mesh(lx, ly, h):
         bedges.append((vid(i, ny), vid(i + 1, ny)))
         btags.append("OuterTop")
 
-    mesh = TriMesh(verts, np.array(tris), np.array(bedges), btags, h_target=h)
+    mesh = TriMesh(verts, np.array(tris), np.array(bedges), btags)
     validate_mesh(mesh)
     return mesh
 
 
 def write_mesh(mesh, path):
     """Write a mesh in the MESH2D 1 text format."""
-    lines = ["MESH2D 1"]
-    lines.append(f"NV {mesh.num_vertices}")
-    for x, y in mesh.vertices:
-        lines.append(f"{float(x)!r} {float(y)!r}")
-    lines.append(f"NT {mesh.num_triangles}")
-    for i, j, k in mesh.triangles:
-        lines.append(f"{i} {j} {k}")
-    lines.append(f"NB {len(mesh.boundary_edges)}")
-    for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        lines.append(f"{i} {j} {tag}")
-    lines.append(f"NP {len(mesh.periodic_pairs)}")
-    for master, slave, axis in mesh.periodic_pairs:
-        lines.append(f"{master} {slave} {axis}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_rows(path, itertools.chain(
+        [("NV", mesh.num_vertices)], mesh.vertices.tolist(),
+        [("NT", mesh.num_triangles)], mesh.triangles.tolist(),
+        [("NB", len(mesh.boundary_edges))],
+        zip(*mesh.boundary_edges.T.tolist(), mesh.boundary_tags),
+        [("NP", len(mesh.periodic_pairs))], mesh.periodic_pairs.tolist(),
+    ), header="MESH2D 1", sep=" ")
 
 
-def _expect_count(parts, lineno, keyword):
-    if len(parts) != 2 or parts[0] != keyword:
-        raise MeshFormatError(f"expected '{keyword} <count>', got {' '.join(parts)!r}",
-                              lineno)
-    try:
-        count = int(parts[1])
-    except ValueError:
-        raise MeshFormatError(f"count {parts[1]!r} is not an integer", lineno)
-    if count < 0:
-        raise MeshFormatError(f"negative count {count}", lineno)
-    return count
+def _section(records, keyword):
+    _, (_, count) = records.table((("section", (keyword,)),
+                                   ("count", range(2 ** 31))), 1)
+    return int(count[0])
 
 
 def read_mesh(path):
     """Read a MESH2D 1 file; errors carry 1-based line numbers."""
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    pos = 0
-
-    def next_line():
-        nonlocal pos
-        if pos >= len(raw):
-            raise MeshFormatError("unexpected end of file", len(raw))
-        pos += 1
-        return raw[pos - 1].split(), pos
-
-    parts, lineno = next_line()
-    if parts != ["MESH2D", "1"]:
-        raise MeshFormatError(f"bad header {' '.join(parts)!r}, expected 'MESH2D 1'",
-                              lineno)
-
-    parts, lineno = next_line()
-    nv = _expect_count(parts, lineno, "NV")
-    verts = np.empty((nv, 2))
-    for i in range(nv):
-        parts, lineno = next_line()
-        if len(parts) != 2:
-            raise MeshFormatError(f"expected 'x y', got {len(parts)} fields", lineno)
-        try:
-            verts[i] = (float(parts[0]), float(parts[1]))
-        except ValueError:
-            raise MeshFormatError(f"bad coordinate in {parts!r}", lineno)
-
-    def read_index(tok, lineno, limit=nv):
-        try:
-            val = int(tok)
-        except ValueError:
-            raise MeshFormatError(f"index {tok!r} is not an integer", lineno)
-        if not 0 <= val < limit:
-            raise MeshFormatError(f"index {val} out of range [0, {limit})", lineno)
-        return val
-
-    parts, lineno = next_line()
-    nt = _expect_count(parts, lineno, "NT")
-    tris = np.empty((nt, 3), dtype=np.int64)
-    for i in range(nt):
-        parts, lineno = next_line()
-        if len(parts) != 3:
-            raise MeshFormatError(f"expected 'i j k', got {len(parts)} fields", lineno)
-        tris[i] = [read_index(t, lineno) for t in parts]
-
-    parts, lineno = next_line()
-    nb = _expect_count(parts, lineno, "NB")
-    bedges = np.empty((nb, 2), dtype=np.int64)
-    btags = []
-    for i in range(nb):
-        parts, lineno = next_line()
-        if len(parts) != 3:
-            raise MeshFormatError(f"expected 'i j tag', got {len(parts)} fields",
-                                  lineno)
-        bedges[i] = [read_index(parts[0], lineno), read_index(parts[1], lineno)]
-        if parts[2] not in BOUNDARY_TAGS:
-            raise MeshFormatError(f"unknown boundary tag {parts[2]!r}", lineno)
-        btags.append(parts[2])
-
-    parts, lineno = next_line()
-    npairs = _expect_count(parts, lineno, "NP")
-    pairs = np.empty((npairs, 3), dtype=np.int64)
-    for i in range(npairs):
-        parts, lineno = next_line()
-        if len(parts) != 3:
-            raise MeshFormatError(f"expected 'master slave axis', got "
-                                  f"{len(parts)} fields", lineno)
-        master = read_index(parts[0], lineno)
-        slave = read_index(parts[1], lineno)
-        if parts[2] not in ("0", "1"):
-            raise MeshFormatError(f"axis must be 0 or 1, got {parts[2]!r}", lineno)
-        pairs[i] = (master, slave, int(parts[2]))
-
-    while pos < len(raw):
-        if raw[pos].strip():
-            raise MeshFormatError(f"unexpected trailing content {raw[pos]!r}", pos + 1)
-        pos += 1
-
-    return TriMesh(verts, tris, bedges, btags, pairs, h_target=None)
+    records = Records(path, header="MESH2D 1", sep=None)
+    nv = _section(records, "NV")
+    _, xy = records.table((("coordinate", float),) * 2, nv)
+    index = ("index", range(nv))
+    _, tris = records.table((index,) * 3, _section(records, "NT"))
+    _, edges = records.table((index, index, ("boundary tag", BOUNDARY_TAGS)),
+                             _section(records, "NB"))
+    _, pairs = records.table((index, index, ("axis", (0, 1))),
+                             _section(records, "NP"))
+    records.finish()
+    return TriMesh(np.column_stack(xy), np.column_stack(tris),
+                   np.column_stack(edges[:2]), edges[2].tolist(),
+                   np.column_stack(pairs))

@@ -163,6 +163,34 @@ def test_build_prolongation_merges_and_fixes():
     assert prol[4].nnz == 0 and prol[5].nnz == 0
 
 
+def _reference_reduction(num_dofs, pairs, fixed):
+    """Union-find reference: classes numbered by their smallest member."""
+    root = list(range(num_dofs))
+
+    def find(a):
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        root[max(ra, rb)] = min(ra, rb)
+    roots = [find(i) for i in range(num_dofs)]
+    dead = {roots[i] for i in range(num_dofs) if fixed[i]}
+    live = sorted(set(roots) - dead)
+    return [-1 if r in dead else live.index(r) for r in roots]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_build_prolongation_matches_union_find(seed):
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, 40, size=(25, 2))
+    fixed = rng.random(40) < 0.1
+    prol, reduced = build_prolongation(40, pairs, fixed)
+    assert reduced.tolist() == _reference_reduction(40, pairs.tolist(), fixed)
+    assert prol.shape == (40, max(reduced) + 1)
+
+
 def test_cell_constraints_close_the_torus(cell_mesh_g1):
     dofmap = DofMapP2(cell_mesh_g1)
     pairs2, fixed2, pairs1 = cell_constraints(cell_mesh_g1, dofmap)
@@ -192,9 +220,16 @@ def test_sparse_factor_contract(caplog):
     lines = [r for r in caplog.records if r.name.startswith("porohom")]
     assert len(lines) == 1 and lines[0].levelname == "DEBUG"
     assert f"fill={factor.fill}" in lines[0].getMessage()
-    # a loose right-hand side misses the backward-error contract
+    # a solve that misses the backward-error contract is rejected
+    exact = factor.lu
+
+    class Perturbed:
+        def solve(self, b):
+            return exact.solve(b) * (1.0 + 1e-6)
+
+    factor.lu = Perturbed()
     with pytest.raises(SolverError, match="residual"):
-        factor.solve(rhs, rtol=0.0)
+        factor.solve(rhs)
     singular = sp.csc_matrix((40, 40))
     with pytest.raises(SolverError, match="factorization failed"):
         SparseFactor(singular)
