@@ -16,6 +16,9 @@ from .textio import INDEX, POSITIVE, FormatError, Records, write_rows
 
 CLUSTER_RTOL = 1e-6
 RESIDUAL_RTOL = 1e-8
+# Modes asked of ARPACK beyond the requested count, so the cluster that
+# straddles the cut comes back in full.
+EXTRA_MODES = 6
 
 
 class EigenPair:
@@ -91,7 +94,7 @@ def _fix_sign(vector, a):
     return vector, a
 
 
-def solve_eigen(mesh, num_modes, system=None, seed=20260816, extra=6):
+def solve_eigen(mesh, num_modes, system=None, seed=20260816):
     """First num_modes eigenpairs of the cell Stokes pencil.
 
     A cluster of near-equal eigenvalues (relative gap below 1e-6) that
@@ -110,7 +113,7 @@ def solve_eigen(mesh, num_modes, system=None, seed=20260816, extra=6):
     op = system.operator
     mass = system.mass_saddle
     n = op.shape[0]
-    k_req = min(num_modes + extra, n - 2)
+    k_req = min(num_modes + EXTRA_MODES, n - 2)
     factor = system.factor
     opinv = LinearOperator((n, n), matvec=factor.solve)
     rng = np.random.default_rng(seed)

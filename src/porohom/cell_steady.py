@@ -12,6 +12,9 @@ import numpy as np
 from .fem import SolverError, StokesSystem
 from .textio import Records, write_rows
 
+# Largest asymmetry of the raw tensor, relative to its norm.
+SYMMETRY_RTOL = 1e-8
+
 
 class CellSolution:
     """Solutions of the d steady cell problems plus the averaged tensor."""
@@ -22,12 +25,12 @@ class CellSolution:
         self.k_bar = k_bar
 
 
-def solve_cell_steady(mesh, system=None, symmetry_tol=1e-8):
+def solve_cell_steady(mesh, system=None):
     """Solve the steady cell problems and average the velocities.
 
     Returns a CellSolution whose k_bar is the symmetrized 2x2 tensor.
     Raises SolverError if the raw tensor is asymmetric beyond
-    symmetry_tol (relative to its norm) or fails to be positive
+    SYMMETRY_RTOL (relative to its norm) or fails to be positive
     definite.
     """
     if system is None:
@@ -44,35 +47,16 @@ def solve_cell_steady(mesh, system=None, symmetry_tol=1e-8):
         raw[:, j] = system.velocity_average(x)
 
     scale = np.linalg.norm(raw)
-    if abs(raw[0, 1] - raw[1, 0]) > symmetry_tol * max(scale, 1e-30):
+    if abs(raw[0, 1] - raw[1, 0]) > SYMMETRY_RTOL * max(scale, 1e-30):
         raise SolverError(
             f"permeability asymmetry {abs(raw[0, 1] - raw[1, 0]):.2e} "
-            f"exceeds {symmetry_tol:.0e} relative tolerance"
+            f"exceeds {SYMMETRY_RTOL:.0e} relative tolerance"
         )
     k_bar = 0.5 * (raw + raw.T)
     eigs = np.linalg.eigvalsh(k_bar)
     if eigs[0] <= 0.0:
         raise SolverError(f"permeability not positive definite: eigs {eigs}")
     return CellSolution(system, vectors, k_bar)
-
-
-def energy_tensor(solution):
-    """Permeability recomputed from gradient energies of the solutions.
-
-    Entry [i, j] is the integral of grad(w_i):grad(w_j), which equals the
-    velocity-average form when the discrete solves are exact.
-    """
-    system = solution.system
-    stiff = system.stiff_r
-    nv = system.n_velocity
-    out = np.empty((2, 2))
-    for i in range(2):
-        xi = solution.saddle_vectors[i]
-        for j in range(2):
-            xj = solution.saddle_vectors[j]
-            out[i, j] = (xi[:nv] @ (stiff @ xj[:nv])
-                         + xi[nv:2 * nv] @ (stiff @ xj[nv:2 * nv]))
-    return out
 
 
 def write_permeability_csv(k_bar, path):

@@ -198,16 +198,6 @@ class P1Stiffness:
         return mat.tocsr()
 
 
-def assemble_p1_mass(mesh):
-    """Consistent P1 mass matrix."""
-    areas = mesh.triangle_areas()
-    local = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    elem = areas[:, None, None] * local[None, :, :]
-    rows, cols, vals = _element_matrix_to_coo(mesh.triangles, elem)
-    nv = mesh.num_vertices
-    return _accumulate(rows, cols, vals, (nv, nv))
-
-
 def p1_integral_vector(mesh):
     """Vector of integrals of each P1 basis function."""
     areas = mesh.triangle_areas()

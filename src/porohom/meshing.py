@@ -10,7 +10,8 @@ import itertools
 import math
 
 import numpy as np
-from scipy.spatial import Delaunay
+from scipy.sparse import coo_matrix
+from scipy.spatial import Delaunay, cKDTree
 
 from .textio import FormatError, Records, write_rows
 
@@ -129,9 +130,7 @@ class TriMesh:
     def triangle_areas(self):
         p = self.vertices
         t = self.triangles
-        d1 = p[t[:, 1]] - p[t[:, 0]]
-        d2 = p[t[:, 2]] - p[t[:, 0]]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return 0.5 * _cross(p[t[:, 1]] - p[t[:, 0]], p[t[:, 2]] - p[t[:, 0]])
 
     def area(self):
         return float(np.sum(self.triangle_areas()))
@@ -148,6 +147,11 @@ class TriMesh:
             den = np.linalg.norm(b, axis=1) * np.linalg.norm(c, axis=1)
             angles.append(np.degrees(np.arccos(np.clip(num / den, -1.0, 1.0))))
         return float(np.min(angles))
+
+
+def _cross(u, v):
+    """Row-wise z-component of the cross product of (n, 2) arrays."""
+    return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
 
 
 def _edge_counts(triangles):
@@ -235,24 +239,24 @@ def _symmetric_linspace(n):
     return x
 
 
-def _point_in_polygon(points, poly):
-    """Crossing-number test, vectorized over points (chunked)."""
-    inside = np.zeros(len(points), dtype=bool)
-    x2 = np.roll(poly, -1, axis=0)
-    for lo in range(0, len(points), 4096):
-        p = points[lo:lo + 4096]
-        px = p[:, 0][:, None]
-        py = p[:, 1][:, None]
-        y1 = poly[:, 1][None, :]
-        y2 = x2[:, 1][None, :]
-        cond = (y1 > py) != (y2 > py)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xcross = poly[:, 0][None, :] + (py - y1) / (y2 - y1) * (
-                x2[:, 0][None, :] - poly[:, 0][None, :]
-            )
-        hits = cond & (px < xcross)
-        inside[lo:lo + 4096] = np.sum(hits, axis=1) % 2 == 1
-    return inside
+def _ring_angles(points, ring):
+    """Angles in [0, 2 pi) about the cell center, from the first ring vertex."""
+    d, d0 = points - _CENTER, ring[0] - _CENTER
+    return np.mod(np.arctan2(d[:, 1], d[:, 0]) - math.atan2(d0[1], d0[0]),
+                  2.0 * math.pi)
+
+
+def _inside_ring(points, ring):
+    """Whether each point lies strictly inside the ring.
+
+    The ring is convex, counterclockwise and contains the cell center
+    (_make_boundary checks all three), so a point is inside exactly when
+    it lies left of the edge that closes its angular sector.
+    """
+    k = np.searchsorted(_ring_angles(ring, ring), _ring_angles(points, ring),
+                        side="right") - 1
+    a, b = ring[k], ring[(k + 1) % len(ring)]
+    return _cross(b - a, points - a) > 0.0
 
 
 def _nearest_on_polyline(points, poly):
@@ -332,8 +336,14 @@ class _CellBuilder:
         self.points = np.vstack([np.array(pts, dtype=float), ring])
         self.n_fixed = self.points.shape[0]
         seg = np.roll(ring, -1, axis=0) - ring
+        if not (np.all(_cross(seg, np.roll(seg, -1, axis=0)) > 0.0)
+                and np.all(_cross(seg, _CENTER - ring) > 0.0)
+                and np.all(np.diff(_ring_angles(ring, ring)) > 0.0)):
+            raise MeshQualityError("inclusion ring is not convex and "
+                                   "counterclockwise about the cell center")
         self.ring_seglen = np.hypot(seg[:, 0], seg[:, 1])
         self.ring_poly = ring
+        self.ring_tree = cKDTree(ring)
 
     def _symmetrize_ring(self, ring):
         """Force the ring to be an exact orbit of its symmetry group."""
@@ -364,12 +374,11 @@ class _CellBuilder:
         n = self.n_side
         x = self.grid_x
         ii, jj = np.meshgrid(np.arange(1, n), np.arange(1, n), indexing="ij")
-        ii = ii.ravel()
-        jj = jj.ravel()
+        ii, jj = ii.ravel(), jj.ravel()
         cand = np.column_stack([x[ii], x[jj]])
 
-        dist, segidx, _ = _nearest_on_polyline(cand, self.ring_poly)
-        inside = _point_in_polygon(cand, self.ring_poly)
+        reach = self.drop_factor * max(self.ring_seglen.max(), 0.5 * self.h)
+        inside, dist, segidx, _ = self._near_ring(cand, reach)
         local = self.ring_seglen[segidx]
         drop = inside | (dist < self.drop_factor * np.maximum(local, 0.5 * self.h))
 
@@ -377,7 +386,6 @@ class _CellBuilder:
         index_of = {(a, b): k for k, (a, b) in enumerate(zip(ii, jj))}
         keep = np.zeros(len(cand), dtype=bool)
         seen = np.zeros(len(cand), dtype=bool)
-        orbits = []
         for k in range(len(cand)):
             if seen[k]:
                 continue
@@ -387,7 +395,6 @@ class _CellBuilder:
                 if not seen[m]:
                     seen[m] = True
                     orbit.append(m)
-            orbits.append(orbit)
             if not drop[k]:
                 keep[orbit] = True
 
@@ -395,13 +402,9 @@ class _CellBuilder:
         remap = {k: t for t, k in enumerate(kept)}
         self.interior = cand[kept]
         # Permutations of the kept interior set, one per group element.
-        self.perms = []
-        for mat, _ in self.sym:
-            perm = np.array(
-                [remap[index_of[self._grid_map(mat, ii[k], jj[k])]] for k in kept],
-                dtype=np.int64,
-            )
-            self.perms.append(perm)
+        self.perms = [np.array([remap[index_of[self._grid_map(mat, ii[k], jj[k])]]
+                                for k in kept], dtype=np.int64)
+                      for mat, _ in self.sym]
 
     def _orbit_average(self, pts):
         acc = np.zeros_like(pts)
@@ -409,11 +412,28 @@ class _CellBuilder:
             acc += (pts[perm] - _CENTER) @ mat  # inverse of orthogonal mat is mat.T
         return _CENTER + acc / len(self.sym)
 
+    def _near_ring(self, pts, reach):
+        """Inside flags, then distance, segment and nearest point on the ring.
+
+        The nearer end of a segment is at most half its length from any
+        point on it, so an outside point whose nearest ring vertex is
+        farther than reach plus half the longest segment has no segment
+        within reach: it skips the segment scan and gets distance inf.
+        """
+        inside = _inside_ring(pts, self.ring_poly)
+        vertex_dist = self.ring_tree.query(pts)[0]
+        near = inside | (vertex_dist <= reach + 0.5 * self.ring_seglen.max())
+        dist = np.full(len(pts), np.inf)
+        segidx = np.zeros(len(pts), dtype=np.int64)
+        nearest = np.zeros_like(pts)
+        dist[near], segidx[near], nearest[near] = _nearest_on_polyline(
+            pts[near], self.ring_poly)
+        return inside, dist, segidx, nearest
+
     def _clamp(self, pts):
         m = 0.3 / self.n_side
         np.clip(pts, m, 1.0 - m, out=pts)
-        dist, segidx, nearest = _nearest_on_polyline(pts, self.ring_poly)
-        inside = _point_in_polygon(pts, self.ring_poly)
+        inside, dist, segidx, nearest = self._near_ring(pts, 0.45 * self.h)
         margin = 0.45 * np.minimum(self.ring_seglen[segidx], self.h)
         bad = inside | (dist < margin)
         if np.any(bad):
@@ -441,16 +461,13 @@ class _CellBuilder:
         pts[nf:] = self._orbit_average(self._clamp(pts[nf:]))
         self.all_points = pts
 
-    def _adjacency(self, pts):
-        from scipy.sparse import coo_matrix
+    def _triangulate(self, pts):
+        """Delaunay triangles of pts whose centroid lies outside the ring."""
+        simp = Delaunay(pts).simplices.astype(np.int64)
+        return simp[~_inside_ring(pts[simp].mean(axis=1), self.ring_poly)]
 
-        tri = Delaunay(pts)
-        simp = tri.simplices
-        cent = pts[simp].mean(axis=1)
-        keep = ~_point_in_polygon(cent, self.ring_poly)
-        simp = simp[keep]
-        e = np.vstack([simp[:, [0, 1]], simp[:, [1, 2]], simp[:, [2, 0]]])
-        e = np.unique(np.sort(e, axis=1), axis=0)
+    def _adjacency(self, pts):
+        e, _ = _edge_counts(self._triangulate(pts))
         n = len(pts)
         data = np.ones(2 * len(e))
         rows = np.concatenate([e[:, 0], e[:, 1]])
@@ -461,71 +478,39 @@ class _CellBuilder:
 
     def _finalize(self):
         pts = self.all_points
-        tri = Delaunay(pts)
-        simp = tri.simplices.astype(np.int64)
-        cent = pts[simp].mean(axis=1)
-        simp = simp[~_point_in_polygon(cent, self.ring_poly)]
-
-        d1 = pts[simp[:, 1]] - pts[simp[:, 0]]
-        d2 = pts[simp[:, 2]] - pts[simp[:, 0]]
-        flip = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] < 0.0
+        simp = self._triangulate(pts)
+        flip = _cross(pts[simp[:, 1]] - pts[simp[:, 0]],
+                      pts[simp[:, 2]] - pts[simp[:, 0]]) < 0.0
         simp[flip] = simp[flip][:, [0, 2, 1]]
 
         edges, counts = _edge_counts(simp)
         boundary = edges[counts == 1]
         bedges, btags = self._classify_boundary(boundary)
 
-        n = self.n_side
-        pairs = []
-        left, right = self.side_nodes["OuterLeft"], self.side_nodes["OuterRight"]
-        bottom, top = self.side_nodes["OuterBottom"], self.side_nodes["OuterTop"]
-        for j in range(n + 1):
-            pairs.append((left[j], right[j], 0))
-        for i in range(n + 1):
-            pairs.append((bottom[i], top[i], 1))
+        s = self.side_nodes
+        pairs = [(a, b, 0) for a, b in zip(s["OuterLeft"], s["OuterRight"])]
+        pairs += [(a, b, 1) for a, b in zip(s["OuterBottom"], s["OuterTop"])]
 
         mesh = TriMesh(pts, simp, bedges, btags, np.array(pairs))
         validate_mesh(mesh)
         return mesh
 
     def _classify_boundary(self, boundary):
-        n = self.n_side
-        ring0 = self.ring_base
-        nring = self.n_ring
-        expected = set()
-        for tag in ("OuterBottom", "OuterTop", "OuterLeft", "OuterRight"):
-            ids = self.side_nodes[tag]
-            for j in range(n):
-                expected.add(tuple(sorted((ids[j], ids[j + 1]))))
-        for k in range(nring):
-            expected.add(tuple(sorted((ring0 + k, ring0 + (k + 1) % nring))))
+        """Tag each boundary edge from the table of expected edges."""
+        ring = self.ring_base + np.arange(self.n_ring + 1) % self.n_ring
+        expected = {}
+        for tag, ids in [*self.side_nodes.items(), ("Inclusion", ring)]:
+            for a, b in zip(ids[:-1].tolist(), ids[1:].tolist()):
+                expected[min(a, b), max(a, b)] = tag
 
-        got = set(map(tuple, boundary))
-        if got != expected:
+        got = list(map(tuple, boundary.tolist()))
+        if set(got) != expected.keys():
             raise MeshQualityError(
                 f"triangulation does not conform to the boundary "
-                f"({len(got - expected)} stray, {len(expected - got)} missing edges)"
+                f"({len(set(got) - expected.keys())} stray, "
+                f"{len(expected.keys() - set(got))} missing edges)"
             )
-
-        pts = self.all_points
-        bedges = []
-        btags = []
-        for a, b in boundary:
-            if a >= ring0 and b >= ring0:
-                tag = "Inclusion"
-            elif pts[a, 1] == 0.0 and pts[b, 1] == 0.0:
-                tag = "OuterBottom"
-            elif pts[a, 1] == 1.0 and pts[b, 1] == 1.0:
-                tag = "OuterTop"
-            elif pts[a, 0] == 0.0 and pts[b, 0] == 0.0:
-                tag = "OuterLeft"
-            elif pts[a, 0] == 1.0 and pts[b, 0] == 1.0:
-                tag = "OuterRight"
-            else:
-                raise MeshQualityError(f"cannot classify boundary edge ({a}, {b})")
-            bedges.append((a, b))
-            btags.append(tag)
-        return np.array(bedges, dtype=np.int64), btags
+        return boundary, [expected[e] for e in got]
 
 
 def gen_cell_mesh(spec, h):
@@ -578,32 +563,23 @@ def gen_rect_mesh(lx, ly, h):
     def vid(i, j):
         return i * (ny + 1) + j
 
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            if (i + j) % 2 == 0:
-                tris.append((v00, v10, v11))
-                tris.append((v00, v11, v01))
-            else:
-                tris.append((v00, v10, v01))
-                tris.append((v10, v11, v01))
+    # Square (i, j), in i-major order, gives two triangles.
+    i, j = (a.ravel() for a in np.meshgrid(np.arange(nx), np.arange(ny),
+                                           indexing="ij"))
+    v00, v10, v01, v11 = vid(i, j), vid(i + 1, j), vid(i, j + 1), vid(i + 1, j + 1)
+    even = ((i + j) % 2 == 0)[:, None]
+    tris = np.where(even, np.column_stack([v00, v10, v11, v00, v11, v01]),
+                    np.column_stack([v00, v10, v01, v10, v11, v01]))
 
-    bedges = []
-    btags = []
-    for j in range(ny):
-        bedges.append((vid(0, j), vid(0, j + 1)))
-        btags.append("OuterLeft")
-        bedges.append((vid(nx, j), vid(nx, j + 1)))
-        btags.append("OuterRight")
-    for i in range(nx):
-        bedges.append((vid(i, 0), vid(i + 1, 0)))
-        btags.append("OuterBottom")
-        bedges.append((vid(i, ny), vid(i + 1, ny)))
-        btags.append("OuterTop")
+    # Left and right edges interleaved, then bottom and top.
+    j, i = np.arange(ny), np.arange(nx)
+    bedges = np.concatenate([
+        np.column_stack([vid(0, j), vid(0, j + 1), vid(nx, j), vid(nx, j + 1)]),
+        np.column_stack([vid(i, 0), vid(i + 1, 0), vid(i, ny), vid(i + 1, ny)]),
+    ], axis=None).reshape(-1, 2)
+    btags = ["OuterLeft", "OuterRight"] * ny + ["OuterBottom", "OuterTop"] * nx
 
-    mesh = TriMesh(verts, np.array(tris), np.array(bedges), btags)
+    mesh = TriMesh(verts, tris.reshape(-1, 3), bedges, btags)
     validate_mesh(mesh)
     return mesh
 
@@ -626,17 +602,37 @@ def _section(records, keyword):
 
 
 def read_mesh(path):
-    """Read a MESH2D 1 file; errors carry 1-based line numbers."""
+    """Read a MESH2D 1 file; errors carry 1-based line numbers.  Every
+    triangle needs a finite positive area and every edge at most two
+    triangles; angles are not checked."""
     records = Records(path, header="MESH2D 1", sep=None)
     nv = _section(records, "NV")
     _, xy = records.table((("coordinate", float),) * 2, nv)
     index = ("index", range(nv))
-    _, tris = records.table((index,) * 3, _section(records, "NT"))
+    lines, tris = records.table((index,) * 3, _section(records, "NT"))
     _, edges = records.table((index, index, ("boundary tag", BOUNDARY_TAGS)),
                              _section(records, "NB"))
     _, pairs = records.table((index, index, ("axis", (0, 1))),
                              _section(records, "NP"))
     records.finish()
-    return TriMesh(np.column_stack(xy), np.column_stack(tris),
+    mesh = TriMesh(np.column_stack(xy), np.column_stack(tris),
                    np.column_stack(edges[:2]), edges[2].tolist(),
                    np.column_stack(pairs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        areas = mesh.triangle_areas()
+    bad = np.flatnonzero(~(np.isfinite(areas) & (areas > 0.0)))
+    if bad.size:
+        t = bad[0]
+        raise FormatError(f"triangle {' '.join(map(str, mesh.triangles[t]))} "
+                          f"has area {float(areas[t])!r}, must be finite "
+                          f"and positive", lines[t])
+    # An edge key in sorted order; equal keys two apart mean three users.
+    e = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    key = e[:, 0] * nv + e[:, 1]
+    order = np.argsort(key, kind="stable")
+    third = order[2:][key[order[2:]] == key[order[:-2]]]
+    if third.size:
+        k = third.min()
+        raise FormatError(f"edge {e[k, 0]} {e[k, 1]} is shared by more "
+                          f"than two triangles", lines[k // 3])
+    return mesh

@@ -228,8 +228,8 @@ def _stage_eigen(config, files):
     spectrum = solve_eigen(system.mesh, config["modes"], system=system)
     write_spectrum_csv(spectrum, files.path("spectrum.csv"))
     shown = min(spectrum.eigenvalues.size, 3)
-    text = render_table({"lams": spectrum.eigenvalues[:shown],
-                         "coeffs": spectrum.coefficients[:shown]}, "table3")
+    text = render_table(spectrum.eigenvalues[:shown],
+                        spectrum.coefficients[:shown])
     with open(files.path("table3.txt"), "w", encoding="ascii") as handle:
         handle.write(text)
 
@@ -338,18 +338,13 @@ def _config_json(config):
     return out
 
 
-def render_table(artifacts, which):
-    """Fixed-width text rendering of a summary table.
-
-    The one layout, "table3", lists artifacts["lams"] with the mode
-    coefficients artifacts["coeffs"].
-    """
-    if which == "table3":
-        lams = np.asarray(artifacts["lams"], dtype=float)
-        coeffs = np.asarray(artifacts["coeffs"], dtype=float)
-        rows = ["{:<6}{:>14}{:>14}{:>14}".format("k", "lambda", "a1", "a2")]
-        for k in range(lams.size):
-            rows.append("{:<6}{:>14.6f}{:>14.6f}{:>14.6f}".format(
-                k + 1, lams[k], coeffs[k, 0], coeffs[k, 1]))
-        return "\n".join(rows) + "\n"
-    raise ValueError(f"unknown table {which!r}")
+def render_table(lams, coeffs):
+    """Fixed-width table of the eigenvalues lams with the mode
+    coefficients coeffs (one row of a1, a2 per mode)."""
+    lams = np.asarray(lams, dtype=float)
+    coeffs = np.asarray(coeffs, dtype=float)
+    rows = ["{:<6}{:>14}{:>14}{:>14}".format("k", "lambda", "a1", "a2")]
+    for k in range(lams.size):
+        rows.append("{:<6}{:>14.6f}{:>14.6f}{:>14.6f}".format(
+            k + 1, lams[k], coeffs[k, 0], coeffs[k, 1]))
+    return "\n".join(rows) + "\n"

@@ -7,6 +7,7 @@ acceptance tests build their own fine meshes.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from porohom.cell_spectral import solve_eigen
 from porohom.cell_steady import solve_cell_steady
@@ -23,6 +24,18 @@ COEF3 = np.array([[-0.530804, -0.530804],
                   [0.019996, 0.019996]])
 KBAR3 = np.array([[0.00981454, 0.00437231],
                   [0.00437231, 0.00981454]])
+
+
+def p1_mass(mesh):
+    """Consistent P1 mass matrix: each triangle adds area/12 times
+    [[2, 1, 1], [1, 2, 1], [1, 1, 2]] on its vertices."""
+    local = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    vals = mesh.triangle_areas()[:, None, None] * local
+    rows = np.repeat(mesh.triangles, 3, axis=1)
+    cols = np.tile(mesh.triangles, (1, 3))
+    nv = mesh.num_vertices
+    return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(nv, nv)).tocsr()
 
 
 @pytest.fixture(scope="session")

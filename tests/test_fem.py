@@ -12,7 +12,6 @@ from porohom.fem import (
     SolverError,
     SparseFactor,
     assemble_divergence,
-    assemble_p1_mass,
     assemble_p2_stiffness_mass,
     boundary_edge_load,
     build_prolongation,
@@ -23,6 +22,8 @@ from porohom.fem import (
     p2_shape,
 )
 from porohom.meshing import TriMesh, gen_rect_mesh
+
+from conftest import p1_mass
 
 
 def reference_triangle():
@@ -125,7 +126,7 @@ def test_p1_stiffness_matches_quadratic_form(rect_mesh):
 
 
 def test_p1_mass_row_sums(rect_mesh):
-    mass = assemble_p1_mass(rect_mesh)
+    mass = p1_mass(rect_mesh)
     ints = p1_integral_vector(rect_mesh)
     assert np.allclose(np.asarray(mass.sum(axis=1)).ravel(), ints, atol=1e-13)
     assert ints.sum() == pytest.approx(rect_mesh.area(), rel=1e-14)

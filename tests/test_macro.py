@@ -15,7 +15,6 @@ import pytest
 from porohom.fem import (
     P1Stiffness,
     SolverError,
-    assemble_p1_mass,
     boundary_edge_load,
     p1_integral_vector,
 )
@@ -30,7 +29,7 @@ from porohom.macro import (
     write_state_csv,
 )
 
-from conftest import COEF3, KBAR3, LAMS3
+from conftest import COEF3, KBAR3, LAMS3, p1_mass
 
 BC_DIR = "left=dirichlet:0,right=dirichlet:1,top=natural:0,bottom=natural:0"
 BC_NAT = {side: ("natural", 0.0) for side in ("left", "right", "top", "bottom")}
@@ -267,7 +266,7 @@ def test_weak_mass_update_matches_nodal_recurrence(rect_mesh):
     # exact, so solving the weak form must land on the nodal recurrence
     import scipy.sparse.linalg as spla
 
-    mass = assemble_p1_mass(rect_mesh).tocsc()
+    mass = p1_mass(rect_mesh).tocsc()
     rng = np.random.default_rng(5)
     v_mid = rng.standard_normal(rect_mesh.num_vertices)
     a_old = rng.standard_normal(rect_mesh.num_vertices)
@@ -416,7 +415,7 @@ def test_long_run_settles_to_steady_solution(rect_mesh, model3):
     res = run(prob, t_final, snapshot_times=[t_final])
     v_fin = res.snapshots[0][1].v
     v_ref = solve_steady(rect_mesh, KBAR3, BC_DIR)
-    mass = assemble_p1_mass(rect_mesh)
+    mass = p1_mass(rect_mesh)
     diff = v_fin - v_ref
     rel = np.sqrt((diff @ (mass @ diff)) / (v_ref @ (mass @ v_ref)))
     assert rel < 1e-3

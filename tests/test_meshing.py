@@ -1,5 +1,7 @@
 """Mesh generation, validation and file round trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from porohom.meshing import (
     MeshFormatError,
     MeshQualityError,
     TriMesh,
+    _CellBuilder,
+    _inside_ring,
     gen_cell_mesh,
     gen_rect_mesh,
     read_mesh,
@@ -111,6 +115,39 @@ def test_rect_mesh_geometry(rect_mesh):
     assert rect_mesh.periodic_pairs.shape == (0, 3)
 
 
+def _rect_mesh_loops(lx, ly, h):
+    """Reference triangles and tagged edges of gen_rect_mesh, one square
+    and one boundary edge at a time."""
+    nx, ny = max(1, int(round(lx / h))), max(1, int(round(ly / h)))
+    tris, edges, tags = [], [], []
+    for i in range(nx):
+        for j in range(ny):
+            v00, v10 = i * (ny + 1) + j, (i + 1) * (ny + 1) + j
+            v01, v11 = v00 + 1, v10 + 1
+            if (i + j) % 2 == 0:
+                tris += [(v00, v10, v11), (v00, v11, v01)]
+            else:
+                tris += [(v00, v10, v01), (v10, v11, v01)]
+    for j in range(ny):
+        edges += [(j, j + 1), (nx * (ny + 1) + j, nx * (ny + 1) + j + 1)]
+        tags += ["OuterLeft", "OuterRight"]
+    for i in range(nx):
+        edges += [(i * (ny + 1), (i + 1) * (ny + 1)),
+                  (i * (ny + 1) + ny, (i + 1) * (ny + 1) + ny)]
+        tags += ["OuterBottom", "OuterTop"]
+    return tris, edges, tags
+
+
+@pytest.mark.parametrize("lx, ly, h", [(2.0, 1.0, 0.1), (1.0, 3.0, 0.7),
+                                       (0.5, 0.5, 1.0), (3.0, 2.0, 0.07)])
+def test_rect_mesh_matches_loop_reference(lx, ly, h):
+    mesh = gen_rect_mesh(lx, ly, h)
+    tris, edges, tags = _rect_mesh_loops(lx, ly, h)
+    assert mesh.triangles.tolist() == [list(t) for t in tris]
+    assert mesh.boundary_edges.tolist() == [list(e) for e in edges]
+    assert mesh.boundary_tags == tags
+
+
 def test_write_read_round_trip(tmp_path, cell_mesh_g3):
     path = tmp_path / "cell.mesh"
     write_mesh(cell_mesh_g3, path)
@@ -195,3 +232,105 @@ def test_validate_rejects_bad_periodic_offset():
     pairs = np.array([[0, 2, 0]])  # corner to opposite corner, not a translation
     with pytest.raises(MeshQualityError, match="translation"):
         validate_mesh(TriMesh(verts, tris, edges, tags, periodic_pairs=pairs))
+
+
+# -- ring geometry of the cell mesher ----------------------------------------
+
+def _crossing_number(points, poly):
+    """Reference inside test: odd crossings of a ray towards +x."""
+    x1, y1 = poly[:, 0][None, :], poly[:, 1][None, :]
+    x2, y2 = np.roll(x1, -1, axis=1), np.roll(y1, -1, axis=1)
+    px, py = points[:, 0][:, None], points[:, 1][:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xcross = x1 + (py - y1) / (y2 - y1) * (x2 - x1)
+    hits = ((y1 > py) != (y2 > py)) & (px < xcross)
+    return np.sum(hits, axis=1) % 2 == 1
+
+
+def _all_pairs_nearest(points, poly):
+    """Reference scan: every point against every ring segment."""
+    seg = np.roll(poly, -1, axis=0) - poly
+    w = points[:, None, :] - poly[None, :, :]
+    t = np.clip(np.sum(w * seg[None, :, :], axis=2)
+                / np.sum(seg * seg, axis=1)[None, :], 0.0, 1.0)
+    proj = poly[None, :, :] + t[:, :, None] * seg[None, :, :]
+    d2 = np.sum((points[:, None, :] - proj) ** 2, axis=2)
+    k = np.argmin(d2, axis=1)
+    rows = np.arange(len(points))
+    return np.sqrt(d2[rows, k]), k, proj[rows, k]
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0, 4.0])
+def test_ring_queries_match_all_pairs_scans(gamma):
+    h = 0.05
+    builder = _CellBuilder(EllipseSpec(gamma), h, 0.7, 30)
+    builder._make_boundary()
+    ring = builder.ring_poly
+    rng = np.random.default_rng(int(gamma))
+    # uniform points in the cell, and points within 2h of the ring
+    near = ring[rng.integers(len(ring), size=3000)]
+    near += rng.uniform(-2.0 * h, 2.0 * h, size=near.shape)
+    pts = np.vstack([rng.uniform(0.0, 1.0, size=(3000, 2)), near])
+    dist, segidx, nearest = _all_pairs_nearest(pts, ring)
+    keep = dist > 1e-12  # points on an edge are inside by neither test
+    pts, dist, segidx, nearest = pts[keep], dist[keep], segidx[keep], nearest[keep]
+    inside = _crossing_number(pts, ring)
+    assert 0 < inside.sum() < len(pts)
+    assert np.array_equal(_inside_ring(pts, ring), inside)
+
+    # the reach of _clamp, then the reach of _make_interior
+    for reach in (0.45 * h, 0.7 * max(builder.ring_seglen.max(), 0.5 * h)):
+        got_inside, got_dist, got_seg, got_near = builder._near_ring(pts, reach)
+        assert np.array_equal(got_inside, inside)
+        scanned = np.isfinite(got_dist)
+        assert np.all(scanned[inside | (dist <= reach)])
+        assert np.array_equal(got_dist[scanned], dist[scanned])
+        assert np.array_equal(got_seg[scanned], segidx[scanned])
+        assert np.array_equal(got_near[scanned], nearest[scanned])
+        assert np.all(dist[~scanned] > reach)
+
+
+class _DentedSpec(EllipseSpec):
+    """An ellipse whose ring has its second vertex pulled halfway in."""
+
+    def boundary_point(self, theta):
+        ring = super().boundary_point(theta)
+        ring[1] = 0.5 * (ring[1] + self.center)
+        return ring
+
+
+def test_non_convex_ring_is_rejected():
+    with pytest.raises(MeshQualityError, match="not convex"):
+        gen_cell_mesh(_DentedSpec(2.0), 0.1)
+
+
+def _mesh_sha256(tmp_path, gamma, h):
+    path = tmp_path / "cell.mesh"
+    write_mesh(gen_cell_mesh(EllipseSpec(gamma), h), path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# sha256 of write_mesh output, recorded before the ring queries were
+# rewritten (all-pairs scans and a crossing-number test); the written
+# mesh must not change by a byte.
+MESH_SHA256 = {
+    (1.0, 0.05): "49ffce8cdd8fc37c6d90bae2407b214fbf1c120771b900832bc5f54da55f072e",
+    (2.0, 0.05): "bcc84758bd1faf19c087ad4a5134bdb81a16294923465fec1233c38dabac36b2",
+    (3.0, 0.05): "ba7e0d578b11a028d6653c9cdb77476dfdf7221238ba5fbd67c32ba9662ca087",
+    (4.0, 0.05): "79fb8849c3acc9b881b09f4c3333ba2f25a104a59a9e8f3defe373ce5608e611",
+    (1.0, 0.01): "b15d19284b180d780d18671211036ac177bc2f2a112ec46829349bec3230f8f0",
+    (2.0, 0.01): "1db3c121575a7b99121e6822f2ee0285155545157fd9c1b113bc0578c3db0750",
+    (3.0, 0.01): "450f52afa8ad2ef76d0a7c9cedc70deb215e25c31cd832818a1b43645e71dc03",
+    (4.0, 0.01): "4d5882c8c94fdaf1e53d03b565907b44f919740865666bbcf61dcbed2b207748",
+}
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0, 4.0])
+def test_cell_mesh_bytes_are_pinned(tmp_path, gamma):
+    assert _mesh_sha256(tmp_path, gamma, 0.05) == MESH_SHA256[gamma, 0.05]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0, 4.0])
+def test_fine_cell_mesh_bytes_are_pinned(tmp_path, gamma):
+    assert _mesh_sha256(tmp_path, gamma, 0.01) == MESH_SHA256[gamma, 0.01]

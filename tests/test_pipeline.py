@@ -199,14 +199,9 @@ def test_failed_stage_keeps_partial_files_only(tmp_path):
 
 
 def test_render_tables():
-    text = render_table({"lams": np.array([40.0, 51.0, 114.0]),
-                         "coeffs": np.array([[-0.5, -0.5],
-                                             [-0.4, 0.4],
-                                             [0.02, 0.02]])}, "table3")
+    text = render_table(np.array([40.0, 51.0, 114.0]),
+                        np.array([[-0.5, -0.5], [-0.4, 0.4], [0.02, 0.02]]))
     assert len(text.splitlines()) == 4
-
-    with pytest.raises(ValueError, match="unknown table"):
-        render_table({}, "table9")
 
 
 # ------------------------------------------------------------------- CLI

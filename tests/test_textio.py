@@ -1,12 +1,14 @@
 """Artifact formats: bit-exact round trips and garbage input at the CLI."""
 
+import math
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import porohom
@@ -69,11 +71,30 @@ def meshes(draw):
                    [e[2] for e in edges], pairs)
 
 
+def _broken_geometry(mesh):
+    """Whether a triangle has an area that is not finite and positive, or
+    an edge is shared by more than two triangles (Python floats)."""
+    edges = Counter()
+    for tri in mesh.triangles.tolist():
+        (x0, y0), (x1, y1), (x2, y2) = (mesh.vertices[v].tolist() for v in tri)
+        area = 0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
+        if not (math.isfinite(area) and area > 0.0):
+            return True
+        edges.update(tuple(sorted(e)) for e in zip(tri, tri[1:] + tri[:1]))
+    return any(count > 2 for count in edges.values())
+
+
 @EXAMPLES
 @given(mesh=meshes())
+@example(mesh=gen_rect_mesh(1.0, 1.0, 0.5))
 def test_mesh_round_trip(tmp_path, mesh):
+    # bit for bit, or rejected exactly when the geometry is broken
     path = tmp_path / "m.mesh"
     write_mesh(mesh, path)
+    if _broken_geometry(mesh):
+        with pytest.raises(FormatError, match="triangle|edge"):
+            read_mesh(path)
+        return
     back = read_mesh(path)
     for name in ("vertices", "triangles", "boundary_edges", "periodic_pairs"):
         assert same_bits(getattr(back, name), getattr(mesh, name))
@@ -220,6 +241,17 @@ REGRESSIONS = {
     "mesh nan coordinate": ("domain.mesh",
                             lambda l: l[:3] + ["nan 0.0"] + l[4:],
                             "line 4: coordinate must be finite, got nan"),
+    "mesh repeated vertex": ("domain.mesh",
+                             lambda l: l[:18] + ["0 0 4"] + l[19:],
+                             "line 19: triangle 0 0 4 has area 0.0, must be "
+                             "finite and positive"),
+    "mesh inverted triangle": ("domain.mesh",
+                               lambda l: l[:19] + ["0 1 4"] + l[20:],
+                               "line 20: triangle 0 1 4 has area -0.125"),
+    "mesh edge of three triangles": ("domain.mesh",
+                                     lambda l: l[:20] + ["0 4 2"] + l[21:],
+                                     "line 21: edge 0 4 is shared by more "
+                                     "than two triangles"),
 }
 
 
