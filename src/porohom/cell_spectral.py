@@ -55,10 +55,6 @@ class Spectrum:
     def coefficients(self):
         return np.array([p.a for p in self.pairs]).reshape(-1, 2)
 
-    def clusters(self):
-        """Index groups of eigenvalues within CLUSTER_RTOL of each other."""
-        return cluster_groups(self.eigenvalues)
-
 
 def cluster_groups(lams):
     """Index groups of ascending eigenvalues near their group's first."""

@@ -23,9 +23,6 @@ class KernelSamples:
         if self.values.shape != (self.times.size, 2, 2):
             raise ValueError("values must have shape (len(times), 2, 2)")
 
-    def component(self, i, j):
-        return self.values[:, i, j]
-
 
 def solve_cell_unsteady(mesh, tau, horizon, system=None, lambda1_hint=40.0):
     """March the unsteady cell problems and sample the kernel.
@@ -77,7 +74,7 @@ def solve_cell_unsteady(mesh, tau, horizon, system=None, lambda1_hint=40.0):
     return KernelSamples(np.array(times), np.array(values))
 
 
-def kernel_time_integral(samples, component=(0, 0), tail=True):
+def kernel_time_integral(samples, component=(0, 0)):
     """Trapezoid integral of one kernel component with a geometric tail.
 
     The tail beyond the last sample assumes the decay rate observed over
@@ -87,7 +84,7 @@ def kernel_time_integral(samples, component=(0, 0), tail=True):
     t = samples.times
     k = samples.values[:, i, j]
     total = float(np.trapezoid(k, t))
-    if tail and len(k) >= 2 and k[-1] > 0.0 and k[-2] > k[-1]:
+    if len(k) >= 2 and k[-1] > 0.0 and k[-2] > k[-1]:
         ratio = k[-1] / k[-2]
         dt = t[-1] - t[-2]
         # sum_{n>=1} k_N * ratio^n * dt

@@ -15,6 +15,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .meshing import edge_keys, edge_table
+
 _log = logging.getLogger(__name__)
 
 # 6-point, degree-4 triangle rule (barycentric orbits).  Weights sum to
@@ -74,29 +76,26 @@ class DofMapP2:
     """Global numbering for P2 scalars: vertex dofs then edge dofs."""
 
     def __init__(self, mesh):
-        tris = mesh.triangles
         nv = mesh.num_vertices
-        pairs = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-        pairs = np.sort(pairs, axis=1)
-        self.edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        nt = tris.shape[0]
-        edge_ids = inverse.reshape(3, nt).T
+        self.edges, side_edge, _ = edge_table(mesh.triangles, nv)
         self.num_vertices = nv
         self.num_edges = self.edges.shape[0]
         self.num_dofs = nv + self.num_edges
-        self.cell_dofs = np.hstack([tris, nv + edge_ids])
-        self._edge_lookup = {tuple(e): k for k, e in enumerate(self.edges)}
+        self.cell_dofs = np.hstack([mesh.triangles, nv + side_edge])
+        self._keys = edge_keys(self.edges, nv)
 
-    def edge_dof(self, a, b):
-        """Global dof of the midpoint of edge (a, b)."""
-        key = (a, b) if a < b else (b, a)
-        return self.num_vertices + self._edge_lookup[key]
-
-    def dof_coordinates(self, mesh):
-        """Coordinates of every scalar dof (vertices, then edge midpoints)."""
-        mid = 0.5 * (mesh.vertices[self.edges[:, 0]]
-                     + mesh.vertices[self.edges[:, 1]])
-        return np.vstack([mesh.vertices, mid])
+    def edge_dof(self, pairs):
+        """Global dofs of the midpoints of edges given as an (n, 2) array
+        of vertex pairs in either orientation; ValueError for a pair that
+        is not a mesh edge."""
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        keys = edge_keys(pairs, self.num_vertices)
+        edge = (((pairs >= 0) & (pairs < self.num_vertices)).all(axis=1)
+                & np.isin(keys, self._keys))
+        if not edge.all():
+            a, b = pairs[np.argmin(edge)]
+            raise ValueError(f"vertex pair ({a}, {b}) is not a mesh edge")
+        return self.num_vertices + np.searchsorted(self._keys, keys)
 
 
 def _geometry(mesh):
@@ -125,10 +124,9 @@ def _element_matrix_to_coo(cell_dofs, elem):
     return rows, cols, elem.reshape(cell_dofs.shape[0], ld * ld)
 
 
-def assemble_p2_stiffness_mass(mesh, dofmap=None):
-    """Scalar P2 stiffness and mass matrices (full space)."""
-    if dofmap is None:
-        dofmap = DofMapP2(mesh)
+def assemble_p2_stiffness_mass(mesh):
+    """Scalar P2 stiffness and mass matrices (full space) and their dofs."""
+    dofmap = DofMapP2(mesh)
     _, det, inv_t = _geometry(mesh)
     gref = p2_grads(QUAD_POINTS)          # (q, 6, 2)
     nref = p2_shape(QUAD_POINTS)          # (q, 6)
@@ -223,12 +221,10 @@ def boundary_edge_load(mesh, tag, value):
 
     Adds value * integral of psi_i over the tagged edges (P1 trace).
     """
+    edges = mesh.side(tag)
+    seg = mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]]
     vec = np.zeros(mesh.num_vertices)
-    for edge, etag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        if etag != tag:
-            continue
-        length = np.linalg.norm(mesh.vertices[edge[1]] - mesh.vertices[edge[0]])
-        vec[edge] += 0.5 * value * length
+    np.add.at(vec, edges, 0.5 * value * np.linalg.norm(seg, axis=1)[:, None])
     return vec
 
 
@@ -265,33 +261,28 @@ def cell_constraints(mesh, dofmap):
     Returns (pairs_p2, fixed_p2, pairs_p1) where the P2 data cover one
     scalar velocity component and the P1 pairs cover pressure.
     """
-    pairs_p1 = [(int(m), int(s)) for m, s, _ in mesh.periodic_pairs]
+    pairs_p1 = mesh.periodic_pairs[:, :2]
+    # partner[axis, m] = s for every periodic pair (m, s, axis), else -1
+    partner = np.full((2, mesh.num_vertices), -1)
+    partner[mesh.periodic_pairs[:, 2], pairs_p1[:, 0]] = pairs_p1[:, 1]
 
-    partner = {0: {}, 1: {}}
-    for m, s, axis in mesh.periodic_pairs:
-        partner[axis][int(m)] = int(s)
-
-    pairs_p2 = list(pairs_p1)
-    for edge, tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        axis = {"OuterLeft": 0, "OuterBottom": 1}.get(tag)
-        if axis is None:
-            continue
-        a, b = int(edge[0]), int(edge[1])
-        try:
-            pa, pb = partner[axis][a], partner[axis][b]
-        except KeyError:
+    merges = [pairs_p1]
+    for axis, tag in enumerate(("OuterLeft", "OuterBottom")):
+        edges = mesh.side(tag)
+        image = partner[axis, edges]
+        lonely = np.flatnonzero((image < 0).any(axis=1))
+        if lonely.size:
+            a, b = edges[lonely[0]]
             raise ValueError(
-                f"boundary edge ({a}, {b}) on {tag} has no periodic partner"
-            )
-        pairs_p2.append((dofmap.edge_dof(a, b), dofmap.edge_dof(pa, pb)))
+                f"boundary edge ({a}, {b}) on {tag} has no periodic partner")
+        merges.append(np.column_stack([dofmap.edge_dof(edges),
+                                       dofmap.edge_dof(image)]))
 
+    inclusion = mesh.side("Inclusion")
     fixed_p2 = np.zeros(dofmap.num_dofs, dtype=bool)
-    for edge, tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        if tag != "Inclusion":
-            continue
-        a, b = int(edge[0]), int(edge[1])
-        fixed_p2[[a, b, dofmap.edge_dof(a, b)]] = True
-    return pairs_p2, fixed_p2, pairs_p1
+    fixed_p2[inclusion] = True
+    fixed_p2[dofmap.edge_dof(inclusion)] = True
+    return np.concatenate(merges), fixed_p2, pairs_p1
 
 
 class StokesSystem:

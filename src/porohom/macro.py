@@ -131,34 +131,36 @@ def _boundary(mesh, bc, source=0.0):
     data must carry no net influx.
     """
     table = parse_bc(bc)
-    values = {}
-    for edge, tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        try:
-            kind, value = table[tag]
-        except KeyError:
-            raise ValueError(
-                f"mesh boundary tag {tag!r} has no boundary condition; "
-                "the domain must be a plain rectangle") from None
+    stray = [tag for tag in mesh.boundary_tags if tag not in table]
+    if stray:
+        raise ValueError(
+            f"mesh boundary tag {stray[0]!r} has no boundary condition; "
+            "the domain must be a plain rectangle")
+    fixed = np.zeros(mesh.num_vertices, dtype=bool)
+    values = np.zeros(mesh.num_vertices)
+    for tag in _SIDES:
+        kind, value = table[tag]
         if kind != "dirichlet":
             continue
-        for vert in edge:
-            prev = values.get(int(vert))
-            if prev is not None and abs(prev - value) > 1e-12:
-                raise ValueError(
-                    f"conflicting Dirichlet values {prev} and {value} "
-                    f"meet at vertex {int(vert)}")
-            values[int(vert)] = value
-    fixed_idx = np.array(sorted(values), dtype=np.int64)
-    fixed_val = np.array([values[i] for i in fixed_idx], dtype=float)
-    mask = np.ones(mesh.num_vertices, dtype=bool)
-    mask[fixed_idx] = False
-    free_idx = np.flatnonzero(mask)
+        verts = mesh.side(tag).ravel()
+        clash = np.flatnonzero(fixed[verts]
+                               & (np.abs(values[verts] - value) > 1e-12))
+        if clash.size:
+            vert = verts[clash[0]]
+            raise ValueError(
+                f"conflicting Dirichlet values {values[vert]} and {value} "
+                f"meet at vertex {vert}")
+        fixed[verts] = True
+        values[verts] = value
+    fixed_idx = np.flatnonzero(fixed)
+    fixed_val = values[fixed_idx]
+    free_idx = np.flatnonzero(~fixed)
 
     load = source * p1_integral_vector(mesh)
     for side, (kind, value) in table.items():
         if kind == "natural" and value != 0.0:
             load += boundary_edge_load(mesh, side, value)
-    if not values:
+    if not fixed.any():
         scale = abs(source) * mesh.area() + sum(
             abs(v) for _, v in table.values()) + 1e-30
         total = load.sum()

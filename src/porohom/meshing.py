@@ -16,6 +16,8 @@ from scipy.spatial import Delaunay, cKDTree
 from .textio import FormatError, Records, write_rows
 
 BOUNDARY_TAGS = ("OuterLeft", "OuterRight", "OuterBottom", "OuterTop", "Inclusion")
+# Smallest triangle angle validate_mesh accepts.
+MIN_ANGLE_DEG = 20.0
 
 _CENTER = np.array([0.5, 0.5])
 
@@ -89,9 +91,9 @@ class EllipseSpec:
         rot = np.array([[c, -s], [s, c]])
         return self.center + u @ rot.T
 
-    def perimeter(self, npoints=64):
-        """Arc length of the ellipse by Gauss-Legendre quadrature."""
-        x, w = np.polynomial.legendre.leggauss(npoints)
+    def perimeter(self):
+        """Arc length of the ellipse by 64-point Gauss-Legendre quadrature."""
+        x, w = np.polynomial.legendre.leggauss(64)
         theta = math.pi * (x + 1.0)  # map [-1,1] to [0, 2*pi]
         speed = np.hypot(self.a * np.sin(theta), self.b * np.cos(theta))
         return math.pi * float(w @ speed)
@@ -118,6 +120,11 @@ class TriMesh:
         if periodic_pairs is None or len(periodic_pairs) == 0:
             periodic_pairs = np.zeros((0, 3), dtype=np.int64)
         self.periodic_pairs = np.ascontiguousarray(periodic_pairs, dtype=np.int64)
+
+    def side(self, tag):
+        """The boundary edges that carry tag, (n, 2), in stored order."""
+        mask = np.array([t == tag for t in self.boundary_tags], dtype=bool)
+        return self.boundary_edges[mask]
 
     @property
     def num_vertices(self):
@@ -154,58 +161,79 @@ def _cross(u, v):
     return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
 
 
-def _edge_counts(triangles):
-    """All undirected edges of a triangle array and their multiplicity."""
-    e = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
-    e = np.sort(e, axis=1)
-    edges, counts = np.unique(e, axis=0, return_counts=True)
-    return edges, counts
+def edge_keys(pairs, nv):
+    """One integer per undirected vertex pair (a, b): min * nv + max."""
+    return (np.minimum(pairs[:, 0], pairs[:, 1]) * nv
+            + np.maximum(pairs[:, 0], pairs[:, 1]))
 
 
-def validate_mesh(mesh, min_angle_deg=20.0, check_angles=True):
+def edge_table(triangles, nv):
+    """Every edge of a triangle array once: the (ne, 2) pairs a < b in
+    lexicographic order, the edge of each triangle side as an (nt, 3)
+    array in side order (0, 1), (1, 2), (2, 0), and each edge's count of
+    triangles."""
+    sides = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    keys, side_edge, counts = np.unique(edge_keys(sides, nv),
+                                        return_inverse=True, return_counts=True)
+    return (np.column_stack(np.divmod(keys, nv)), side_edge.reshape(-1, 3),
+            counts)
+
+
+def _boundary_faults(mesh, edges, side_edge, counts):
+    """Where the boundary records and the edges of one triangle disagree:
+    the records that repeat an earlier one or name no such edge, and the
+    triangle sides on such an edge that no record names."""
+    nv = mesh.num_vertices
+    keys, tagged = edge_keys(edges, nv), edge_keys(mesh.boundary_edges, nv)
+    first = np.zeros(tagged.size, dtype=bool)
+    first[np.unique(tagged, return_index=True)[1]] = True
+    stray = np.flatnonzero(~(first & np.isin(tagged, keys[counts == 1])))
+    untagged = (counts == 1) & ~np.isin(keys, tagged)
+    return stray, np.flatnonzero(untagged[side_edge.ravel()])
+
+
+def validate_mesh(mesh):
     """Check structural invariants; raise MeshQualityError on violation.
 
     Returns a dict with quality statistics.
     """
+    v = mesh.vertices
+    if not np.isfinite(v).all():
+        raise MeshQualityError("vertex coordinates must be finite")
     areas = mesh.triangle_areas()
     if areas.size == 0:
         raise MeshQualityError("mesh has no triangles")
     if np.any(areas <= 0.0):
         raise MeshQualityError(f"{np.sum(areas <= 0)} nonpositive triangle areas")
 
-    used = np.zeros(mesh.num_vertices, dtype=bool)
+    nv = mesh.num_vertices
+    used = np.zeros(nv, dtype=bool)
     used[mesh.triangles.ravel()] = True
     if not used.all():
         raise MeshQualityError(f"{np.sum(~used)} vertices not used by any triangle")
 
-    edges, counts = _edge_counts(mesh.triangles)
+    edges, side_edge, counts = edge_table(mesh.triangles, nv)
     if np.any(counts > 2):
         raise MeshQualityError("non-manifold edge (shared by more than 2 triangles)")
-    boundary = edges[counts == 1]
-    tagged = np.sort(mesh.boundary_edges, axis=1)
-    bset = set(map(tuple, boundary))
-    tset = set(map(tuple, tagged))
-    if bset != tset:
+    stray, untagged = _boundary_faults(mesh, edges, side_edge, counts)
+    if stray.size or untagged.size:
         raise MeshQualityError(
             f"tagged boundary edges do not match mesh boundary "
-            f"({len(tset - bset)} extra, {len(bset - tset)} missing)"
+            f"({stray.size} extra, {untagged.size} missing)"
         )
     for tag in mesh.boundary_tags:
         if tag not in BOUNDARY_TAGS:
             raise MeshQualityError(f"unknown boundary tag {tag!r}")
 
-    v = mesh.vertices
     lo = v.min(axis=0)
     hi = v.max(axis=0)
-    for edge, tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        if tag == "Inclusion":
-            continue
-        axis, value = {
-            "OuterLeft": (0, lo[0]), "OuterRight": (0, hi[0]),
-            "OuterBottom": (1, lo[1]), "OuterTop": (1, hi[1]),
-        }[tag]
-        if np.max(np.abs(v[edge, axis] - value)) > 1e-12:
-            raise MeshQualityError(f"{tag} edge {edge} not on its boundary line")
+    for tag, axis, value in (("OuterLeft", 0, lo[0]), ("OuterRight", 0, hi[0]),
+                             ("OuterBottom", 1, lo[1]), ("OuterTop", 1, hi[1])):
+        edge = mesh.side(tag)
+        off = np.abs(v[edge, axis] - value).max(axis=1, initial=0.0)
+        if np.any(off > 1e-12):
+            raise MeshQualityError(f"{tag} edge {edge[np.argmax(off)]} not on "
+                                   f"its boundary line")
 
     for master, slave, axis in mesh.periodic_pairs:
         if axis not in (0, 1):
@@ -219,9 +247,9 @@ def validate_mesh(mesh, min_angle_deg=20.0, check_angles=True):
             )
 
     min_angle = mesh.min_angle()
-    if check_angles and min_angle < min_angle_deg:
+    if min_angle < MIN_ANGLE_DEG:
         raise MeshQualityError(
-            f"minimum angle {min_angle:.2f} deg below {min_angle_deg} deg"
+            f"minimum angle {min_angle:.2f} deg below {MIN_ANGLE_DEG} deg"
         )
     return {
         "min_angle": min_angle,
@@ -309,31 +337,20 @@ class _CellBuilder:
         x = _symmetric_linspace(n)
         self.grid_x = x
         # Vertex order: corners, then side interiors, then the ring.
-        pts = [(x[0], x[0]), (x[n], x[0]), (x[n], x[n]), (x[0], x[n])]
-        self.corner = {(0, 0): 0, (n, 0): 1, (n, n): 2, (0, n): 3}
-        self.side_nodes = {}
-        idx = 4
-        for tag, fixed_axis, fixed_val in (
-            ("OuterBottom", 1, 0), ("OuterTop", 1, n),
-            ("OuterLeft", 0, 0), ("OuterRight", 0, n),
-        ):
-            ids = np.empty(n + 1, dtype=np.int64)
-            for j in range(n + 1):
-                ij = (j, fixed_val) if fixed_axis == 1 else (fixed_val, j)
-                if ij in self.corner:
-                    ids[j] = self.corner[ij]
-                else:
-                    pts.append((x[ij[0]], x[ij[1]]))
-                    ids[j] = idx
-                    idx += 1
-            self.side_nodes[tag] = ids
-        self.n_square = idx
+        inner, lo, hi = x[1:n], np.full(n - 1, x[0]), np.full(n - 1, x[n])
+        square = [[(x[0], x[0]), (x[n], x[0]), (x[n], x[n]), (x[0], x[n])],
+                  np.column_stack([inner, lo]), np.column_stack([inner, hi]),
+                  np.column_stack([lo, inner]), np.column_stack([hi, inner])]
+        # Each side runs between its corners in increasing coordinate.
+        ends = {"OuterBottom": (0, 1), "OuterTop": (3, 2),
+                "OuterLeft": (0, 3), "OuterRight": (1, 2)}
+        self.side_nodes = {tag: np.r_[a, 4 + k * (n - 1) + np.arange(n - 1), b]
+                           for k, (tag, (a, b)) in enumerate(ends.items())}
+        self.ring_base = 4 * n
 
         theta = 2.0 * math.pi * np.arange(self.n_ring) / self.n_ring
-        ring = self.spec.boundary_point(theta)
-        ring = self._symmetrize_ring(ring)
-        self.ring_base = idx
-        self.points = np.vstack([np.array(pts, dtype=float), ring])
+        ring = self._symmetrize_ring(self.spec.boundary_point(theta))
+        self.points = np.vstack(square + [ring])
         self.n_fixed = self.points.shape[0]
         seg = np.roll(ring, -1, axis=0) - ring
         if not (np.all(_cross(seg, np.roll(seg, -1, axis=0)) > 0.0)
@@ -361,15 +378,6 @@ class _CellBuilder:
                     done[j] = True
         return out
 
-    def _grid_map(self, mat, i, j):
-        n = self.n_side
-        a, b = (j, i) if mat[0, 0] == 0.0 else (i, j)
-        if mat[0, 0] < 0.0 or mat[0, 1] < 0.0:
-            a = n - a
-        if mat[1, 0] < 0.0 or mat[1, 1] < 0.0:
-            b = n - b
-        return a, b
-
     def _make_interior(self):
         n = self.n_side
         x = self.grid_x
@@ -382,29 +390,22 @@ class _CellBuilder:
         local = self.ring_seglen[segidx]
         drop = inside | (dist < self.drop_factor * np.maximum(local, 0.5 * self.h))
 
-        # Decide keep/drop per symmetry orbit so the kept set is symmetric.
-        index_of = {(a, b): k for k, (a, b) in enumerate(zip(ii, jj))}
-        keep = np.zeros(len(cand), dtype=bool)
-        seen = np.zeros(len(cand), dtype=bool)
-        for k in range(len(cand)):
-            if seen[k]:
-                continue
-            orbit = []
-            for mat, _ in self.sym:
-                m = index_of[self._grid_map(mat, ii[k], jj[k])]
-                if not seen[m]:
-                    seen[m] = True
-                    orbit.append(m)
-            if not drop[k]:
-                keep[orbit] = True
-
-        kept = np.flatnonzero(keep)
-        remap = {k: t for t, k in enumerate(kept)}
+        # images[g, k]: flat index of candidate k's image under element g,
+        # which swaps and mirrors (i -> n - i) the grid indices.
+        images = []
+        for mat, _ in self.sym:
+            a, b = (jj, ii) if mat[0, 0] == 0.0 else (ii, jj)
+            a = n - a if mat[0].min() < 0.0 else a
+            b = n - b if mat[1].min() < 0.0 else b
+            images.append((a - 1) * (n - 1) + (b - 1))
+        images = np.array(images)
+        # An orbit is kept whole, exactly when its smallest member is kept.
+        kept = np.flatnonzero(~drop[images.min(axis=0)])
+        remap = np.empty(len(cand), dtype=np.int64)
+        remap[kept] = np.arange(kept.size)
         self.interior = cand[kept]
-        # Permutations of the kept interior set, one per group element.
-        self.perms = [np.array([remap[index_of[self._grid_map(mat, ii[k], jj[k])]]
-                                for k in kept], dtype=np.int64)
-                      for mat, _ in self.sym]
+        # Permutations of the kept interior set, one row per group element.
+        self.perms = remap[images[:, kept]]
 
     def _orbit_average(self, pts):
         acc = np.zeros_like(pts)
@@ -467,12 +468,10 @@ class _CellBuilder:
         return simp[~_inside_ring(pts[simp].mean(axis=1), self.ring_poly)]
 
     def _adjacency(self, pts):
-        e, _ = _edge_counts(self._triangulate(pts))
-        n = len(pts)
-        data = np.ones(2 * len(e))
-        rows = np.concatenate([e[:, 0], e[:, 1]])
-        cols = np.concatenate([e[:, 1], e[:, 0]])
-        return coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+        e = edge_table(self._triangulate(pts), len(pts))[0]
+        e = np.vstack([e, e[:, ::-1]])
+        return coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])),
+                          shape=(len(pts), len(pts))).tocsr()
 
     # -- assembly of the TriMesh ---------------------------------------
 
@@ -483,9 +482,8 @@ class _CellBuilder:
                       pts[simp[:, 2]] - pts[simp[:, 0]]) < 0.0
         simp[flip] = simp[flip][:, [0, 2, 1]]
 
-        edges, counts = _edge_counts(simp)
-        boundary = edges[counts == 1]
-        bedges, btags = self._classify_boundary(boundary)
+        edges, _, counts = edge_table(simp, len(pts))
+        bedges, btags = self._classify_boundary(edges[counts == 1])
 
         s = self.side_nodes
         pairs = [(a, b, 0) for a, b in zip(s["OuterLeft"], s["OuterRight"])]
@@ -497,20 +495,23 @@ class _CellBuilder:
 
     def _classify_boundary(self, boundary):
         """Tag each boundary edge from the table of expected edges."""
+        nv = len(self.all_points)
         ring = self.ring_base + np.arange(self.n_ring + 1) % self.n_ring
-        expected = {}
-        for tag, ids in [*self.side_nodes.items(), ("Inclusion", ring)]:
-            for a, b in zip(ids[:-1].tolist(), ids[1:].tolist()):
-                expected[min(a, b), max(a, b)] = tag
-
-        got = list(map(tuple, boundary.tolist()))
-        if set(got) != expected.keys():
+        chains = [*self.side_nodes.items(), ("Inclusion", ring)]
+        expected = edge_keys(np.concatenate(
+            [np.column_stack([ids[:-1], ids[1:]]) for _, ids in chains]), nv)
+        tags = np.repeat(np.array([tag for tag, _ in chains], dtype=object),
+                         [len(ids) - 1 for _, ids in chains])
+        order = np.argsort(expected)
+        got = edge_keys(boundary, nv)
+        if not np.array_equal(expected[order], got):
+            common = np.intersect1d(expected, got).size
             raise MeshQualityError(
                 f"triangulation does not conform to the boundary "
-                f"({len(set(got) - expected.keys())} stray, "
-                f"{len(expected.keys() - set(got))} missing edges)"
+                f"({got.size - common} stray, "
+                f"{expected.size - common} missing edges)"
             )
-        return boundary, [expected[e] for e in got]
+        return boundary, tags[order].tolist()
 
 
 def gen_cell_mesh(spec, h):
@@ -603,20 +604,21 @@ def _section(records, keyword):
 
 def read_mesh(path):
     """Read a MESH2D 1 file; errors carry 1-based line numbers.  Every
-    triangle needs a finite positive area and every edge at most two
-    triangles; angles are not checked."""
+    triangle needs a finite positive area, every edge at most two
+    triangles, and the boundary records must tag each edge of exactly one
+    triangle once; angles are not checked."""
     records = Records(path, header="MESH2D 1", sep=None)
     nv = _section(records, "NV")
     _, xy = records.table((("coordinate", float),) * 2, nv)
     index = ("index", range(nv))
     lines, tris = records.table((index,) * 3, _section(records, "NT"))
-    _, edges = records.table((index, index, ("boundary tag", BOUNDARY_TAGS)),
-                             _section(records, "NB"))
+    edge_lines, tagged = records.table(
+        (index, index, ("boundary tag", BOUNDARY_TAGS)), _section(records, "NB"))
     _, pairs = records.table((index, index, ("axis", (0, 1))),
                              _section(records, "NP"))
     records.finish()
     mesh = TriMesh(np.column_stack(xy), np.column_stack(tris),
-                   np.column_stack(edges[:2]), edges[2].tolist(),
+                   np.column_stack(tagged[:2]), tagged[2].tolist(),
                    np.column_stack(pairs))
     with np.errstate(over="ignore", invalid="ignore"):
         areas = mesh.triangle_areas()
@@ -626,13 +628,23 @@ def read_mesh(path):
         raise FormatError(f"triangle {' '.join(map(str, mesh.triangles[t]))} "
                           f"has area {float(areas[t])!r}, must be finite "
                           f"and positive", lines[t])
-    # An edge key in sorted order; equal keys two apart mean three users.
-    e = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    key = e[:, 0] * nv + e[:, 1]
-    order = np.argsort(key, kind="stable")
-    third = order[2:][key[order[2:]] == key[order[:-2]]]
-    if third.size:
-        k = third.min()
-        raise FormatError(f"edge {e[k, 0]} {e[k, 1]} is shared by more "
-                          f"than two triangles", lines[k // 3])
+    edges, side_edge, counts = edge_table(mesh.triangles, nv)
+    sides = side_edge.ravel()
+    if counts.max(initial=0) > 2:
+        # the sides on crowded edges, grouped by edge in file order
+        s = np.flatnonzero(counts[sides] > 2)
+        s = s[np.argsort(sides[s], kind="stable")]
+        k = s[2:][sides[s[2:]] == sides[s[:-2]]].min()
+        a, b = edges[sides[k]]
+        raise FormatError(f"edge {a} {b} is shared by more than two "
+                          f"triangles", lines[k // 3])
+    stray, untagged = _boundary_faults(mesh, edges, side_edge, counts)
+    if stray.size:
+        a, b = mesh.boundary_edges[stray[0]]
+        raise FormatError(f"boundary edge {a} {b} is tagged twice or not the "
+                          f"side of exactly one triangle", edge_lines[stray[0]])
+    if untagged.size:
+        a, b = edges[sides[untagged[0]]]
+        raise FormatError(f"edge {a} {b} of exactly one triangle has no "
+                          f"boundary record", lines[untagged[0] // 3])
     return mesh

@@ -13,6 +13,8 @@ _RAMP = (
     "#440154", "#482878", "#3e4989", "#31688e", "#26828e",
     "#1f9e89", "#35b779", "#6ece58", "#b5de2b", "#fde725",
 )
+# Pixel width of the drawing area; its height follows the aspect.
+WIDTH = 640
 
 
 def _clip_half(points, values, level, keep_above):
@@ -45,15 +47,13 @@ def _band_polygon(points, values, lo, hi):
     return points
 
 
-def render_field_svg(path, mesh, values, width=640, title=None):
+def render_field_svg(path, mesh, values, title=None):
     """Write a filled-contour SVG of a nodal field.
 
     Parameters
     ----------
     mesh : TriMesh
     values : (num_vertices,) nodal data
-    width : int
-        Pixel width of the drawing area; height follows the aspect.
     title : str or None
         Optional caption placed above the drawing.
     """
@@ -64,12 +64,12 @@ def render_field_svg(path, mesh, values, width=640, title=None):
     lo = verts.min(axis=0)
     hi = verts.max(axis=0)
     span = np.maximum(hi - lo, 1e-30)
-    scale = width / span[0]
+    scale = WIDTH / span[0]
     height = span[1] * scale
-    pad = 0.05 * width
-    bar_w = 0.06 * width
-    top = 0.08 * width if title else pad
-    total_w = width + 3 * pad + bar_w
+    pad = 0.05 * WIDTH
+    bar_w = 0.06 * WIDTH
+    top = 0.08 * WIDTH if title else pad
+    total_w = WIDTH + 3 * pad + bar_w
     total_h = height + top + pad
 
     vmin = float(values.min())
@@ -90,8 +90,8 @@ def render_field_svg(path, mesh, values, width=640, title=None):
     ]
     if title:
         rows.append(
-            f'<text x="{pad:.1f}" y="{0.05 * width:.1f}" '
-            f'font-family="monospace" font-size="{0.03 * width:.0f}">'
+            f'<text x="{pad:.1f}" y="{0.05 * WIDTH:.1f}" '
+            f'font-family="monospace" font-size="{0.03 * WIDTH:.0f}">'
             f"{title}</text>")
 
     for tri in mesh.triangles:
@@ -117,14 +117,14 @@ def render_field_svg(path, mesh, values, width=640, title=None):
             rows.append(f'<polygon points="{coords}" fill="{_RAMP[b]}" '
                         f'stroke="{_RAMP[b]}" stroke-width="0.4"/>')
 
-    bar_x = width + 2 * pad
+    bar_x = WIDTH + 2 * pad
     seg_h = height / len(_RAMP)
     for b, color in enumerate(_RAMP):
         y = top + height - (b + 1) * seg_h
         rows.append(f'<rect x="{bar_x:.1f}" y="{y:.1f}" '
                     f'width="{bar_w:.1f}" height="{seg_h + 0.5:.1f}" '
                     f'fill="{color}"/>')
-    fs = 0.024 * width
+    fs = 0.024 * WIDTH
     rows.append(f'<text x="{bar_x:.1f}" y="{top + height + fs + 2:.1f}" '
                 f'font-family="monospace" font-size="{fs:.0f}">'
                 f"{vmin:.4g}</text>")

@@ -34,7 +34,7 @@ def test_samples_symmetric_positive_decaying(samples_g1):
     for k in range(0, len(samples_g1.times), 20):
         eigs = np.linalg.eigvalsh(vals[k])
         assert np.all(eigs > -1e-12)
-    k11 = samples_g1.component(0, 0)
+    k11 = samples_g1.values[:, 0, 0]
     assert np.all(np.diff(k11) < 0.0)
 
 

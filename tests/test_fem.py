@@ -87,11 +87,18 @@ def test_p2_mass_and_stiffness_on_reference_triangle():
     assert ones @ (mass @ ones) == pytest.approx(0.5, rel=1e-14)
 
 
+def dof_coordinates(mesh, dofmap):
+    """Coordinates of every scalar dof (vertices, then edge midpoints)."""
+    mid = 0.5 * (mesh.vertices[dofmap.edges[:, 0]]
+                 + mesh.vertices[dofmap.edges[:, 1]])
+    return np.vstack([mesh.vertices, mid])
+
+
 def test_p2_interpolation_energy_of_quadratic(rect_mesh):
     # u = x^2 is in the P2 space, so the discrete energy is exact:
     # integral of |grad u|^2 = integral of 4 x^2 over the 2 x 1 rectangle
     stiff, mass, dofmap = assemble_p2_stiffness_mass(rect_mesh)
-    coords = dofmap.dof_coordinates(rect_mesh)
+    coords = dof_coordinates(rect_mesh, dofmap)
     u = coords[:, 0] ** 2
     assert u @ (stiff @ u) == pytest.approx(32.0 / 3.0, rel=1e-12)
     # and its L2 norm squared, integral of x^4, needs degree 4 exactly
@@ -101,7 +108,7 @@ def test_p2_interpolation_energy_of_quadratic(rect_mesh):
 def test_divergence_of_linear_field(rect_mesh):
     stiff, mass, dofmap = assemble_p2_stiffness_mass(rect_mesh)
     bx, by = assemble_divergence(rect_mesh, dofmap)
-    coords = dofmap.dof_coordinates(rect_mesh)
+    coords = dof_coordinates(rect_mesh, dofmap)
     # u = (x, 0) has div u = 1, so rows integrate the P1 test functions
     ints = p1_integral_vector(rect_mesh)
     assert np.allclose(bx @ coords[:, 0], ints, atol=1e-13)
@@ -201,6 +208,70 @@ def test_cell_constraints_close_the_torus(cell_mesh_g1):
     assert fixed2.sum() >= n_inc
     # P2 merges cover the midpoints too, so there are more than P1 merges
     assert len(pairs2) > len(pairs1)
+
+
+def _looped_cell_constraints(mesh):
+    """Reference constraints: one dict lookup per boundary edge, through
+    a tuple-keyed table of the sorted vertex-pair rows."""
+    tris = mesh.triangles
+    pairs = np.sort(np.vstack([tris[:, [0, 1]], tris[:, [1, 2]],
+                               tris[:, [2, 0]]]), axis=1)
+    edges = np.unique(pairs, axis=0)
+    lookup = {tuple(e): k for k, e in enumerate(edges.tolist())}
+
+    def edge_dof(a, b):
+        return mesh.num_vertices + lookup[min(a, b), max(a, b)]
+
+    partner = {0: {}, 1: {}}
+    for m, s, axis in mesh.periodic_pairs.tolist():
+        partner[axis][m] = s
+    pairs_p2 = [(m, s) for m, s, _ in mesh.periodic_pairs.tolist()]
+    fixed = np.zeros(mesh.num_vertices + len(edges), dtype=bool)
+    for (a, b), tag in zip(mesh.boundary_edges.tolist(), mesh.boundary_tags):
+        axis = {"OuterLeft": 0, "OuterBottom": 1}.get(tag)
+        if axis is not None:
+            pa, pb = partner[axis][a], partner[axis][b]
+            pairs_p2.append((edge_dof(a, b), edge_dof(pa, pb)))
+        if tag == "Inclusion":
+            fixed[[a, b, edge_dof(a, b)]] = True
+    return pairs_p2, fixed
+
+
+@pytest.mark.parametrize("fixture", ["cell_mesh_g1", "cell_mesh_g3"])
+def test_cell_constraints_match_loop_reference(request, fixture):
+    mesh = request.getfixturevalue(fixture)
+    pairs2, fixed2, pairs1 = cell_constraints(mesh, DofMapP2(mesh))
+    want_pairs, want_fixed = _looped_cell_constraints(mesh)
+    assert np.array_equal(fixed2, want_fixed)
+    assert set(map(tuple, pairs2.tolist())) == set(want_pairs)
+    assert len(pairs2) == len(want_pairs)
+    assert np.array_equal(pairs1, mesh.periodic_pairs[:, :2])
+
+
+def test_edge_dof_takes_either_orientation_and_rejects_non_edges(
+        cell_mesh_g3):
+    dofmap = DofMapP2(cell_mesh_g3)
+    nv = cell_mesh_g3.num_vertices
+    edges = dofmap.edges
+    want = nv + np.arange(len(edges))
+    assert np.array_equal(dofmap.edge_dof(edges), want)
+    assert np.array_equal(dofmap.edge_dof(edges[:, ::-1]), want)
+    # opposite corners of the cell never share an edge
+    for pair in ([0, 2], [[1, 0], [0, 2]], [0, nv], [-1, 0], [3, 3]):
+        with pytest.raises(ValueError, match="not a mesh edge"):
+            dofmap.edge_dof(pair)
+
+
+def test_boundary_edge_load_matches_edge_loop(rect_mesh):
+    for tag in ("OuterLeft", "OuterRight", "OuterBottom", "OuterTop"):
+        want = np.zeros(rect_mesh.num_vertices)
+        for edge, etag in zip(rect_mesh.boundary_edges,
+                              rect_mesh.boundary_tags):
+            if etag == tag:
+                length = np.linalg.norm(rect_mesh.vertices[edge[1]]
+                                        - rect_mesh.vertices[edge[0]])
+                want[edge] += 0.5 * 0.3 * length
+        assert np.array_equal(boundary_edge_load(rect_mesh, tag, 0.3), want)
 
 
 def test_sparse_factor_contract(caplog):

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from porohom.meshing import (
+    BOUNDARY_TAGS,
     EllipseSpec,
     MeshFormatError,
     MeshQualityError,
     TriMesh,
     _CellBuilder,
     _inside_ring,
+    edge_table,
     gen_cell_mesh,
     gen_rect_mesh,
     read_mesh,
@@ -227,6 +229,20 @@ def test_validate_rejects_mislabeled_boundary():
         validate_mesh(TriMesh(verts, tris, edges, bad))
 
 
+def test_validate_rejects_non_finite_vertex():
+    verts, tris, edges, tags = _unit_square()
+    verts[3, 1] = np.nan
+    with pytest.raises(MeshQualityError, match="finite"):
+        validate_mesh(TriMesh(verts, tris, edges, tags))
+
+
+def test_validate_rejects_repeated_boundary_edge():
+    verts, tris, edges, tags = _unit_square()
+    with pytest.raises(MeshQualityError, match="1 extra, 0 missing"):
+        validate_mesh(TriMesh(verts, tris, np.vstack([edges, edges[:1]]),
+                              tags + tags[:1]))
+
+
 def test_validate_rejects_bad_periodic_offset():
     verts, tris, edges, tags = _unit_square()
     pairs = np.array([[0, 2, 0]])  # corner to opposite corner, not a translation
@@ -334,3 +350,40 @@ def test_cell_mesh_bytes_are_pinned(tmp_path, gamma):
 @pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0, 4.0])
 def test_fine_cell_mesh_bytes_are_pinned(tmp_path, gamma):
     assert _mesh_sha256(tmp_path, gamma, 0.01) == MESH_SHA256[gamma, 0.01]
+
+
+# -- the edge table ----------------------------------------------------------
+
+def _edge_table_by_rows(triangles):
+    """Reference edge table: np.unique of the sorted vertex-pair rows."""
+    pairs = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]],
+                       triangles[:, [2, 0]]])
+    edges, inverse, counts = np.unique(np.sort(pairs, axis=1), axis=0,
+                                       return_inverse=True, return_counts=True)
+    return edges, inverse.reshape(3, -1).T, counts
+
+
+def _assert_table_matches_rows(mesh):
+    got = edge_table(mesh.triangles, mesh.num_vertices)
+    for a, b in zip(got, _edge_table_by_rows(mesh.triangles)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("fixture", ["cell_mesh_g1", "cell_mesh_g3",
+                                     "rect_mesh"])
+def test_edge_table_matches_unique_rows(request, fixture):
+    _assert_table_matches_rows(request.getfixturevalue(fixture))
+
+
+def test_edge_table_of_the_macro_mesh():
+    # the 20,301-vertex rectangle of the macro benchmark
+    _assert_table_matches_rows(gen_rect_mesh(2.0, 1.0, 0.01))
+
+
+def test_side_keeps_stored_order(cell_mesh_g3):
+    for tag in BOUNDARY_TAGS:
+        want = [e for e, t in zip(cell_mesh_g3.boundary_edges.tolist(),
+                                  cell_mesh_g3.boundary_tags) if t == tag]
+        assert cell_mesh_g3.side(tag).tolist() == want
+        assert cell_mesh_g3.side(tag).shape == (len(want), 2)

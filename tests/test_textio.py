@@ -28,7 +28,9 @@ from porohom.cli import main
 from porohom.kernel_model import KernelModel, read_model_csv, write_model_csv
 from porohom.meshing import (
     BOUNDARY_TAGS,
+    EllipseSpec,
     TriMesh,
+    gen_cell_mesh,
     gen_rect_mesh,
     read_mesh,
     write_mesh,
@@ -72,8 +74,9 @@ def meshes(draw):
 
 
 def _broken_geometry(mesh):
-    """Whether a triangle has an area that is not finite and positive, or
-    an edge is shared by more than two triangles (Python floats)."""
+    """Whether a triangle has an area that is not finite and positive, an
+    edge is shared by more than two triangles, or the boundary records
+    are not the edges of one triangle, each once (Python floats)."""
     edges = Counter()
     for tri in mesh.triangles.tolist():
         (x0, y0), (x1, y1), (x2, y2) = (mesh.vertices[v].tolist() for v in tri)
@@ -81,12 +84,15 @@ def _broken_geometry(mesh):
         if not (math.isfinite(area) and area > 0.0):
             return True
         edges.update(tuple(sorted(e)) for e in zip(tri, tri[1:] + tri[:1]))
-    return any(count > 2 for count in edges.values())
+    tagged = sorted(tuple(sorted(e)) for e in mesh.boundary_edges.tolist())
+    boundary = sorted(e for e, count in edges.items() if count == 1)
+    return any(count > 2 for count in edges.values()) or tagged != boundary
 
 
 @EXAMPLES
 @given(mesh=meshes())
 @example(mesh=gen_rect_mesh(1.0, 1.0, 0.5))
+@example(mesh=gen_cell_mesh(EllipseSpec(3.0), 0.1))
 def test_mesh_round_trip(tmp_path, mesh):
     # bit for bit, or rejected exactly when the geometry is broken
     path = tmp_path / "m.mesh"
@@ -252,6 +258,17 @@ REGRESSIONS = {
                                      lambda l: l[:20] + ["0 4 2"] + l[21:],
                                      "line 21: edge 0 4 is shared by more "
                                      "than two triangles"),
+    "mesh tagged non-edge": ("domain.mesh",
+                             lambda l: l[:35] + ["0 2 OuterLeft"] + l[36:],
+                             "line 36: boundary edge 0 2 is tagged twice or "
+                             "not the side of exactly one triangle"),
+    "mesh tagged twice": ("domain.mesh",
+                          lambda l: l[:36] + [l[35]] + l[37:],
+                          "line 37: boundary edge 0 1 is tagged twice"),
+    "mesh untagged boundary edge": ("domain.mesh",
+                                    lambda l: l[:34] + ["NB 11"] + l[36:],
+                                    "line 20: edge 0 1 of exactly one "
+                                    "triangle has no boundary record"),
 }
 
 
@@ -260,6 +277,33 @@ def test_garbage_exits_2_naming_the_line(tmp_path, good, capsys, case):
     artifact, edit, fragment = REGRESSIONS[case]
     path = _broken(tmp_path, good, artifact, edit)
     code = run_cli(good, tmp_path, **{artifact.split(".")[0]: path})
+    assert code == 2
+    assert fragment in capsys.readouterr().err
+
+
+# Boundary records of the gamma = 3, h = 0.1 cell mesh, edited: the
+# first Inclusion record (line 281) made a non-edge, or dropped.
+CELL_REGRESSIONS = {
+    "non-edge": (lambda l: l[:280] + ["0 40 Inclusion"] + l[281:],
+                 "line 281: boundary edge 0 40 is tagged twice or not the "
+                 "side of exactly one triangle"),
+    "dropped": (lambda l: l[:239] + ["NB 63"] + l[240:280] + l[281:],
+                "line 225: edge 40 41 of exactly one triangle has no "
+                "boundary record"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CELL_REGRESSIONS))
+def test_cell_mesh_boundary_records_exit_2(tmp_path, capsys, cell_mesh_g3,
+                                           case):
+    edit, fragment = CELL_REGRESSIONS[case]
+    path = tmp_path / "cell.mesh"
+    write_mesh(cell_mesh_g3, path)
+    lines = path.read_text().splitlines()
+    assert lines[239] == "NB 64" and lines[280] == "40 41 Inclusion"
+    path.write_text("\n".join(edit(lines)) + "\n")
+    code = main(["cell-steady", "--mesh", str(path),
+                 "--out", str(tmp_path / "out" / "k_bar.csv")])
     assert code == 2
     assert fragment in capsys.readouterr().err
 
