@@ -25,11 +25,11 @@ MODES = 30
 
 mesh = gen_cell_mesh(EllipseSpec(GAMMA), H)
 system = StokesSystem(mesh)
-k_bar = solve_cell_steady(mesh, system=system).k_bar
+k_bar = solve_cell_steady(system)
 print(f"gamma = {GAMMA}, h = {H}: "
       f"K_bar11 = {k_bar[0, 0]:.6e}, K_bar12 = {k_bar[0, 1]:.6e}")
 
-spectrum = solve_eigen(mesh, MODES, system=system)
+spectrum = solve_eigen(system, MODES)
 print(f"first eigenvalues: "
       + ", ".join(f"{lam:.3f}" for lam in spectrum.eigenvalues[:5]))
 
@@ -49,7 +49,7 @@ for eps in (1e-4, 1e-5):
 print()
 print("kernel decay, sampled march vs exponential model:")
 tau = 5e-4
-samples = solve_cell_unsteady(mesh, tau=tau, horizon=0.15, system=system)
+samples = solve_cell_unsteady(system, tau=tau, horizon=0.15)
 model = build_kernel_model(k_bar, spectrum.eigenvalues,
                            spectrum.coefficients)
 print(f"{'t':>8} {'sampled K11':>14} {'model K11':>14}")

@@ -30,8 +30,8 @@ OUT.mkdir(exist_ok=True)
 
 cell = gen_cell_mesh(EllipseSpec(3.0), 0.08)
 system = StokesSystem(cell)
-k_bar = solve_cell_steady(cell, system=system).k_bar
-spectrum = solve_eigen(cell, 3, system=system)
+k_bar = solve_cell_steady(system)
+spectrum = solve_eigen(system, 3)
 model = build_kernel_model(k_bar, spectrum.eigenvalues,
                            spectrum.coefficients)
 print(f"three-mode model: lambdas = "

@@ -11,7 +11,7 @@ recorded; they are the only quantities the kernel model consumes.
 import numpy as np
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-from .fem import SolverError, StokesSystem
+from .fem import SolverError
 from .textio import INDEX, POSITIVE, FormatError, Records, write_rows
 
 CLUSTER_RTOL = 1e-6
@@ -19,41 +19,24 @@ RESIDUAL_RTOL = 1e-8
 # Modes asked of ARPACK beyond the requested count, so the cluster that
 # straddles the cut comes back in full.
 EXTRA_MODES = 6
-
-
-class EigenPair:
-    """One mode: eigenvalue, reduced saddle vector, averaged coefficients."""
-
-    def __init__(self, lam, vector, a):
-        self.lam = float(lam)
-        self.vector = vector
-        self.a = np.asarray(a, dtype=float)
+# Seed of the Lanczos start vector.  Eigenvalues and cluster tensors
+# do not depend on it; vectors inside a cluster may rotate.
+START_SEED = 20260816
 
 
 class Spectrum:
-    """Ascending eigenpairs of the cell problem with their residuals."""
+    """Ascending cell modes: eigenvalues (m,), averaged coefficients
+    a^k (m, 2), reduced saddle vectors as columns (n, m) and residuals
+    (m,)."""
 
-    def __init__(self, pairs, residuals, system):
-        self.pairs = list(pairs)
-        self.residuals = np.asarray(residuals, dtype=float)
-        self.system = system
+    def __init__(self, eigenvalues, coefficients, vectors, residuals):
+        self.eigenvalues = eigenvalues
+        self.coefficients = coefficients
+        self.vectors = vectors
+        self.residuals = residuals
 
     def __len__(self):
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __getitem__(self, k):
-        return self.pairs[k]
-
-    @property
-    def eigenvalues(self):
-        return np.array([p.lam for p in self.pairs])
-
-    @property
-    def coefficients(self):
-        return np.array([p.a for p in self.pairs]).reshape(-1, 2)
+        return self.eigenvalues.size
 
 
 def cluster_groups(lams):
@@ -76,22 +59,22 @@ def complete_clusters(lams, count):
     return count
 
 
-def _fix_sign(vector, a):
-    """Orient a mode so the first of its largest coefficients is positive.
+def _fix_sign(coeffs):
+    """One sign per mode that makes the first of its largest
+    coefficients (rows of coeffs, (m, 2)) positive.
 
     A coefficient within a relative 1e-8 of the largest magnitude counts
     as largest, so components equal up to rounding (|a1| = |a2| on a
     cell symmetric about the diagonal) do not let noise pick the sign.
     """
-    mags = np.abs(a)
-    k = int(np.argmax(mags >= (1.0 - 1e-8) * mags.max()))
-    if a[k] < 0.0:
-        return -vector, -a
-    return vector, a
+    mags = np.abs(coeffs)
+    first = np.argmax(mags >= (1.0 - 1e-8) * mags.max(axis=1, keepdims=True),
+                      axis=1)
+    return np.where(coeffs[np.arange(len(coeffs)), first] < 0.0, -1.0, 1.0)
 
 
-def solve_eigen(mesh, num_modes, system=None, seed=20260816):
-    """First num_modes eigenpairs of the cell Stokes pencil.
+def solve_eigen(system, num_modes):
+    """First num_modes eigenpairs of a StokesSystem's cell pencil.
 
     A cluster of near-equal eigenvalues (relative gap below 1e-6) that
     straddles the requested cut is returned in full, so the spectrum can
@@ -102,17 +85,16 @@ def solve_eigen(mesh, num_modes, system=None, seed=20260816):
     """
     if num_modes < 0:
         raise ValueError("num_modes must be nonnegative")
-    if system is None:
-        system = StokesSystem(mesh)
-    if num_modes == 0:
-        return Spectrum([], [], system)
     op = system.operator
     mass = system.mass_saddle
     n = op.shape[0]
+    if num_modes == 0:
+        return Spectrum(np.zeros(0), np.zeros((0, 2)), np.zeros((n, 0)),
+                        np.zeros(0))
     k_req = min(num_modes + EXTRA_MODES, n - 2)
     factor = system.factor
     opinv = LinearOperator((n, n), matvec=factor.solve)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(START_SEED)
     v0 = rng.standard_normal(n)
     try:
         lams, vecs = eigsh(op, k=k_req, M=mass, sigma=0.0, which="LM",
@@ -162,9 +144,9 @@ def solve_eigen(mesh, num_modes, system=None, seed=20260816):
                 raise SolverError(f"degenerate cluster collapse at mode {k}")
             vecs[:, k] = v / nrm
 
-    pairs = []
-    residuals = []
-    for k in range(len(lams)):
+    residuals = np.empty(keep)
+    coeffs = np.empty((keep, 2))
+    for k in range(keep):
         r = op @ vecs[:, k] - lams[k] * (mass @ vecs[:, k])
         res = np.linalg.norm(r)
         if res > RESIDUAL_RTOL * lams[k]:
@@ -172,17 +154,18 @@ def solve_eigen(mesh, num_modes, system=None, seed=20260816):
                 f"eigen residual {res:.2e} exceeds {RESIDUAL_RTOL:.0e} * "
                 f"lambda ({lams[k]:.4f}) at mode {k + 1}"
             )
-        residuals.append(res)
-        a = system.velocity_average(vecs[:, k])
-        vector, a = _fix_sign(vecs[:, k], a)
-        pairs.append(EigenPair(lams[k], vector, a))
-    return Spectrum(pairs, residuals, system)
+        residuals[k] = res
+        coeffs[k] = system.velocity_average(vecs[:, k])
+    signs = _fix_sign(coeffs)
+    vecs *= signs
+    coeffs *= signs[:, None]
+    return Spectrum(lams, coeffs, vecs, residuals)
 
 
-def write_spectrum_csv(spectrum, path):
+def write_spectrum_csv(lams, coeffs, path):
     """CSV rows k,lambda,a1,a2 with 1-based mode index."""
-    write_rows(path, ((k, pair.lam, *pair.a)
-                      for k, pair in enumerate(spectrum, start=1)),
+    write_rows(path, ((k, lam, *a) for k, (lam, a)
+                      in enumerate(zip(lams, coeffs), start=1)),
                header="k,lambda,a1,a2")
 
 

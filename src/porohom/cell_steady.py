@@ -9,41 +9,28 @@ solution.
 
 import numpy as np
 
-from .fem import SolverError, StokesSystem
+from .fem import SolverError
 from .textio import Records, write_rows
 
 # Largest asymmetry of the raw tensor, relative to its norm.
 SYMMETRY_RTOL = 1e-8
 
 
-class CellSolution:
-    """Solutions of the d steady cell problems plus the averaged tensor."""
+def solve_cell_steady(system):
+    """Solve the steady cell problems of a StokesSystem and average the
+    velocities.
 
-    def __init__(self, system, saddle_vectors, k_bar):
-        self.system = system
-        self.saddle_vectors = saddle_vectors
-        self.k_bar = k_bar
-
-
-def solve_cell_steady(mesh, system=None):
-    """Solve the steady cell problems and average the velocities.
-
-    Returns a CellSolution whose k_bar is the symmetrized 2x2 tensor.
-    Raises SolverError if the raw tensor is asymmetric beyond
-    SYMMETRY_RTOL (relative to its norm) or fails to be positive
-    definite.
+    Returns the symmetrized 2x2 tensor k_bar.  Raises SolverError if the
+    raw tensor is asymmetric beyond SYMMETRY_RTOL (relative to its norm)
+    or fails to be positive definite.
     """
-    if system is None:
-        system = StokesSystem(mesh)
     factor = system.factor
-    vectors = []
     raw = np.empty((2, 2))
     for j in range(2):
         x = factor.solve(system.unit_load(j))
         div = system.divergence_norm(x)
         if div > 1e-10 * max(1.0, np.linalg.norm(x)):
             raise SolverError(f"cell solution {j} divergence residual {div:.2e}")
-        vectors.append(x)
         raw[:, j] = system.velocity_average(x)
 
     scale = np.linalg.norm(raw)
@@ -56,7 +43,7 @@ def solve_cell_steady(mesh, system=None):
     eigs = np.linalg.eigvalsh(k_bar)
     if eigs[0] <= 0.0:
         raise SolverError(f"permeability not positive definite: eigs {eigs}")
-    return CellSolution(system, vectors, k_bar)
+    return k_bar
 
 
 def write_permeability_csv(k_bar, path):

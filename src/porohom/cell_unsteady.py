@@ -10,7 +10,7 @@ direction i.
 
 import numpy as np
 
-from .fem import SolverError, SparseFactor, StokesSystem
+from .fem import SolverError, SparseFactor
 from .textio import Records, write_rows
 
 
@@ -24,13 +24,19 @@ class KernelSamples:
             raise ValueError("values must have shape (len(times), 2, 2)")
 
 
-def solve_cell_unsteady(mesh, tau, horizon, system=None, lambda1_hint=40.0):
-    """March the unsteady cell problems and sample the kernel.
+# Smallest cell eigenvalue the time-step guard assumes: the gamma = 3
+# value, so the guard fits that geometry only.
+LAMBDA1_HINT = 40.0
+
+
+def solve_cell_unsteady(system, tau, horizon):
+    """March the unsteady cell problems of a StokesSystem and sample the
+    kernel.
 
     Parameters
     ----------
     tau : float
-        Time step; must resolve the slowest mode, tau <= 0.1/lambda1_hint.
+        Time step; must resolve the slowest mode, tau <= 0.1/LAMBDA1_HINT.
     horizon : float
         Final time; the number of steps is round(horizon / tau).
 
@@ -39,22 +45,20 @@ def solve_cell_unsteady(mesh, tau, horizon, system=None, lambda1_hint=40.0):
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    if tau > 0.1 / lambda1_hint:
+    if tau > 0.1 / LAMBDA1_HINT:
         raise ValueError(
             f"tau={tau} too coarse for the slowest mode "
-            f"(requires tau <= {0.1 / lambda1_hint:.2e})"
+            f"(requires tau <= {0.1 / LAMBDA1_HINT:.2e})"
         )
     nsteps = int(round(horizon / tau))
     if nsteps < 1:
         raise ValueError("horizon shorter than one step")
-    if system is None:
-        system = StokesSystem(mesh)
 
     # Backward Euler on the saddle pencil: (K + M / tau) x_n = M x_{n-1} / tau.
     mass_tau = system.mass_saddle / tau
     factor = SparseFactor(system.operator + mass_tau)
 
-    area = float(np.sum(mesh.triangle_areas()))
+    area = system.mesh.area()
     times = [0.0]
     values = [area * np.eye(2)]
     states = [system.unit_load(j) / tau for j in range(2)]  # raw loads

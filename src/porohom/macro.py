@@ -87,28 +87,22 @@ _BC_KINDS = ("dirichlet", "natural")
 def parse_bc(bc):
     """Normalize a boundary spec to a dict side tag -> (kind, value).
 
-    bc is a string like "left=dirichlet:0,right=natural:1", whose kinds
-    may be in any case, or a dict side -> (kind, value).  All four sides
-    must be given."""
-    if isinstance(bc, str):
-        items = []
-        for item in bc.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            try:
-                side, rest = item.split("=", 1)
-                kind, value = rest.split(":", 1)
-            except ValueError:
-                raise ValueError(f"malformed boundary item {item!r}, "
-                                 f"expected side=kind:value") from None
-            items.append((side.strip(), kind.strip().lower(), value))
-    else:
-        items = [(side, kind, value)
-                 for side, (kind, value) in dict(bc).items()]
+    bc is a string like "left=dirichlet:0,right=natural:1"; a side is a
+    plain name or its tag (OuterLeft, ...), and kinds may be in any case.
+    All four sides must be given."""
     table = {}
-    for side, kind, value in items:
-        tag = _SIDE_ALIASES.get(str(side).lower(), side)
+    for item in bc.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        try:
+            side, rest = item.split("=", 1)
+            kind, value = rest.split(":", 1)
+        except ValueError:
+            raise ValueError(f"malformed boundary item {item!r}, "
+                             f"expected side=kind:value") from None
+        side, kind = side.strip(), kind.strip().lower()
+        tag = _SIDE_ALIASES.get(side.lower(), side)
         if tag not in _SIDES:
             raise ValueError(f"unknown side {side!r}")
         if kind not in _BC_KINDS:
@@ -260,10 +254,10 @@ class MacroProblem:
         Rectangle mesh with OuterLeft/Right/Bottom/Top side tags.
     model : KernelModel
         Steady tensor, retained modes and corrected tensor.
-    bc : dict or str
-        Per-side condition, side -> (kind, value) with kind "dirichlet"
-        or "natural"; plain side names ("left", ...) are accepted.  A
-        spec string in the parse_bc format also works.
+    bc : str
+        Per-side conditions in the parse_bc format, for example
+        "left=dirichlet:0,right=dirichlet:1,top=natural:0,bottom=natural:0";
+        each kind is "dirichlet" or "natural".
     f : pair of floats
         Constant body force entering through g(t) = (K_bar - Phi(t)) f.
     source : float

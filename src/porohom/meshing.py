@@ -192,6 +192,23 @@ def _boundary_faults(mesh, edges, side_edge, counts):
     return stray, np.flatnonzero(untagged[side_edge.ravel()])
 
 
+def _pair_faults(mesh):
+    """The periodic pairs that are not a translation across the cell:
+    the slave's offset from its master along the pair's axis must equal
+    the span of all vertices along it, and the other offset be 0, both
+    within 1e-12 (a NaN from overflowing coordinates fails)."""
+    master, slave, axis = mesh.periodic_pairs.T
+    if not axis.size:
+        return axis  # empty
+    v, rows = mesh.vertices, np.arange(axis.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = v[slave] - v[master]
+        span = (v.max(axis=0) - v.min(axis=0))[axis]
+        ok = ((np.abs(delta[rows, axis] - span) <= 1e-12)
+              & (np.abs(delta[rows, 1 - axis]) <= 1e-12))
+    return np.flatnonzero(~ok)
+
+
 def validate_mesh(mesh):
     """Check structural invariants; raise MeshQualityError on violation.
 
@@ -235,16 +252,17 @@ def validate_mesh(mesh):
             raise MeshQualityError(f"{tag} edge {edge[np.argmax(off)]} not on "
                                    f"its boundary line")
 
-    for master, slave, axis in mesh.periodic_pairs:
-        if axis not in (0, 1):
-            raise MeshQualityError(f"periodic pair axis {axis} not in (0, 1)")
-        delta = v[slave] - v[master]
-        span = hi[axis] - lo[axis]
-        if abs(delta[axis] - span) > 1e-12 or abs(delta[1 - axis]) > 1e-12:
-            raise MeshQualityError(
-                f"periodic pair ({master}, {slave}) offset {delta} is not a "
-                f"full translation along axis {axis}"
-            )
+    axes = mesh.periodic_pairs[:, 2]
+    odd = axes[(axes != 0) & (axes != 1)]
+    if odd.size:
+        raise MeshQualityError(f"periodic pair axis {odd[0]} not in (0, 1)")
+    bad = _pair_faults(mesh)
+    if bad.size:
+        master, slave, axis = mesh.periodic_pairs[bad[0]]
+        raise MeshQualityError(
+            f"periodic pair ({master}, {slave}) offset {v[slave] - v[master]} "
+            f"is not a full translation along axis {axis}"
+        )
 
     min_angle = mesh.min_angle()
     if min_angle < MIN_ANGLE_DEG:
@@ -614,8 +632,8 @@ def read_mesh(path):
     lines, tris = records.table((index,) * 3, _section(records, "NT"))
     edge_lines, tagged = records.table(
         (index, index, ("boundary tag", BOUNDARY_TAGS)), _section(records, "NB"))
-    _, pairs = records.table((index, index, ("axis", (0, 1))),
-                             _section(records, "NP"))
+    pair_lines, pairs = records.table((index, index, ("axis", (0, 1))),
+                                      _section(records, "NP"))
     records.finish()
     mesh = TriMesh(np.column_stack(xy), np.column_stack(tris),
                    np.column_stack(tagged[:2]), tagged[2].tolist(),
@@ -647,4 +665,9 @@ def read_mesh(path):
         a, b = edges[sides[untagged[0]]]
         raise FormatError(f"edge {a} {b} of exactly one triangle has no "
                           f"boundary record", lines[untagged[0] // 3])
+    bad = _pair_faults(mesh)
+    if bad.size:
+        pair = " ".join(map(str, mesh.periodic_pairs[bad[0]]))
+        raise FormatError(f"periodic pair {pair} is not a translation "
+                          "across the cell", pair_lines[bad[0]])
     return mesh

@@ -218,18 +218,15 @@ def _stage_mesh(config, files):
 
 
 def _stage_cell_steady(config, files):
-    system = files.cell_system()
-    solution = solve_cell_steady(system.mesh, system=system)
-    write_permeability_csv(solution.k_bar, files.path("k_bar.csv"))
+    k_bar = solve_cell_steady(files.cell_system())
+    write_permeability_csv(k_bar, files.path("k_bar.csv"))
 
 
 def _stage_eigen(config, files):
-    system = files.cell_system()
-    spectrum = solve_eigen(system.mesh, config["modes"], system=system)
-    write_spectrum_csv(spectrum, files.path("spectrum.csv"))
-    shown = min(spectrum.eigenvalues.size, 3)
-    text = render_table(spectrum.eigenvalues[:shown],
-                        spectrum.coefficients[:shown])
+    spectrum = solve_eigen(files.cell_system(), config["modes"])
+    lams, coeffs = spectrum.eigenvalues, spectrum.coefficients
+    write_spectrum_csv(lams, coeffs, files.path("spectrum.csv"))
+    text = render_table(lams[:3], coeffs[:3])
     with open(files.path("table3.txt"), "w", encoding="ascii") as handle:
         handle.write(text)
 
@@ -246,8 +243,8 @@ def _stage_kernel(config, files):
 def _stage_oracle(config, files):
     # Its own system: the stepper's factorization then never lives next
     # to the saddle factorization of the cell-steady and eigen stages.
-    mesh = read_mesh(files.locate("cell.mesh"))
-    samples = solve_cell_unsteady(mesh, config["oracle_tau"],
+    system = StokesSystem(read_mesh(files.locate("cell.mesh")))
+    samples = solve_cell_unsteady(system, config["oracle_tau"],
                                   config["oracle_horizon"])
     write_samples_csv(samples, files.path("oracle.csv"))
 

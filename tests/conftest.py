@@ -49,13 +49,13 @@ def system_g1(cell_mesh_g1):
 
 
 @pytest.fixture(scope="session")
-def steady_g1(cell_mesh_g1, system_g1):
-    return solve_cell_steady(cell_mesh_g1, system=system_g1)
+def k_bar_g1(system_g1):
+    return solve_cell_steady(system_g1)
 
 
 @pytest.fixture(scope="session")
-def spectrum_g1(cell_mesh_g1, system_g1):
-    return solve_eigen(cell_mesh_g1, 6, system=system_g1)
+def spectrum_g1(system_g1):
+    return solve_eigen(system_g1, 6)
 
 
 @pytest.fixture(scope="session")

@@ -32,7 +32,7 @@ from porohom.macro import (
 from conftest import COEF3, KBAR3, LAMS3, p1_mass
 
 BC_DIR = "left=dirichlet:0,right=dirichlet:1,top=natural:0,bottom=natural:0"
-BC_NAT = {side: ("natural", 0.0) for side in ("left", "right", "top", "bottom")}
+BC_NAT = "left=natural:0,right=natural:0,top=natural:0,bottom=natural:0"
 
 
 def linear_field(mesh, cvec):
@@ -66,39 +66,27 @@ def test_parse_bc_rejects_garbage(text, fragment):
         parse_bc(text)
 
 
-def _sides(**extra):
-    table = {"left": ("dirichlet", 0.0), "right": ("dirichlet", 1.0),
-             "top": ("natural", 0.0), "bottom": ("natural", 0.0)}
-    table.update(extra)
-    return table
-
-
 # Boundary specs with the message each one is refused with, or None.
 BC_SPECS = [
     pytest.param(BC_DIR, None, id="string"),
     pytest.param("LEFT=Dirichlet:0, right=dirichlet:1,top=natural:0,"
                  "bottom=natural:0", None, id="string-any-case"),
-    pytest.param(_sides(), None, id="dict-names"),
-    pytest.param({"OuterLeft": ("dirichlet", 0),
-                  "OuterRight": ("dirichlet", "1"),
-                  "OuterTop": ("natural", 0.0),
-                  "OuterBottom": ("natural", 0.0)}, None, id="dict-tags"),
-    pytest.param(_sides(right=("Dirichlet", 1.0)), "unknown boundary kind",
-                 id="dict-misspelled-kind"),
-    pytest.param(_sides(front=("natural", 0.0)), "unknown side",
-                 id="dict-unknown-side"),
-    pytest.param(dict(_sides(), OuterRight=("natural", 0.0)),
-                 "duplicate condition", id="dict-duplicate-side"),
-    pytest.param({"left": ("dirichlet", 0.0)}, "missing boundary condition",
-                 id="dict-missing-sides"),
+    pytest.param("OuterLeft=dirichlet:0,OuterRight=dirichlet:1,"
+                 "OuterTop=natural:0,OuterBottom=natural:0", None,
+                 id="string-tags"),
+    pytest.param(BC_DIR.replace("right=dirichlet", "right=dirichet"),
+                 "unknown boundary kind", id="string-unknown-kind"),
+    pytest.param(BC_DIR + ",OuterRight=natural:0", "duplicate condition",
+                 id="string-duplicate-side"),
     pytest.param("left=dirichlet:0,right=dirichlet:1,top=natural:0",
                  "missing boundary condition", id="string-missing-side"),
     pytest.param(BC_DIR + ",front=natural:0", "unknown side",
                  id="string-unknown-side"),
     pytest.param("left=dirichlet", "malformed boundary item",
                  id="string-malformed"),
-    pytest.param(_sides(left=("dirichlet", "zero")), "could not convert",
-                 id="dict-bad-value"),
+    pytest.param("left=dirichlet:zero,right=dirichlet:1,top=natural:0,"
+                 "bottom=natural:0", "could not convert",
+                 id="string-bad-value"),
 ]
 
 
@@ -123,19 +111,16 @@ def test_every_boundary_path_agrees(rect_mesh, model3, spec, fragment):
 
 def test_problem_validates_sides_and_parameters(rect_mesh, model3):
     with pytest.raises(ValueError, match="missing boundary condition"):
-        MacroProblem(rect_mesh, model3, {"left": ("dirichlet", 0.0)})
-    both = dict(BC_NAT)
-    both["OuterLeft"] = ("natural", 0.0)
+        MacroProblem(rect_mesh, model3, "left=dirichlet:0")
     with pytest.raises(ValueError, match="duplicate"):
-        MacroProblem(rect_mesh, model3, both)
+        MacroProblem(rect_mesh, model3, BC_NAT + ",OuterLeft=natural:0")
     with pytest.raises(ValueError, match="sigma"):
         MacroProblem(rect_mesh, model3, BC_NAT, sigma=-0.1)
     with pytest.raises(ValueError, match="tau"):
         MacroProblem(rect_mesh, model3, BC_NAT, tau=0.0)
     with pytest.raises(ValueError, match="incompatible"):
-        bad = dict(BC_NAT)
-        bad["left"] = ("natural", 0.3)
-        MacroProblem(rect_mesh, model3, bad)
+        MacroProblem(rect_mesh, model3, BC_NAT.replace("left=natural:0",
+                                                       "left=natural:0.3"))
 
 
 # ----------------------------------------------------------- steady solve
@@ -153,8 +138,7 @@ def test_steady_scale_invariance(rect_mesh):
 
 
 def test_steady_balanced_natural_data(rect_mesh):
-    bc = {"left": ("natural", 0.5), "right": ("natural", -0.5),
-          "top": ("natural", 0.0), "bottom": ("natural", 0.0)}
+    bc = "left=natural:0.5,right=natural:-0.5,top=natural:0,bottom=natural:0"
     v = solve_steady(rect_mesh, np.eye(2), bc)
     ints = p1_integral_vector(rect_mesh)
     assert abs(ints @ v) < 1e-12
@@ -170,8 +154,8 @@ def test_all_natural_steady_matches_bordered_reference(rect_mesh):
     tensor = np.array([[2.0, 0.5], [0.5, 1.0]])
     fluxes = {"OuterLeft": 0.5, "OuterRight": -0.5,
               "OuterBottom": 0.25, "OuterTop": -0.25}
-    v = solve_steady(rect_mesh, tensor,
-                     {tag: ("natural", flux) for tag, flux in fluxes.items()})
+    v = solve_steady(rect_mesh, tensor, ",".join(
+        f"{tag}=natural:{flux!r}" for tag, flux in fluxes.items()))
     weights = p1_integral_vector(rect_mesh)
     load = sum(boundary_edge_load(rect_mesh, tag, flux)
                for tag, flux in fluxes.items())
@@ -187,8 +171,7 @@ def test_all_natural_steady_matches_bordered_reference(rect_mesh):
 def test_steady_rejects_bad_input(rect_mesh):
     with pytest.raises(ValueError, match="positive definite"):
         solve_steady(rect_mesh, -np.eye(2), BC_DIR)
-    bad = dict(BC_NAT)
-    bad["left"] = ("natural", 0.3)
+    bad = BC_NAT.replace("left=natural:0", "left=natural:0.3")
     with pytest.raises(ValueError, match="incompatible"):
         solve_steady(rect_mesh, np.eye(2), bad)
 
@@ -199,7 +182,8 @@ def test_steady_rejects_bad_input(rect_mesh):
 @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
 def test_uniform_dirichlet_scalar_recurrence(rect_mesh, model3, sigma):
     c, tau, nsteps = 0.7, 1e-3, 20
-    bc = {side: ("dirichlet", c) for side in ("left", "right", "top", "bottom")}
+    bc = ",".join(f"{side}=dirichlet:{c!r}"
+                  for side in ("left", "right", "top", "bottom"))
     prob = MacroProblem(rect_mesh, model3, bc, sigma=sigma, tau=tau)
     state = prob.init_state()
     assert np.max(np.abs(state.v - c)) < 1e-12

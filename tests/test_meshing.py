@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from porohom.cli import main
 from porohom.meshing import (
     BOUNDARY_TAGS,
     EllipseSpec,
@@ -248,6 +249,24 @@ def test_validate_rejects_bad_periodic_offset():
     pairs = np.array([[0, 2, 0]])  # corner to opposite corner, not a translation
     with pytest.raises(MeshQualityError, match="translation"):
         validate_mesh(TriMesh(verts, tris, edges, tags, periodic_pairs=pairs))
+
+
+def test_cli_rejects_a_periodic_pair_that_is_no_translation(
+        tmp_path, capsys, cell_mesh_g3):
+    # an extra pair between two interior vertices used to pass and give
+    # a K_bar 8% off with exit 0
+    path = tmp_path / "cell.mesh"
+    write_mesh(cell_mesh_g3, path)
+    lines = path.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("NP "))
+    lines[at] = f"NP {len(cell_mesh_g3.periodic_pairs) + 1}"
+    lines.append("60 70 0")
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "k_bar.csv"
+    assert main(["cell-steady", "--mesh", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"line {len(lines)}: periodic pair 60 70 0 is not a translation" in err
+    assert not out.exists()
 
 
 # -- ring geometry of the cell mesher ----------------------------------------

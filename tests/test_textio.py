@@ -12,12 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import porohom
-from porohom.cell_spectral import (
-    EigenPair,
-    Spectrum,
-    read_spectrum_csv,
-    write_spectrum_csv,
-)
+from porohom.cell_spectral import read_spectrum_csv, write_spectrum_csv
 from porohom.cell_steady import read_permeability_csv, write_permeability_csv
 from porohom.cell_unsteady import (
     KernelSamples,
@@ -75,8 +70,16 @@ def meshes(draw):
 
 def _broken_geometry(mesh):
     """Whether a triangle has an area that is not finite and positive, an
-    edge is shared by more than two triangles, or the boundary records
-    are not the edges of one triangle, each once (Python floats)."""
+    edge is shared by more than two triangles, the boundary records are
+    not the edges of one triangle, each once, or a periodic pair is not a
+    translation by the vertices' span along its axis (Python floats)."""
+    xy = mesh.vertices.tolist()
+    span = [max(p[i] for p in xy) - min(p[i] for p in xy) for i in (0, 1)]
+    for master, slave, axis in mesh.periodic_pairs.tolist():
+        d = [xy[slave][i] - xy[master][i] for i in (0, 1)]
+        if not (abs(d[axis] - span[axis]) <= 1e-12
+                and abs(d[1 - axis]) <= 1e-12):
+            return True
     edges = Counter()
     for tri in mesh.triangles.tolist():
         (x0, y0), (x1, y1), (x2, y2) = (mesh.vertices[v].tolist() for v in tri)
@@ -98,7 +101,7 @@ def test_mesh_round_trip(tmp_path, mesh):
     path = tmp_path / "m.mesh"
     write_mesh(mesh, path)
     if _broken_geometry(mesh):
-        with pytest.raises(FormatError, match="triangle|edge"):
+        with pytest.raises(FormatError, match="triangle|edge|periodic pair"):
             read_mesh(path)
         return
     back = read_mesh(path)
@@ -120,9 +123,7 @@ def test_tensor_round_trip(tmp_path, a, b, c):
 def test_spectrum_round_trip(tmp_path, modes):
     lams = np.array([m[0] for m in modes], dtype=float)
     coeffs = np.array([m[1:] for m in modes], dtype=float).reshape(-1, 2)
-    pairs = [EigenPair(lam, None, a) for lam, a in zip(lams, coeffs)]
-    write_spectrum_csv(Spectrum(pairs, np.zeros(len(pairs)), None),
-                       tmp_path / "s.csv")
+    write_spectrum_csv(lams, coeffs, tmp_path / "s.csv")
     back_lams, back_coeffs = read_spectrum_csv(tmp_path / "s.csv")
     assert same_bits(back_lams, lams)
     assert same_bits(back_coeffs, coeffs)
