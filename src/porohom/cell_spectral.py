@@ -17,7 +17,8 @@ from .textio import INDEX, POSITIVE, FormatError, Records, write_rows
 CLUSTER_RTOL = 1e-6
 RESIDUAL_RTOL = 1e-8
 # Modes asked of ARPACK beyond the requested count, so the cluster that
-# straddles the cut comes back in full.
+# straddles the cut comes back in full.  While a cluster runs to the end
+# of that window, the window widens by as many again (at least one).
 EXTRA_MODES = 6
 # Seed of the Lanczos start vector.  Eigenvalues and cluster tensors
 # do not depend on it; vectors inside a cluster may rotate.
@@ -73,32 +74,19 @@ def _fix_sign(coeffs):
     return np.where(coeffs[np.arange(len(coeffs)), first] < 0.0, -1.0, 1.0)
 
 
-def solve_eigen(system, num_modes):
-    """First num_modes eigenpairs of a StokesSystem's cell pencil.
-
-    A cluster of near-equal eigenvalues (relative gap below 1e-6) that
-    straddles the requested cut is returned in full, so the spectrum can
-    be slightly longer than num_modes.  Each returned pair satisfies
-    ||K x - lam M x|| <= 1e-8 * lam for the reduced saddle operator K and
-    mass M, with the velocity normalized to unit L2 norm.  num_modes = 0
-    gives an empty spectrum, the input of a memoryless kernel model.
-    """
-    if num_modes < 0:
-        raise ValueError("num_modes must be nonnegative")
+def _ritz_pairs(system, window):
+    """The window lowest eigenpairs of the cell pencil, purified and
+    sorted by eigenvalue."""
     op = system.operator
     mass = system.mass_saddle
     n = op.shape[0]
-    if num_modes == 0:
-        return Spectrum(np.zeros(0), np.zeros((0, 2)), np.zeros((n, 0)),
-                        np.zeros(0))
-    k_req = min(num_modes + EXTRA_MODES, n - 2)
     factor = system.factor
     opinv = LinearOperator((n, n), matvec=factor.solve)
     rng = np.random.default_rng(START_SEED)
     v0 = rng.standard_normal(n)
     try:
-        lams, vecs = eigsh(op, k=k_req, M=mass, sigma=0.0, which="LM",
-                           OPinv=opinv, v0=v0, tol=0, maxiter=2000)
+        lams, vecs = eigsh(op, k=window, M=mass, sigma=0.0, which="LM",
+                           OPinv=opinv, v0=v0, tol=1e-12, maxiter=2000)
     except ArpackError as exc:
         raise SolverError(f"eigensolver failed: {exc}") from exc
     order = np.argsort(lams)
@@ -122,11 +110,41 @@ def solve_eigen(system, num_modes):
         lams[j] = y @ (op @ y)
         vecs[:, j] = y
     order = np.argsort(lams)
-    lams = lams[order]
-    vecs = vecs[:, order]
+    return lams[order], vecs[:, order]
 
+
+def solve_eigen(system, num_modes):
+    """First num_modes eigenpairs of a StokesSystem's cell pencil.
+
+    A cluster of near-equal eigenvalues (relative gap below 1e-6) that
+    straddles the requested cut is returned in full, so the spectrum can
+    be slightly longer than num_modes; SolverError if that cluster runs
+    to the last mode the solver can compute.  Each returned pair satisfies
+    ||K x - lam M x|| <= 1e-8 * lam for the reduced saddle operator K and
+    mass M, with the velocity normalized to unit L2 norm.  num_modes = 0
+    gives an empty spectrum, the input of a memoryless kernel model.
+    """
+    if num_modes < 0:
+        raise ValueError("num_modes must be nonnegative")
+    op = system.operator
+    mass = system.mass_saddle
+    n = op.shape[0]
+    if num_modes == 0:
+        return Spectrum(np.zeros(0), np.zeros((0, 2)), np.zeros((n, 0)),
+                        np.zeros(0))
     # Keep num_modes, extending to finish a cluster cut at the boundary.
-    keep = complete_clusters(lams, num_modes)
+    # A cluster that runs to the window's last index may go on past it.
+    window = min(num_modes + EXTRA_MODES, n - 2)
+    while True:
+        lams, vecs = _ritz_pairs(system, window)
+        keep = complete_clusters(lams, num_modes)
+        if keep < window:
+            break
+        if window == n - 2:
+            raise SolverError(
+                f"the cluster holding mode {num_modes} reaches the last of "
+                f"the {n - 2} computable modes")
+        window = min(window + max(EXTRA_MODES, 1), n - 2)
     lams = lams[:keep]
     vecs = vecs[:, :keep]
 

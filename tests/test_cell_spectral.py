@@ -11,6 +11,7 @@ from porohom.cell_spectral import (
     solve_eigen,
     write_spectrum_csv,
 )
+from porohom.fem import SolverError
 
 # frozen regression value from this solver at gamma = 1, h = 0.1
 LAM1_G1_H01 = 35.843594718901
@@ -97,6 +98,33 @@ def test_cluster_completion_extends_the_cut(system_g1):
     assert len(spec) == 2
     lams = spec.eigenvalues
     assert lams[1] - lams[0] <= 1e-9 * lams[0]
+
+
+def test_cluster_at_the_window_edge_widens_the_window(monkeypatch,
+                                                     system_g1):
+    # with no spare modes, mode 4 is the first of the 121.5577 pair and
+    # the last of the window: the window must widen to take its partner
+    monkeypatch.setattr(cell_spectral, "EXTRA_MODES", 0)
+    spec = solve_eigen(system_g1, 4)
+    assert len(spec) == 5
+    lams = spec.eigenvalues
+    assert abs(lams[3] - 121.5577) <= 1e-4 * lams[3]
+    assert lams[4] - lams[3] <= 1e-6 * lams[3]
+
+
+def test_cluster_reaching_the_last_computable_mode_raises(monkeypatch,
+                                                         system_g1):
+    n = system_g1.operator.shape[0]
+    windows = []
+
+    def one_cluster(system, window):
+        windows.append(window)
+        return np.full(window, 50.0), np.zeros((n, window))
+
+    monkeypatch.setattr(cell_spectral, "_ritz_pairs", one_cluster)
+    with pytest.raises(SolverError, match="computable modes"):
+        solve_eigen(system_g1, n - 10)
+    assert windows == [n - 4, n - 2]
 
 
 def test_seed_changes_nothing_observable(monkeypatch, system_g1, spectrum_g1):

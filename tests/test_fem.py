@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from porohom.cell_unsteady import solve_cell_unsteady
 from porohom.fem import (
     QUAD_POINTS,
     QUAD_WEIGHTS,
@@ -11,6 +13,7 @@ from porohom.fem import (
     P1Stiffness,
     SolverError,
     SparseFactor,
+    StokesSystem,
     assemble_divergence,
     assemble_p2_stiffness_mass,
     boundary_edge_load,
@@ -21,6 +24,7 @@ from porohom.fem import (
     p2_grads,
     p2_shape,
 )
+from porohom.macro import MacroProblem
 from porohom.meshing import TriMesh, gen_rect_mesh
 
 from conftest import p1_mass
@@ -289,9 +293,12 @@ def test_sparse_factor_contract(caplog):
     assert factor.fill == factor.lu.nnz >= 1600
     assert factor.factor_s >= 0.0
     assert factor.solve_count == 1
+    assert factor.ordering == "MMD_AT_PLUS_A" and factor.fallback is None
     lines = [r for r in caplog.records if r.name.startswith("porohom")]
     assert len(lines) == 1 and lines[0].levelname == "DEBUG"
-    assert f"fill={factor.fill}" in lines[0].getMessage()
+    message = lines[0].getMessage()
+    assert f"fill={factor.fill}" in message
+    assert "ordering=MMD_AT_PLUS_A fallback=None" in message
     # a solve that misses the backward-error contract is rejected
     exact = factor.lu
 
@@ -305,6 +312,47 @@ def test_sparse_factor_contract(caplog):
     singular = sp.csc_matrix((40, 40))
     with pytest.raises(SolverError, match="factorization failed"):
         SparseFactor(singular)
+
+
+def test_sparse_factor_falls_back_to_colamd(caplog):
+    # diagonal pivots of 1e-20 leave the probe a backward error of 0.5;
+    # partial pivoting solves the matrix exactly
+    matrix = sp.csc_matrix(np.array([[1e-20, 1.0], [1.0, 1e-20]]))
+    with caplog.at_level("DEBUG", logger="porohom"):
+        factor = SparseFactor(matrix)
+    assert factor.ordering == "COLAMD"
+    assert "probe backward error" in factor.fallback
+    assert factor.solve_count == 0
+    message = [r for r in caplog.records if r.name.startswith("porohom")][0]
+    assert f"ordering=COLAMD fallback={factor.fallback}" in message.getMessage()
+    rhs = np.array([1.0, 2.0])
+    x = factor.solve(rhs)
+    assert np.linalg.norm(matrix @ x - rhs, np.inf) <= 1e-15
+    assert factor.solve_count == 1
+
+
+def test_no_factorization_falls_back(monkeypatch, cell_mesh_g3, rect_mesh,
+                                     model3):
+    # the cell saddle, the oracle stepper and both macro operators keep
+    # the symmetric factorization, with less fill than COLAMD's
+    factors = []
+    init = SparseFactor.__init__
+
+    def recording(self, matrix):
+        init(self, matrix)
+        factors.append(self)
+
+    monkeypatch.setattr(SparseFactor, "__init__", recording)
+    system = StokesSystem(cell_mesh_g3)
+    assert system.factor is factors[0]
+    solve_cell_unsteady(system, 1e-4, 1e-4)
+    MacroProblem(rect_mesh, model3, "left=dirichlet:0,right=dirichlet:1,"
+                 "top=natural:0,bottom=natural:0")
+    assert len(factors) == 4
+    for factor in factors:
+        assert factor.ordering == "MMD_AT_PLUS_A"
+        assert factor.fallback is None
+        assert factor.fill < spla.splu(factor.matrix).nnz
 
 
 def test_stokes_system_shapes_and_symmetry(system_g1):
