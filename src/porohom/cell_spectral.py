@@ -3,12 +3,15 @@
 Eigenpairs of the vector Laplacian on divergence-free, no-slip, periodic
 velocity fields are computed from the constrained saddle pencil by
 shift-invert Lanczos about zero, reusing one factorization of the steady
-saddle operator.  Eigenfunctions are normalized to unit L2 norm, and for
-each mode the cell averages a^k = (a1, a2) of the eigenfunction are
-recorded; they are the only quantities the kernel model consumes.
+saddle operator, then finished by one purifying solve per Ritz vector and
+one Rayleigh-Ritz step.  Eigenfunctions are orthonormal in L2, inside
+clusters of equal eigenvalues too, and for each mode the cell averages
+a^k = (a1, a2) of the eigenfunction are recorded; they are the only
+quantities the kernel model consumes.
 """
 
 import numpy as np
+from scipy.linalg import LinAlgError, eigh
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .fem import SolverError
@@ -75,42 +78,37 @@ def _fix_sign(coeffs):
 
 
 def _ritz_pairs(system, window):
-    """The window lowest eigenpairs of the cell pencil, purified and
-    sorted by eigenvalue."""
+    """The window lowest eigenpairs of the cell pencil, ascending, with
+    mass-orthonormal vectors.  Shift-invert with a singular mass block
+    leaves the highest Ritz vectors inexact; one solve per vector purifies
+    them (Ericsson-Ruhe) and one Rayleigh-Ritz step on the purified basis
+    Y, eigh(Y^T K Y, Y^T M Y), finishes the pairs."""
     op = system.operator
     mass = system.mass_saddle
     n = op.shape[0]
     factor = system.factor
     opinv = LinearOperator((n, n), matvec=factor.solve)
-    rng = np.random.default_rng(START_SEED)
-    v0 = rng.standard_normal(n)
+    v0 = np.random.default_rng(START_SEED).standard_normal(n)
     try:
-        lams, vecs = eigsh(op, k=window, M=mass, sigma=0.0, which="LM",
-                           OPinv=opinv, v0=v0, tol=1e-12, maxiter=2000)
+        _, vecs = eigsh(op, k=window, M=mass, sigma=0.0, which="LM",
+                        OPinv=opinv, v0=v0, tol=1e-12, maxiter=2000)
     except ArpackError as exc:
         raise SolverError(f"eigensolver failed: {exc}") from exc
-    order = np.argsort(lams)
-    lams = lams[order]
-    vecs = vecs[:, order]
+    basis = np.column_stack([factor.solve(v) for v in (mass @ vecs).T])
+    # A rank-deficient basis fails the Cholesky factorization inside eigh
+    # or, deficient only to rounding, yields vectors of near-zero norm.
+    try:
+        lams, rot = eigh(basis.T @ (op @ basis), basis.T @ (mass @ basis))
+        vecs = basis @ rot
+        drift = np.abs(np.einsum("ij,ij->j", vecs, mass @ vecs) - 1.0).max()
+    except LinAlgError:
+        drift = np.inf
+    if not drift <= RESIDUAL_RTOL:
+        raise SolverError(f"purified Ritz basis is degenerate: mass norms "
+                          f"off by {drift:.2e}")
     if lams[0] <= 0.0:
         raise SolverError(f"nonpositive eigenvalue {lams[0]:.3e} in cell spectrum")
-
-    # Purify each Ritz vector through one application of the inverted
-    # operator (Ericsson-Ruhe).  Shift-invert with a singular mass block
-    # leaves the highest modes in the window with residuals far above
-    # machine precision; one extra triangular solve per mode removes the
-    # contamination.  Eigenvalues are re-estimated by Rayleigh quotient
-    # and move only at rounding level.
-    for j in range(vecs.shape[1]):
-        y = factor.solve(mass @ vecs[:, j])
-        nrm = np.sqrt(y @ (mass @ y))
-        if nrm <= 0.0:
-            raise SolverError(f"purification collapsed mode {j + 1}")
-        y /= nrm
-        lams[j] = y @ (op @ y)
-        vecs[:, j] = y
-    order = np.argsort(lams)
-    return lams[order], vecs[:, order]
+    return lams, vecs
 
 
 def solve_eigen(system, num_modes):
@@ -121,8 +119,9 @@ def solve_eigen(system, num_modes):
     be slightly longer than num_modes; SolverError if that cluster runs
     to the last mode the solver can compute.  Each returned pair satisfies
     ||K x - lam M x|| <= 1e-8 * lam for the reduced saddle operator K and
-    mass M, with the velocity normalized to unit L2 norm.  num_modes = 0
-    gives an empty spectrum, the input of a memoryless kernel model.
+    mass M, and the velocities are orthonormal in L2 (V^T M V = I), inside
+    clusters too.  num_modes = 0 gives an empty spectrum, the input of a
+    memoryless kernel model.
     """
     if num_modes < 0:
         raise ValueError("num_modes must be nonnegative")
@@ -148,32 +147,13 @@ def solve_eigen(system, num_modes):
     lams = lams[:keep]
     vecs = vecs[:, :keep]
 
-    # Normalize in the velocity mass inner product, then orthonormalize
-    # inside clusters where the basis is only defined up to rotation.
-    mnorm = np.sqrt(np.einsum("ij,ij->j", vecs, mass @ vecs))
-    vecs /= mnorm[None, :]
-    for group in cluster_groups(lams):
-        for pos, k in enumerate(group):
-            v = vecs[:, k]
-            for j in group[:pos]:
-                v = v - (vecs[:, j] @ (mass @ v)) * vecs[:, j]
-            nrm = np.sqrt(v @ (mass @ v))
-            if nrm <= 0.0:
-                raise SolverError(f"degenerate cluster collapse at mode {k}")
-            vecs[:, k] = v / nrm
-
-    residuals = np.empty(keep)
-    coeffs = np.empty((keep, 2))
-    for k in range(keep):
-        r = op @ vecs[:, k] - lams[k] * (mass @ vecs[:, k])
-        res = np.linalg.norm(r)
-        if res > RESIDUAL_RTOL * lams[k]:
-            raise SolverError(
-                f"eigen residual {res:.2e} exceeds {RESIDUAL_RTOL:.0e} * "
-                f"lambda ({lams[k]:.4f}) at mode {k + 1}"
-            )
-        residuals[k] = res
-        coeffs[k] = system.velocity_average(vecs[:, k])
+    residuals = np.linalg.norm(op @ vecs - (mass @ vecs) * lams, axis=0)
+    k = np.argmax(residuals / lams)
+    if residuals[k] > RESIDUAL_RTOL * lams[k]:
+        raise SolverError(
+            f"eigen residual {residuals[k]:.2e} exceeds {RESIDUAL_RTOL:.0e} * "
+            f"lambda ({lams[k]:.4f}) at mode {k + 1}")
+    coeffs = np.array([system.velocity_average(v) for v in vecs.T])
     signs = _fix_sign(coeffs)
     vecs *= signs
     coeffs *= signs[:, None]

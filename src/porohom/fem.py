@@ -417,7 +417,7 @@ class SparseFactor:
         x = self.lu.solve(rhs)
         self.solve_count += 1
         error = self._backward_error(x, rhs)
-        if error > BACKWARD_RTOL:
+        if not error <= BACKWARD_RTOL:  # NaN misses too
             raise SolverError(f"direct solve residual: backward error "
                               f"{error:.2e} exceeds {BACKWARD_RTOL:.0e}")
         return x

@@ -96,8 +96,7 @@ def filter_modes(lams, coeffs, epsilon):
     coeffs = np.asarray(coeffs, dtype=float)
     if epsilon <= 0.0:
         return np.arange(lams.size)
-    weight = np.max(np.abs(np.einsum("ki,kj->kij", coeffs, coeffs)), axis=(1, 2))
-    return np.flatnonzero(weight / lams > epsilon)
+    return np.flatnonzero(np.abs(coeffs).max(axis=1) ** 2 / lams > epsilon)
 
 
 def build_kernel_model(k_bar, lams, coeffs, epsilon=0.0, num_modes=None):
@@ -118,6 +117,8 @@ def build_kernel_model(k_bar, lams, coeffs, epsilon=0.0, num_modes=None):
         raise KernelModelError("inconsistent spectral data shapes")
     if np.any(np.diff(lams) < 0.0):
         raise KernelModelError("eigenvalues must be ascending")
+    if not epsilon >= 0.0:
+        raise KernelModelError(f"filter threshold {epsilon} must be nonnegative")
     if num_modes is not None:
         if num_modes < 0 or num_modes > lams.size:
             raise KernelModelError(

@@ -145,6 +145,10 @@ def parse_config(path=None, overrides=None):
         if key not in _PARSERS:
             raise ValueError(f"unknown config key {key!r}")
         config[key] = _PARSERS[key](value)
+    for key, parse in _PARSERS.items():
+        if parse in (float, _parse_float_list) and not np.isfinite(
+                config[key]).all():
+            raise ValueError(f"{key} must be finite")
     if not 0.0 <= config["sigma"] <= 1.0:
         raise ValueError("sigma must lie in [0, 1]")
     for key in ("cell_h", "macro_h", "tau", "oracle_tau", "oracle_horizon",

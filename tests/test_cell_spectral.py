@@ -30,11 +30,14 @@ def test_residual_contract(spectrum_g1):
 
 
 def test_rayleigh_quotient_consistency(system_g1, spectrum_g1):
+    # the whole Gram matrices: V^T M V = I and V^T K V = diag(lambda),
+    # across clusters and inside them, entry (i, j) relative to
+    # sqrt(lambda_i lambda_j)
     op, mass = system_g1.operator, system_g1.mass_saddle
-    for k, lam in enumerate(spectrum_g1.eigenvalues):
-        x = spectrum_g1.vectors[:, k]
-        assert x @ (mass @ x) == pytest.approx(1.0, rel=1e-12)
-        assert x @ (op @ x) == pytest.approx(lam, rel=1e-10)
+    v, lams = spectrum_g1.vectors, spectrum_g1.eigenvalues
+    assert np.abs(v.T @ (mass @ v) - np.eye(lams.size)).max() < 1e-12
+    scale = np.sqrt(np.outer(lams, lams))
+    assert np.all(np.abs(v.T @ (op @ v) - np.diag(lams)) < 1e-10 * scale)
 
 
 def test_velocity_divergence_free(system_g1, spectrum_g1):
@@ -125,6 +128,23 @@ def test_cluster_reaching_the_last_computable_mode_raises(monkeypatch,
     with pytest.raises(SolverError, match="computable modes"):
         solve_eigen(system_g1, n - 10)
     assert windows == [n - 4, n - 2]
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (2, 3)])
+def test_degenerate_ritz_basis_raises(monkeypatch, system_g1, pair):
+    # two equal Ritz vectors make Y^T M Y singular: its Cholesky
+    # factorization either fails or, singular only to rounding, passes
+    # and leaves a near-null vector; both must raise
+    eigsh = cell_spectral.eigsh
+
+    def twin_columns(*args, **kwargs):
+        lams, vecs = eigsh(*args, **kwargs)
+        vecs[:, pair[1]] = vecs[:, pair[0]]
+        return lams, vecs
+
+    monkeypatch.setattr(cell_spectral, "eigsh", twin_columns)
+    with pytest.raises(SolverError, match="degenerate"):
+        solve_eigen(system_g1, 6)
 
 
 def test_seed_changes_nothing_observable(monkeypatch, system_g1, spectrum_g1):

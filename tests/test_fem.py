@@ -309,6 +309,11 @@ def test_sparse_factor_contract(caplog):
     factor.lu = Perturbed()
     with pytest.raises(SolverError, match="residual"):
         factor.solve(rhs)
+    # a non-finite solution has a NaN backward error, which misses too
+    small = SparseFactor(sp.csc_matrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
+    for bad in ([np.nan, 1.0], [1e308, -1e308]):
+        with pytest.raises(SolverError, match="residual"):
+            small.solve(np.array(bad))
     singular = sp.csc_matrix((40, 40))
     with pytest.raises(SolverError, match="factorization failed"):
         SparseFactor(singular)

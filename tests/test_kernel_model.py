@@ -71,6 +71,11 @@ def test_filter_threshold():
     assert np.array_equal(filter_modes(lams, coeffs, 5e-4), [0, 1])
     assert np.array_equal(filter_modes(lams, coeffs, 0.5), [0])
     assert filter_modes(lams, coeffs, 10.0).size == 0
+    # a NaN threshold would compare false against every weight and drop
+    # every mode, so the model refuses it up front
+    for bad in (np.nan, -1e-3):
+        with pytest.raises(KernelModelError, match="threshold"):
+            build_kernel_model(np.eye(2), lams, coeffs, epsilon=bad)
 
 
 def test_filtered_model_keeps_original_ids():

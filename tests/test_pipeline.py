@@ -68,6 +68,14 @@ def test_config_rejects_unknown_and_malformed(tmp_path):
         parse_config(overrides={"sigma": "1.5"})
     with pytest.raises(ValueError):
         parse_config(overrides={"svg": "maybe"})
+    for key in ("epsilon", "tau", "t_final", "oracle_horizon", "source",
+                "macro_lx", "gamma"):
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(ValueError, match=f"{key} must be finite"):
+                parse_config(overrides={key: value})
+    for key in ("f", "snapshots"):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            parse_config(overrides={key: "0.0,nan"})
 
 
 def test_full_pipeline_products(tmp_path):
@@ -272,6 +280,13 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     code = main(["mesh", "--geometry", "cell", "--gamma", "99",
                  "--h", "0.1", "--out", str(tmp_path / "c.mesh")])
     assert code == 2
+
+    # a NaN threshold is refused before it could drop every mode
+    code = main(["kernel", "--spectrum", str(tmp_path / "s.csv"), "--kbar",
+                 str(tmp_path / "k.csv"), "--epsilon", "nan", "--modes", "1",
+                 "--out", str(tmp_path / "kernel.csv")])
+    assert code == 2
+    assert "epsilon must be finite" in capsys.readouterr().err
 
     # pipeline config errors are validation errors as well
     cfg = tmp_path / "p.cfg"
