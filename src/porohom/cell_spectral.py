@@ -2,12 +2,16 @@
 
 Eigenpairs of the vector Laplacian on divergence-free, no-slip, periodic
 velocity fields are computed from the constrained saddle pencil by
-shift-invert Lanczos about zero, reusing one factorization of the steady
-saddle operator, then finished by one purifying solve per Ritz vector and
-one Rayleigh-Ritz step.  Eigenfunctions are orthonormal in L2, inside
-clusters of equal eigenvalues too, and for each mode the cell averages
-a^k = (a1, a2) of the eigenfunction are recorded; they are the only
-quantities the kernel model consumes.
+shift-invert Lanczos about zero, once per symmetry block of the cell
+(four quarter-size blocks on a symmetric cell, else the whole operator),
+reusing each block's factorization from the steady solves.  Each run is
+finished by one purifying solve per Ritz vector and one Rayleigh-Ritz
+step, and the blocks' spectra are merged.  Eigenfunctions are
+orthonormal in L2, inside clusters of equal eigenvalues too, and for
+each mode the cell averages a^k = (a1, a2) of the eigenfunction are
+recorded; they are the only quantities the kernel model consumes.  A
+constant field is odd under the half-turn, so the modes of the two
+even blocks carry a^k = (0, 0).
 """
 
 import numpy as np
@@ -69,7 +73,8 @@ def _fix_sign(coeffs):
 
     A coefficient within a relative 1e-8 of the largest magnitude counts
     as largest, so components equal up to rounding (|a1| = |a2| on a
-    cell symmetric about the diagonal) do not let noise pick the sign.
+    cell nearly symmetric about the diagonal, solved as one block) do
+    not let noise pick the sign.
     """
     mags = np.abs(coeffs)
     first = np.argmax(mags >= (1.0 - 1e-8) * mags.max(axis=1, keepdims=True),
@@ -77,16 +82,17 @@ def _fix_sign(coeffs):
     return np.where(coeffs[np.arange(len(coeffs)), first] < 0.0, -1.0, 1.0)
 
 
-def _ritz_pairs(system, window):
-    """The window lowest eigenpairs of the cell pencil, ascending, with
-    mass-orthonormal vectors.  Shift-invert with a singular mass block
-    leaves the highest Ritz vectors inexact; one solve per vector purifies
-    them (Ericsson-Ruhe) and one Rayleigh-Ritz step on the purified basis
-    Y, eigh(Y^T K Y, Y^T M Y), finishes the pairs."""
-    op = system.operator
-    mass = system.mass_saddle
+def _ritz_pairs(block, window):
+    """The window lowest eigenpairs of a block's pencil, ascending, with
+    mass-orthonormal vectors in block coordinates.  Shift-invert with a
+    singular mass block leaves the highest Ritz vectors inexact; one
+    solve per vector purifies them (Ericsson-Ruhe) and one Rayleigh-Ritz
+    step on the purified basis Y, eigh(Y^T K Y, Y^T M Y), finishes the
+    pairs."""
+    op = block.operator
+    mass = block.mass
     n = op.shape[0]
-    factor = system.factor
+    factor = block.factor
     opinv = LinearOperator((n, n), matvec=factor.solve)
     v0 = np.random.default_rng(START_SEED).standard_normal(n)
     try:
@@ -114,14 +120,19 @@ def _ritz_pairs(system, window):
 def solve_eigen(system, num_modes):
     """First num_modes eigenpairs of a StokesSystem's cell pencil.
 
-    A cluster of near-equal eigenvalues (relative gap below 1e-6) that
-    straddles the requested cut is returned in full, so the spectrum can
-    be slightly longer than num_modes; SolverError if that cluster runs
-    to the last mode the solver can compute.  Each returned pair satisfies
-    ||K x - lam M x|| <= 1e-8 * lam for the reduced saddle operator K and
-    mass M, and the velocities are orthonormal in L2 (V^T M V = I), inside
-    clusters too.  num_modes = 0 gives an empty spectrum, the input of a
-    memoryless kernel model.
+    Each block of the system runs its own eigensolve, and the spectrum
+    is their merge.  A cluster of near-equal eigenvalues (relative gap
+    below 1e-6) that straddles the requested cut is returned in full, so
+    the spectrum can be slightly longer than num_modes; a block's window
+    widens until its largest eigenvalue lies past that cluster, and
+    SolverError if the window reaches the last mode the block's solver
+    can compute.  Each returned pair satisfies ||K x - lam M x|| <= 1e-8
+    * lam for the reduced saddle operator K and mass M, and the
+    velocities are orthonormal in L2 (V^T M V = I), inside clusters too.
+    A mode's coefficients a^k are its velocity averages projected on the
+    forces its block carries: (0, 0) in a block even under the
+    half-turn, c (1, +-1) in an odd one.  num_modes = 0 gives an empty
+    spectrum, the input of a memoryless kernel model.
     """
     if num_modes < 0:
         raise ValueError("num_modes must be nonnegative")
@@ -131,29 +142,57 @@ def solve_eigen(system, num_modes):
     if num_modes == 0:
         return Spectrum(np.zeros(0), np.zeros((0, 2)), np.zeros((n, 0)),
                         np.zeros(0))
-    # Keep num_modes, extending to finish a cluster cut at the boundary.
-    # A cluster that runs to the window's last index may go on past it.
-    window = min(num_modes + EXTRA_MODES, n - 2)
+    blocks = system.blocks
+    share = -(-num_modes // len(blocks))
+    windows = [min(share + EXTRA_MODES, b.size - 2) for b in blocks]
+    pairs = [None] * len(blocks)
     while True:
-        lams, vecs = _ritz_pairs(system, window)
-        keep = complete_clusters(lams, num_modes)
-        if keep < window:
+        for k, block in enumerate(blocks):
+            if pairs[k] is None or pairs[k][0].size != windows[k]:
+                pairs[k] = _ritz_pairs(block, windows[k])
+                # one block's factors at a time: a block whose window
+                # widens is factored again
+                block.free_factor()
+        # Keep num_modes of the merged spectrum, extending to finish a
+        # cluster cut at the boundary.  A cluster may go on past a
+        # block's last mode, so a block whose last mode is kept widens
+        # its window.
+        lams = np.concatenate([p[0] for p in pairs])
+        order = np.argsort(lams, kind="stable")
+        keep = complete_clusters(lams[order], num_modes)
+        rank = np.argsort(order)
+        short = [k for k, last in enumerate(np.cumsum(windows) - 1)
+                 if rank[last] < keep]
+        if not short:
             break
-        if window == n - 2:
-            raise SolverError(
-                f"the cluster holding mode {num_modes} reaches the last of "
-                f"the {n - 2} computable modes")
-        window = min(window + max(EXTRA_MODES, 1), n - 2)
-    lams = lams[:keep]
-    vecs = vecs[:, :keep]
-
-    residuals = np.linalg.norm(op @ vecs - (mass @ vecs) * lams, axis=0)
+        for k in short:
+            top = blocks[k].size - 2
+            if windows[k] == top:
+                raise SolverError(
+                    f"the cluster holding mode {num_modes} reaches the last "
+                    f"of the {top} computable modes")
+            windows[k] = min(windows[k] + max(EXTRA_MODES, 1), top)
+    order = order[:keep]
+    lams = lams[order]
+    owner = np.repeat(np.arange(len(blocks)), windows)[order]
+    local = order - np.cumsum([0] + windows)[:-1][owner]
+    # Every contract runs on the lifted vectors, a block at a time.
+    vecs = np.empty((n, keep))
+    residuals = np.empty(keep)
+    for k, block in enumerate(blocks):
+        mine = owner == k
+        v = block.lift(pairs[k][1][:, local[mine]])
+        residuals[mine] = np.linalg.norm(op @ v - (mass @ v) * lams[mine],
+                                         axis=0)
+        vecs[:, mine] = v
     k = np.argmax(residuals / lams)
     if residuals[k] > RESIDUAL_RTOL * lams[k]:
         raise SolverError(
             f"eigen residual {residuals[k]:.2e} exceeds {RESIDUAL_RTOL:.0e} * "
             f"lambda ({lams[k]:.4f}) at mode {k + 1}")
     coeffs = np.array([system.velocity_average(v) for v in vecs.T])
+    for k, block in enumerate(blocks):
+        coeffs[owner == k] = block.project(coeffs[owner == k])
     signs = _fix_sign(coeffs)
     vecs *= signs
     coeffs *= signs[:, None]

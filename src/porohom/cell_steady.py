@@ -1,10 +1,12 @@
 """Steady cell problems and the averaged permeability tensor.
 
-For each coordinate direction e_j the steady Stokes problem on the
-perforated cell is solved with unit body force e_j, no slip on the
-inclusion and periodicity across the outer faces.  The permeability
-entry K[i, j] is the cell average of the i-th component of the j-th
-solution.
+The steady Stokes problem on the perforated cell is solved for two
+independent unit body forces, with no slip on the inclusion and
+periodicity across the outer faces.  The permeability tensor maps each
+force to the cell average of its velocity.  On a symmetric cell the
+forces are e_x + e_y and e_x - e_y, each solved in the quarter-size
+symmetry block that holds it; elsewhere they are e_x and e_y on the
+whole operator.
 """
 
 import numpy as np
@@ -20,18 +22,26 @@ def solve_cell_steady(system):
     """Solve the steady cell problems of a StokesSystem and average the
     velocities.
 
-    Returns the symmetrized 2x2 tensor k_bar.  Raises SolverError if the
-    raw tensor is asymmetric beyond SYMMETRY_RTOL (relative to its norm)
-    or fails to be positive definite.
+    Each block solves the unit forces whose constant fields it holds
+    (e_x + e_y and e_x - e_y on a symmetric cell, one each in the two
+    blocks odd under the half-turn), and the raw tensor maps each force
+    to its cell-averaged velocity.  Returns the symmetrized 2x2 tensor
+    k_bar.  Raises SolverError if the raw tensor is asymmetric beyond
+    SYMMETRY_RTOL (relative to its norm) or fails to be positive
+    definite.
     """
-    factor = system.factor
-    raw = np.empty((2, 2))
-    for j in range(2):
-        x = factor.solve(system.unit_load(j))
-        div = system.divergence_norm(x)
-        if div > 1e-10 * max(1.0, np.linalg.norm(x)):
-            raise SolverError(f"cell solution {j} divergence residual {div:.2e}")
-        raw[:, j] = system.velocity_average(x)
+    forces, averages = [], []
+    for block in system.blocks:
+        for force, load in zip(block.forces, block.loads.T):
+            x = block.lift(block.factor.solve(load))
+            div = system.divergence_norm(x)
+            if div > 1e-10 * max(1.0, np.linalg.norm(x)):
+                raise SolverError(f"cell solution for force {force} "
+                                  f"divergence residual {div:.2e}")
+            forces.append(force)
+            averages.append(system.velocity_average(x))
+    # raw @ force = average for every force
+    raw = np.linalg.solve(np.array(forces), np.array(averages)).T
 
     scale = np.linalg.norm(raw)
     if abs(raw[0, 1] - raw[1, 0]) > SYMMETRY_RTOL * max(scale, 1e-30):

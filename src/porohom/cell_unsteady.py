@@ -1,17 +1,20 @@
 """Time-resolved cell problems: the direct route to the memory kernel.
 
 Backward Euler is applied to the unsteady Stokes cell problem starting
-from the interpolated unit field e_j.  The first implicit step performs
-the projection onto divergence-free fields, so sample times below a few
-steps carry the projection transient and are excluded from comparisons.
-The kernel sample K[i, j](t) is the cell average of solution j against
-direction i.
+from the interpolated field of a unit force.  The first implicit step
+performs the projection onto divergence-free fields, so sample times
+below a few steps carry the projection transient and are excluded from
+comparisons.  The kernel sample K(t) maps each force to the cell
+average of its solution at time t.  On a symmetric cell the forces are
+e_x + e_y and e_x - e_y, marched in the two quarter-size symmetry blocks
+that hold them, with one stepper factorization each; elsewhere they are
+e_x and e_y on the whole operator.
 """
 
 import numpy as np
 
 from .fem import SolverError, SparseFactor
-from .textio import Records, write_rows
+from .textio import write_rows
 
 
 class KernelSamples:
@@ -54,46 +57,34 @@ def solve_cell_unsteady(system, tau, horizon):
     if nsteps < 1:
         raise ValueError("horizon shorter than one step")
 
-    # Backward Euler on the saddle pencil: (K + M / tau) x_n = M x_{n-1} / tau.
-    mass_tau = system.mass_saddle / tau
-    factor = SparseFactor(system.operator + mass_tau)
-
+    # Backward Euler on each block's pencil:
+    # (K + M / tau) y_n = M y_{n-1} / tau, from the raw force loads.
+    forces, averages = [], []
+    for block in system.blocks:
+        if not block.forces.size:
+            continue
+        mass_tau = block.mass / tau
+        factor = SparseFactor(block.operator + mass_tau)
+        for force, load in zip(block.forces, block.loads.T):
+            state = load / tau
+            history = []
+            for n in range(1, nsteps + 1):
+                y = factor.solve(state)
+                x = block.lift(y)
+                div = system.divergence_norm(x)
+                if div > 1e-8 * max(1.0, np.linalg.norm(x)):
+                    raise SolverError(f"unsteady step {n} force {force}: "
+                                      f"divergence {div:.2e}")
+                state = mass_tau @ y
+                history.append(system.velocity_average(x))
+            forces.append(force)
+            averages.append(history)
+    # values[n] @ force = average at step n for every force
+    values = np.linalg.solve(np.array(forces),
+                             np.array(averages).transpose(1, 0, 2))
     area = system.mesh.area()
-    times = [0.0]
-    values = [area * np.eye(2)]
-    states = [system.unit_load(j) / tau for j in range(2)]  # raw loads
-    for n in range(1, nsteps + 1):
-        sample = np.empty((2, 2))
-        for j in range(2):
-            x = factor.solve(states[j])
-            div = system.divergence_norm(x)
-            if div > 1e-8 * max(1.0, np.linalg.norm(x)):
-                raise SolverError(
-                    f"unsteady step {n} direction {j}: divergence {div:.2e}"
-                )
-            states[j] = mass_tau @ x
-            sample[:, j] = system.velocity_average(x)
-        times.append(n * tau)
-        values.append(sample)
-    return KernelSamples(np.array(times), np.array(values))
-
-
-def kernel_time_integral(samples, component=(0, 0)):
-    """Trapezoid integral of one kernel component with a geometric tail.
-
-    The tail beyond the last sample assumes the decay rate observed over
-    the final step, which is exact once a single exponential dominates.
-    """
-    i, j = component
-    t = samples.times
-    k = samples.values[:, i, j]
-    total = float(np.trapezoid(k, t))
-    if len(k) >= 2 and k[-1] > 0.0 and k[-2] > k[-1]:
-        ratio = k[-1] / k[-2]
-        dt = t[-1] - t[-2]
-        # sum_{n>=1} k_N * ratio^n * dt
-        total += float(k[-1] * dt * ratio / (1.0 - ratio))
-    return total
+    values = np.concatenate([[area * np.eye(2)], values.transpose(0, 2, 1)])
+    return KernelSamples(tau * np.arange(nsteps + 1), values)
 
 
 def write_samples_csv(samples, path):
@@ -106,10 +97,3 @@ def write_samples_csv(samples, path):
     k12 = np.where(k01 == k10, k01, 0.5 * k01 + 0.5 * k10)
     write_rows(path, np.column_stack((samples.times, k11, k12, k22)),
                header="t,K11,K12,K22")
-
-
-def read_samples_csv(path):
-    _, (t, k11, k12, k22) = Records(path, header="t,K11,K12,K22").table(
-        (("time", float),) + (("kernel value", float),) * 3)
-    return KernelSamples(t, np.stack((np.column_stack((k11, k12)),
-                                      np.column_stack((k12, k22))), axis=1))

@@ -15,7 +15,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .meshing import edge_keys, edge_table
+from .meshing import (
+    DIAGONAL,
+    HALF_TURN,
+    NotAnOrbit,
+    edge_keys,
+    edge_table,
+    vertex_image,
+)
 
 _log = logging.getLogger(__name__)
 
@@ -289,6 +296,118 @@ def cell_constraints(mesh, dofmap):
     return np.concatenate(merges), fixed_p2, pairs_p1
 
 
+# The characters (chi(R), chi(S)) that label the blocks, in block order.
+CHARACTERS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def _reduced_image(image, reduced_of_full, what):
+    """The map image on full dofs, carried to reduced dofs; NotAnOrbit
+    unless it keeps fixed dofs fixed and maps merged classes whole."""
+    live = reduced_of_full >= 0
+    if not np.array_equal(live, live[image]):
+        raise NotAnOrbit(f"a fixed {what} dof maps to a free one")
+    src, dst = reduced_of_full[live], reduced_of_full[image[live]]
+    out = np.full(src.max(initial=-1) + 1, -1)
+    out[src] = dst
+    if not np.array_equal(out[src], dst) or np.unique(out).size != out.size:
+        raise NotAnOrbit(f"the {what} map splits a periodic class")
+    return out
+
+
+def _saddle_symmetry(mesh, dofmap, velocity_of_full, pressure_of_full, mat):
+    """The signed permutation matrix T (CSC) of one cell symmetry on
+    unpinned reduced saddle vectors (ux, uy, p): T moves each entry of a
+    field to the image of its dof, the velocity turned by mat."""
+    vertex = vertex_image(mesh, mat)
+    p2 = np.concatenate([vertex, dofmap.edge_dof(vertex[dofmap.edges])])
+    vel = _reduced_image(p2, velocity_of_full, "velocity")
+    pre = _reduced_image(vertex, pressure_of_full, "pressure")
+    nv = vel.size
+    # component c of the velocity becomes component comp[c], times sign
+    comp = np.argmax(mat != 0.0, axis=0)
+    sign = mat[comp, [0, 1]]
+    dest = np.concatenate([comp[0] * nv + vel, comp[1] * nv + vel,
+                           2 * nv + pre])
+    return sp.csc_matrix(
+        (np.repeat([sign[0], sign[1], 1.0], [nv, nv, pre.size]),
+         (dest, np.arange(dest.size))), shape=(dest.size, dest.size))
+
+
+def _orbit_bases(group):
+    """Orthonormal bases (N, m_chi) of the ranges of the projectors
+    (1/4) sum_g chi(g) T_g, one per character in CHARACTERS.
+
+    group holds the signed permutations T_g (CSC) for g = I, R, S, RS.
+    Each orbit of the group adds at most one column: the projection of
+    its first entry, which vanishes when chi conflicts with the entry's
+    stabilizer.
+    """
+    n = group[0].shape[0]
+    reps = np.flatnonzero(np.min([t.indices for t in group], axis=0)
+                          == np.arange(n))
+    t_i, t_r, t_s, t_rs = (t[:, reps] for t in group)
+    bases = []
+    for chi_r, chi_s in CHARACTERS:
+        q = t_i + chi_r * t_r + chi_s * t_s + chi_r * chi_s * t_rs
+        q.eliminate_zeros()
+        q = q[:, np.diff(q.indptr) > 0]
+        norms = np.sqrt(np.asarray(q.multiply(q).sum(axis=0)).ravel())
+        bases.append(q @ sp.diags(1.0 / norms))
+    return bases
+
+
+class CellBlock:
+    """One symmetry block of the cell pencil.
+
+    basis (n, m) lifts block coordinates to reduced saddle vectors, and
+    operator and mass are the pencil restricted to it, (m, m).  character
+    is (chi(R), chi(S)), or None for the one block of a cell that is not
+    an orbit.  forces (k, 2) are the unit body forces whose constant
+    fields lie in the block, and loads (m, k) their block loads, from
+    unit_loads (n, 2), the reduced loads of e_x and e_y.  The
+    factorization of operator is built on first use and kept until
+    free_factor.
+    """
+
+    def __init__(self, character, basis, operator, mass, unit_loads):
+        self.character = character
+        self.basis = basis
+        self.operator = operator
+        self.mass = mass
+        self.size = operator.shape[0]
+        # e_x + s e_y is odd under R and has chi(S) = s, so only the
+        # blocks odd under R hold a constant force
+        if character is None:
+            self.forces = np.eye(2)
+        elif character[0] == -1:
+            self.forces = np.array([[1.0, character[1]]])
+        else:
+            self.forces = np.zeros((0, 2))
+        self.loads = basis.T @ (unit_loads @ self.forces.T)
+        self._factor = None
+
+    @property
+    def factor(self):
+        if self._factor is None:
+            self._factor = SparseFactor(self.operator)
+        return self._factor
+
+    def free_factor(self):
+        """Drop the factorization; the next use of factor rebuilds it."""
+        self._factor = None
+
+    def lift(self, y):
+        """Reduced saddle vector(s) of block coordinates y."""
+        return self.basis @ y
+
+    def project(self, averages):
+        """The parts of velocity averages (m, 2) along the block's forces:
+        zeros in a block that carries none, c (1, +-1) in one that
+        carries e_x +- e_y."""
+        f = self.forces
+        return (averages @ f.T / (f ** 2).sum(axis=1)) @ f
+
+
 class StokesSystem:
     """Constrained Taylor-Hood saddle operator on the perforated cell.
 
@@ -298,6 +417,18 @@ class StokesSystem:
     operator but kept in bx_r and by_r.  The operator matrix is
     symmetric; the companion mass matrix carries the velocity mass in
     its leading blocks.
+
+    The solvers work on blocks.  A mesh that the half-turn R and the
+    diagonal reflection S map onto itself (every gen_cell_mesh cell)
+    splits the pencil into four blocks, one per character
+    chi = (chi(R), chi(S)): block chi is Q^T A Q on the orthonormal
+    orbit basis Q of the unpinned operator A's fields that transform
+    by chi (Bossavit 1986).  The pressure constant lies in block (1, 1),
+    so the pin moves there: that block leaves out the orbit of the last
+    pressure dof.  symmetries holds the signed permutations (T_R, T_S)
+    on unpinned (ux, uy, p) vectors.  Any other mesh gets one block, the
+    pinned operator itself, with symmetries None and the reason in
+    fallback.
     """
 
     def __init__(self, mesh):
@@ -305,8 +436,8 @@ class StokesSystem:
         k2, m2, dofmap = assemble_p2_stiffness_mass(mesh)
         bx, by = assemble_divergence(mesh, dofmap)
         pairs2, fixed2, pairs1 = cell_constraints(mesh, dofmap)
-        rv, _ = build_prolongation(dofmap.num_dofs, pairs2, fixed2)
-        rp, _ = build_prolongation(
+        rv, velocity_of_full = build_prolongation(dofmap.num_dofs, pairs2, fixed2)
+        rp, pressure_of_full = build_prolongation(
             mesh.num_vertices, pairs1, np.zeros(mesh.num_vertices, dtype=bool))
 
         self.stiff_r = (rv.T @ k2 @ rv).tocsr()
@@ -320,22 +451,56 @@ class StokesSystem:
         npr = self.bx_r.shape[0]
         self.n_velocity = nvr
         self.n_pressure = npr
-        bx, by = self.bx_r[:-1], self.by_r[:-1]
-        self.operator = sp.bmat([
-            [self.stiff_r, None, bx.T],
-            [None, self.stiff_r, by.T],
-            [bx, by, None],
-        ], format="csc")
-        self.mass_saddle = sp.block_diag(
-            [self.mass_r, self.mass_r, sp.csr_matrix((npr - 1, npr - 1))],
+        saddle = sp.bmat([
+            [self.stiff_r, None, self.bx_r.T],
+            [None, self.stiff_r, self.by_r.T],
+            [self.bx_r, self.by_r, None],
+        ], format="csr")
+        mass = sp.block_diag(
+            [self.mass_r, self.mass_r, sp.csr_matrix((npr, npr))],
             format="csr")
-        self._factor = None
+        self.operator = saddle[:-1, :-1].tocsc()
+        self.mass_saddle = mass[:-1, :-1]
+        unit = np.column_stack([self.unit_load(0), self.unit_load(1)])
+        try:
+            self.symmetries = tuple(
+                _saddle_symmetry(mesh, dofmap, velocity_of_full,
+                                 pressure_of_full, mat)
+                for mat in (HALF_TURN, DIAGONAL))
+        except NotAnOrbit as exc:
+            self.symmetries, self.fallback = None, f"not an orbit: {exc}"
+            self.blocks = [CellBlock(
+                None, sp.identity(self.operator.shape[0], format="csr"),
+                self.operator, self.mass_saddle, unit)]
+            _log.debug("cell operator: one block of %d, %s",
+                       self.operator.shape[0], self.fallback)
+        else:
+            self.fallback = None
+            self.blocks = self._symmetry_blocks(saddle, mass, unit)
+            _log.debug("cell operator: %d symmetry blocks of %s",
+                       len(self.blocks), [b.size for b in self.blocks])
+        self.block_sizes = tuple(b.size for b in self.blocks)
 
-    @property
-    def factor(self):
-        if self._factor is None:
-            self._factor = SparseFactor(self.operator)
-        return self._factor
+    def _symmetry_blocks(self, saddle, mass, unit):
+        t_r, t_s = self.symmetries
+        n = saddle.shape[0]
+        group = [sp.identity(n, format="csc"), t_r, t_s, (t_r @ t_s).tocsc()]
+        # from unpinned to pinned vectors: shift p to zero its last dof,
+        # which the operator cannot see (B^T 1 = 0), then drop that dof
+        pin = sp.hstack([
+            sp.identity(n - 1, format="csr"),
+            sp.csr_matrix(np.r_[np.zeros(2 * self.n_velocity),
+                                -np.ones(self.n_pressure - 1)][:, None]),
+        ], format="csr")
+        blocks = []
+        for character, q in zip(CHARACTERS, _orbit_bases(group)):
+            if character == (1, 1):
+                q = q[:, q[[-1]].toarray().ravel() == 0.0]
+            qt, q = q.T, q.tocsr()
+            blocks.append(CellBlock(character, pin @ q,
+                                    (qt @ (saddle @ q)).tocsc(),
+                                    qt @ (mass @ q), unit))
+        return blocks
 
     def unit_load(self, axis):
         """Reduced load for a constant unit body force along an axis."""

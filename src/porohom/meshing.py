@@ -21,14 +21,19 @@ MIN_ANGLE_DEG = 20.0
 
 _CENTER = np.array([0.5, 0.5])
 
+# The half-turn R and the diagonal reflection S about the cell center,
+# as matrices on (x, y); they generate the symmetry group {I, R, S, RS}
+# of the tilted cell.
+HALF_TURN = np.array([[-1.0, 0.0], [0.0, -1.0]])
+DIAGONAL = np.array([[0.0, 1.0], [1.0, 0.0]])
 # Signed permutation matrices for the symmetries of the tilted cell:
 # identity, half-turn about the center, and the two diagonal reflections.
 # A circular inclusion additionally admits the axis reflections and
 # quarter turns.  Each entry is (matrix, ring map (sign, quarter-shift)).
 _SYM_CORE = (
     (np.array([[1.0, 0.0], [0.0, 1.0]]), (1, 0)),
-    (np.array([[-1.0, 0.0], [0.0, -1.0]]), (1, 2)),
-    (np.array([[0.0, 1.0], [1.0, 0.0]]), (-1, 0)),
+    (HALF_TURN, (1, 2)),
+    (DIAGONAL, (-1, 0)),
     (np.array([[0.0, -1.0], [-1.0, 0.0]]), (-1, 2)),
 )
 _SYM_EXTRA = (
@@ -41,10 +46,16 @@ _SYM_EXTRA = (
 
 # What read_mesh raises: the one format error of every artifact.
 MeshFormatError = FormatError
+# Largest distance from a mapped vertex to the vertex taken as its image.
+ORBIT_ATOL = 1e-10
 
 
 class MeshQualityError(RuntimeError):
     """Raised when generation cannot reach the required element quality."""
+
+
+class NotAnOrbit(ValueError):
+    """Raised when a symmetry of the cell does not map a mesh onto itself."""
 
 
 class EllipseSpec:
@@ -177,6 +188,23 @@ def edge_table(triangles, nv):
                                         return_inverse=True, return_counts=True)
     return (np.column_stack(np.divmod(keys, nv)), side_edge.reshape(-1, 3),
             counts)
+
+
+def vertex_image(mesh, mat):
+    """Vertex permutation of the cell symmetry x -> c + mat (x - c) about
+    the cell center c; NotAnOrbit unless it maps every vertex onto a
+    vertex within ORBIT_ATOL and triangles onto triangles."""
+    pts = mesh.vertices
+    dist, image = cKDTree(pts).query(_CENTER + (pts - _CENTER) @ mat.T)
+    far = np.argmax(dist)
+    if dist[far] > ORBIT_ATOL:
+        raise NotAnOrbit(f"vertex {far} has no image within {ORBIT_ATOL:.0e}")
+    tris = np.sort(mesh.triangles, axis=1)
+    mapped = np.sort(image[mesh.triangles], axis=1)
+    if not np.array_equal(tris[np.lexsort(tris.T)],
+                          mapped[np.lexsort(mapped.T)]):
+        raise NotAnOrbit("the vertex map does not carry triangles to triangles")
+    return image
 
 
 def _boundary_faults(mesh, edges, side_edge, counts):

@@ -245,8 +245,9 @@ def _stage_kernel(config, files):
 
 
 def _stage_oracle(config, files):
-    # Its own system: the stepper's factorization then never lives next
-    # to the saddle factorization of the cell-steady and eigen stages.
+    # Its own system: the stepper factorizations of the two blocks odd
+    # under the half-turn then never live next to the block
+    # factorizations of the cell-steady and eigen stages.
     system = StokesSystem(read_mesh(files.locate("cell.mesh")))
     samples = solve_cell_unsteady(system, config["oracle_tau"],
                                   config["oracle_horizon"])

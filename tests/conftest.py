@@ -11,9 +11,11 @@ import scipy.sparse as sp
 
 from porohom.cell_spectral import solve_eigen
 from porohom.cell_steady import solve_cell_steady
+from porohom.cell_unsteady import KernelSamples
 from porohom.fem import StokesSystem
 from porohom.kernel_model import build_kernel_model
-from porohom.meshing import EllipseSpec, gen_cell_mesh, gen_rect_mesh
+from porohom.meshing import EllipseSpec, TriMesh, gen_cell_mesh, gen_rect_mesh
+from porohom.textio import Records
 
 # Three-mode surrogate model with realistic numbers (tilted geometry,
 # gamma = 3).  Used by the macro tests so they do not depend on the
@@ -36,6 +38,32 @@ def p1_mass(mesh):
     nv = mesh.num_vertices
     return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
                          shape=(nv, nv)).tocsr()
+
+
+def read_samples_csv(path):
+    """The samples written by cell_unsteady.write_samples_csv."""
+    _, (t, k11, k12, k22) = Records(path, header="t,K11,K12,K22").table(
+        (("time", float),) + (("kernel value", float),) * 3)
+    return KernelSamples(t, np.stack((np.column_stack((k11, k12)),
+                                      np.column_stack((k12, k22))), axis=1))
+
+
+def kernel_time_integral(samples, component=(0, 0)):
+    """Trapezoid integral of one kernel component with a geometric tail.
+
+    The tail beyond the last sample assumes the decay rate observed over
+    the final step, which is exact once a single exponential dominates.
+    """
+    i, j = component
+    t = samples.times
+    k = samples.values[:, i, j]
+    total = float(np.trapezoid(k, t))
+    if len(k) >= 2 and k[-1] > 0.0 and k[-2] > k[-1]:
+        ratio = k[-1] / k[-2]
+        dt = t[-1] - t[-2]
+        # sum_{n>=1} k_N * ratio^n * dt
+        total += float(k[-1] * dt * ratio / (1.0 - ratio))
+    return total
 
 
 @pytest.fixture(scope="session")
@@ -61,6 +89,28 @@ def spectrum_g1(system_g1):
 @pytest.fixture(scope="session")
 def cell_mesh_g3():
     return gen_cell_mesh(EllipseSpec(3.0), 0.1)
+
+
+@pytest.fixture(scope="session")
+def system_g3(cell_mesh_g3):
+    return StokesSystem(cell_mesh_g3)
+
+
+@pytest.fixture(scope="session")
+def cell_mesh_nudged(cell_mesh_g3):
+    """The gamma = 3 cell with one interior vertex moved by 1e-3 h, so
+    that it is no longer an orbit of the cell's symmetries."""
+    mesh = cell_mesh_g3
+    interior = np.setdiff1d(np.arange(mesh.num_vertices), mesh.boundary_edges)
+    vertices = mesh.vertices.copy()
+    vertices[interior[-1]] += [1e-4, 0.0]
+    return TriMesh(vertices, mesh.triangles, mesh.boundary_edges,
+                   mesh.boundary_tags, mesh.periodic_pairs)
+
+
+@pytest.fixture(scope="session")
+def system_nudged(cell_mesh_nudged):
+    return StokesSystem(cell_mesh_nudged)
 
 
 @pytest.fixture(scope="session")

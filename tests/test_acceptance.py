@@ -36,8 +36,9 @@ from porohom import (
 )
 from porohom import cell_spectral
 from porohom.cell_spectral import cluster_groups
-from porohom.cell_unsteady import kernel_time_integral
 from porohom.macro import run
+
+from conftest import kernel_time_integral
 
 pytestmark = pytest.mark.slow
 
@@ -165,9 +166,10 @@ def test_02_eigenvalue_mesh_convergence(spectrum100, chain_coarse):
 
 
 def test_02_fine_mesh_lambda1_shift(spectrum100):
-    # The h = 0.005 mesh and one-mode eigensolve peak at 1.24 GB RSS
-    # (LU fill 84.7 M), and this file's process at 1.54 GB with the
-    # fixtures it holds; the probe asks for 2 GB, which leaves a margin.
+    # The h = 0.005 mesh and one-mode eigensolve peak at 0.71 GB RSS
+    # (four symmetry blocks of 22 M LU fill, factored one at a time),
+    # and this file's process at 0.87 GB with the fixtures it holds;
+    # the probe asks for 2 GB, which leaves a margin.
     # With less memory only the h = 0.02 / h = 0.01 pair is checked.
     if _mem_available_gb() < 2.0:
         pytest.skip("h = 0.005 cell spectrum needs about 2 GB free")

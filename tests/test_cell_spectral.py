@@ -45,11 +45,20 @@ def test_velocity_divergence_free(system_g1, spectrum_g1):
         assert system_g1.divergence_norm(spectrum_g1.vectors[:, k]) < 1e-8
 
 
-def test_coefficients_are_the_vectors_averages(system_g1, spectrum_g1):
-    # the sign flip reaches both the vector and its a^k
+def test_coefficients_are_the_vectors_averages(system_g1, spectrum_g1,
+                                               system_nudged):
+    # the sign flip reaches both the vector and its a^k; a symmetric
+    # cell's blocks project the averages on their forces, which moves
+    # them by rounding only, and the whole operator keeps them as they are
+    scale = np.abs(spectrum_g1.coefficients).max()
     for k in range(len(spectrum_g1)):
         a = system_g1.velocity_average(spectrum_g1.vectors[:, k])
-        assert np.array_equal(a, spectrum_g1.coefficients[k])
+        assert np.abs(a - spectrum_g1.coefficients[k]).max() <= 1e-14 * scale
+        assert a @ spectrum_g1.coefficients[k] >= 0.0
+    spectrum = solve_eigen(system_nudged, 6)
+    for k in range(len(spectrum)):
+        a = system_nudged.velocity_average(spectrum.vectors[:, k])
+        assert np.array_equal(a, spectrum.coefficients[k])
 
 
 def test_circular_cell_has_a_double_ground_mode(system_g1, spectrum_g1):
@@ -116,18 +125,42 @@ def test_cluster_at_the_window_edge_widens_the_window(monkeypatch,
 
 
 def test_cluster_reaching_the_last_computable_mode_raises(monkeypatch,
-                                                         system_g1):
-    n = system_g1.operator.shape[0]
+                                                         system_nudged):
+    n = system_nudged.operator.shape[0]
     windows = []
 
-    def one_cluster(system, window):
+    def one_cluster(block, window):
         windows.append(window)
-        return np.full(window, 50.0), np.zeros((n, window))
+        return np.full(window, 50.0), np.zeros((block.size, window))
 
     monkeypatch.setattr(cell_spectral, "_ritz_pairs", one_cluster)
     with pytest.raises(SolverError, match="computable modes"):
-        solve_eigen(system_g1, n - 10)
+        solve_eigen(system_nudged, n - 10)
     assert windows == [n - 4, n - 2]
+
+
+def test_cluster_past_a_block_widens_that_block(monkeypatch, system_g1):
+    # the even blocks return one cluster at 45 that holds mode 20: they
+    # widen until the smaller one reaches the last mode it can compute,
+    # and the odd blocks, whose windows reach past it, stay as asked
+    sizes = system_g1.block_sizes
+    windows = []
+
+    def cluster_in_two_blocks(block, window):
+        windows.append((block.character, window))
+        lams = 40.0 + np.arange(window, dtype=float)
+        if block.character[0] == 1:
+            lams[:] = 45.0
+        return lams, np.zeros((block.size, window))
+
+    monkeypatch.setattr(cell_spectral, "_ritz_pairs", cluster_in_two_blocks)
+    with pytest.raises(SolverError, match="computable modes"):
+        solve_eigen(system_g1, 20)
+    first = [w for _, w in windows[:4]]
+    assert first == [5 + cell_spectral.EXTRA_MODES] * 4
+    widened = {c for c, w in windows[4:]}
+    assert widened == {(1, 1), (1, -1)}
+    assert windows[-1] == ((1, -1), sizes[1] - 2)
 
 
 @pytest.mark.parametrize("pair", [(0, 1), (2, 3)])

@@ -5,13 +5,10 @@ import pytest
 
 from porohom.cell_steady import solve_cell_steady
 from porohom.cell_spectral import solve_eigen
-from porohom.cell_unsteady import (
-    kernel_time_integral,
-    read_samples_csv,
-    solve_cell_unsteady,
-    write_samples_csv,
-)
+from porohom.cell_unsteady import solve_cell_unsteady, write_samples_csv
 from porohom.kernel_model import build_kernel_model
+
+from conftest import kernel_time_integral, read_samples_csv
 
 TAU = 2e-3
 HORIZON = 0.3

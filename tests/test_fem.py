@@ -338,8 +338,9 @@ def test_sparse_factor_falls_back_to_colamd(caplog):
 
 def test_no_factorization_falls_back(monkeypatch, cell_mesh_g3, rect_mesh,
                                      model3):
-    # the cell saddle, the oracle stepper and both macro operators keep
-    # the symmetric factorization, with less fill than COLAMD's
+    # the four cell saddle blocks, the two oracle stepper blocks and both
+    # macro operators keep the symmetric factorization, with less fill
+    # than COLAMD's
     factors = []
     init = SparseFactor.__init__
 
@@ -349,11 +350,11 @@ def test_no_factorization_falls_back(monkeypatch, cell_mesh_g3, rect_mesh,
 
     monkeypatch.setattr(SparseFactor, "__init__", recording)
     system = StokesSystem(cell_mesh_g3)
-    assert system.factor is factors[0]
+    assert [block.factor for block in system.blocks] == factors
     solve_cell_unsteady(system, 1e-4, 1e-4)
     MacroProblem(rect_mesh, model3, "left=dirichlet:0,right=dirichlet:1,"
                  "top=natural:0,bottom=natural:0")
-    assert len(factors) == 4
+    assert len(factors) == 8
     for factor in factors:
         assert factor.ordering == "MMD_AT_PLUS_A"
         assert factor.fallback is None

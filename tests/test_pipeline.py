@@ -160,26 +160,31 @@ def test_kernel_mode_count_must_fit_the_spectrum(tmp_path, capsys):
 
 
 def test_pipeline_shares_one_cell_system(tmp_path, monkeypatch):
-    # cell-steady and eigen reuse one assembly and one factorization
+    # cell-steady and eigen reuse one assembly, and each of its blocks
+    # is factored exactly once
     from porohom import fem
 
-    counts = {"assembly": 0, "factor": 0}
+    systems, factored = [], []
     build, factor = fem.StokesSystem.__init__, fem.SparseFactor.__init__
 
-    def counted(key, fn):
-        def wrapper(self, *args):
-            counts[key] += 1
-            fn(self, *args)
-        return wrapper
+    def building(self, mesh):
+        systems.append(self)
+        build(self, mesh)
 
-    monkeypatch.setattr(fem.StokesSystem, "__init__",
-                        counted("assembly", build))
-    monkeypatch.setattr(fem.SparseFactor, "__init__",
-                        counted("factor", factor))
+    def factoring(self, matrix):
+        factored.append(matrix)
+        factor(self, matrix)
+
+    monkeypatch.setattr(fem.StokesSystem, "__init__", building)
+    monkeypatch.setattr(fem.SparseFactor, "__init__", factoring)
     out = tmp_path / "run"
     run_pipeline(fast_config(out, stages="mesh"))
     run_pipeline(fast_config(out, stages="cell-steady,eigen"))
-    assert counts == {"assembly": 1, "factor": 1}
+    assert len(systems) == 1
+    blocks = systems[0].blocks
+    assert len(blocks) == 4
+    assert sorted(map(id, factored)) == sorted(
+        id(block.operator) for block in blocks)
 
 
 def test_missing_stage_input_names_the_stage(tmp_path):

@@ -14,11 +14,7 @@ from hypothesis import strategies as st
 import porohom
 from porohom.cell_spectral import read_spectrum_csv, write_spectrum_csv
 from porohom.cell_steady import read_permeability_csv, write_permeability_csv
-from porohom.cell_unsteady import (
-    KernelSamples,
-    read_samples_csv,
-    write_samples_csv,
-)
+from porohom.cell_unsteady import KernelSamples, write_samples_csv
 from porohom.cli import main
 from porohom.kernel_model import KernelModel, read_model_csv, write_model_csv
 from porohom.meshing import (
@@ -32,7 +28,7 @@ from porohom.meshing import (
 )
 from porohom.textio import FormatError
 
-from conftest import COEF3, KBAR3, LAMS3
+from conftest import COEF3, KBAR3, LAMS3, read_samples_csv
 
 EXAMPLES = settings(max_examples=40, derandomize=True, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
