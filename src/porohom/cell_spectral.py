@@ -69,16 +69,8 @@ def complete_clusters(lams, count):
 
 def _fix_sign(coeffs):
     """One sign per mode that makes the first of its largest
-    coefficients (rows of coeffs, (m, 2)) positive.
-
-    A coefficient within a relative 1e-8 of the largest magnitude counts
-    as largest, so components equal up to rounding (|a1| = |a2| on a
-    cell nearly symmetric about the diagonal, solved as one block) do
-    not let noise pick the sign.
-    """
-    mags = np.abs(coeffs)
-    first = np.argmax(mags >= (1.0 - 1e-8) * mags.max(axis=1, keepdims=True),
-                      axis=1)
+    coefficients (rows of coeffs, (m, 2)) positive."""
+    first = np.argmax(np.abs(coeffs), axis=1)
     return np.where(coeffs[np.arange(len(coeffs)), first] < 0.0, -1.0, 1.0)
 
 

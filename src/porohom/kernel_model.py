@@ -11,9 +11,11 @@ and the instantaneous (corrected Darcy) tensor is
     K_tilde = K_bar - sum_k D^k / lambda_k,
 
 so that K_tilde + sum_k D^k / lambda_k recovers K_bar exactly as
-stored.  Modes whose scaled tensor D^k / lambda_k falls below a
-threshold epsilon in every entry may be dropped; their stationary
-contribution is then re-absorbed into K_tilde.
+stored.  One filter rule holds for every epsilon >= 0: mode k is kept
+iff max_i |a_i^k|^2 / lambda_k > epsilon, and a dropped mode's
+stationary contribution is re-absorbed into K_tilde.  At epsilon = 0
+only the modes with a^k = 0 go; they add nothing to K(t), K_tilde or
+the macro balance.
 """
 
 import numpy as np
@@ -26,6 +28,13 @@ class KernelModelError(FormatError):
     """Spectral data or a model file that make no valid kernel model."""
 
 
+def _check_modes(lams, coeffs):
+    if not (np.all(np.isfinite(lams) & (lams > 0.0))
+            and np.isfinite(coeffs).all()):
+        raise KernelModelError("eigenvalues must be finite and positive "
+                               "and coefficients finite")
+
+
 class KernelModel:
     """Reduced kernel: steady tensor, retained modes, corrected tensor.
 
@@ -35,11 +44,10 @@ class KernelModel:
     lams : (m,) retained decay rates, ascending
     coeffs : (m, 2) retained averaged coefficients a^k
     mode_ids : (m,) 1-based positions of the retained modes in the input
-    epsilon : float threshold used for filtering
     k_tilde : (2, 2) corrected instantaneous tensor
     """
 
-    def __init__(self, k_bar, lams, coeffs, mode_ids, epsilon):
+    def __init__(self, k_bar, lams, coeffs, mode_ids):
         k = np.asarray(k_bar, dtype=float)
         if k.shape != (2, 2) or not np.isfinite(k).all() or abs(
                 k[0, 1] - k[1, 0]) > 1e-12 * np.abs(k).max():
@@ -47,12 +55,8 @@ class KernelModel:
         self.k_bar = 0.5 * (k + k.T)
         self.lams = np.asarray(lams, dtype=float)
         self.coeffs = np.asarray(coeffs, dtype=float)
-        if not (np.all(np.isfinite(self.lams) & (self.lams > 0.0))
-                and np.isfinite(self.coeffs).all()):
-            raise KernelModelError("eigenvalues must be finite and positive "
-                                   "and coefficients finite")
+        _check_modes(self.lams, self.coeffs)
         self.mode_ids = np.asarray(mode_ids, dtype=np.int64)
-        self.epsilon = float(epsilon)
         self.d_tensors = np.einsum("ki,kj->kij", self.coeffs, self.coeffs)
         self.d_scaled = self.d_tensors / self.lams[:, None, None]
         self.k_tilde = self.k_bar - np.sum(self.d_scaled, axis=0)
@@ -88,14 +92,12 @@ class KernelModel:
 
 
 def filter_modes(lams, coeffs, epsilon):
-    """Indices (0-based) of modes whose |a_i a_j| / lambda exceeds epsilon.
+    """Indices (0-based) of the modes with max_i |a_i|^2 / lambda > epsilon.
 
-    With epsilon == 0 every mode is retained.
+    The one rule holds at epsilon == 0 too: a mode with a = 0 goes.
     """
     lams = np.asarray(lams, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
-    if epsilon <= 0.0:
-        return np.arange(lams.size)
     return np.flatnonzero(np.abs(coeffs).max(axis=1) ** 2 / lams > epsilon)
 
 
@@ -126,8 +128,10 @@ def build_kernel_model(k_bar, lams, coeffs, epsilon=0.0, num_modes=None):
         num_modes = complete_clusters(lams, num_modes)
         lams = lams[:num_modes]
         coeffs = coeffs[:num_modes]
+    # the filter would drop a NaN or negative-eigenvalue mode silently
+    _check_modes(lams, coeffs)
     keep = filter_modes(lams, coeffs, epsilon)
-    return KernelModel(k_bar, lams[keep], coeffs[keep], keep + 1, epsilon)
+    return KernelModel(k_bar, lams[keep], coeffs[keep], keep + 1)
 
 
 def write_model_csv(model, path):
@@ -148,7 +152,7 @@ def read_model_csv(path):
     _, (_, ids, lams, a1, a2) = records.table(
         (("record", ("MODE",)), ("mode id", INDEX), ("eigenvalue", POSITIVE),
          ("coefficient", float), ("coefficient", float)))
-    model = KernelModel(k_bar, lams, np.column_stack((a1, a2)), ids, 0.0)
+    model = KernelModel(k_bar, lams, np.column_stack((a1, a2)), ids)
     dev = np.max(np.abs(model.k_tilde - k_tilde))
     if dev > 1e-12 * max(1e-30, float(np.abs(k_tilde).max())):
         raise KernelModelError(f"stored KTILDE deviates from KBAR minus mode "

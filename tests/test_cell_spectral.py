@@ -5,7 +5,6 @@ import pytest
 
 from porohom import cell_spectral
 from porohom.cell_spectral import (
-    _fix_sign,
     cluster_groups,
     read_spectrum_csv,
     solve_eigen,
@@ -92,16 +91,6 @@ def test_sign_convention(spectrum_g1):
     for a in spectrum_g1.coefficients:
         if np.linalg.norm(a) > 1e-8:
             assert a[np.argmax(np.abs(a))] >= 0.0
-
-
-@pytest.mark.parametrize("a", [(-0.076, 0.076 * (1.0 + 1e-15)),
-                               (0.076 * (1.0 + 1e-15), -0.076)])
-def test_sign_tie_break_ignores_rounding(a):
-    # |a1| = |a2| up to rounding: the first component decides, not noise
-    a_in = np.array([a])
-    signs = _fix_sign(a_in)
-    assert signs.shape == (1,)
-    assert signs[0] * a_in[0, 0] > 0.0
 
 
 def test_cluster_completion_extends_the_cut(system_g1):

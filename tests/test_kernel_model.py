@@ -64,10 +64,12 @@ def test_forcing_vector_limits(model3):
 
 
 def test_filter_threshold():
-    lams = np.array([1.0, 10.0, 100.0])
-    coeffs = np.array([[1.0, 0.0], [0.1, 0.0], [0.1, 0.0]])
-    # weights |a a^T|_max / lambda are 1, 1e-3 and 1e-4
-    assert np.array_equal(filter_modes(lams, coeffs, 0.0), [0, 1, 2])
+    lams = np.array([1.0, 10.0, 100.0, 200.0, 300.0])
+    coeffs = np.array([[1.0, 0.0], [0.1, 0.0], [0.1, 0.0], [0.0, 0.0],
+                       [1e-150, 0.0]])
+    # weights |a a^T|_max / lambda are 1, 1e-3, 1e-4, 0 and 1e-300 / 300:
+    # one rule for every epsilon, so epsilon = 0 drops only the a = 0 mode
+    assert np.array_equal(filter_modes(lams, coeffs, 0.0), [0, 1, 2, 4])
     assert np.array_equal(filter_modes(lams, coeffs, 5e-4), [0, 1])
     assert np.array_equal(filter_modes(lams, coeffs, 0.5), [0])
     assert filter_modes(lams, coeffs, 10.0).size == 0
@@ -133,6 +135,9 @@ def test_input_validation():
         build_kernel_model(good, [2.0, 1.0], [[0.1, 0.0], [0.1, 0.0]])
     with pytest.raises(KernelModelError, match="positive"):
         build_kernel_model(good, [-1.0, 2.0], [[0.1, 0.0], [0.1, 0.0]])
+    # a mode the filter would drop is still refused, not dropped
+    with pytest.raises(KernelModelError, match="coefficients finite"):
+        build_kernel_model(good, [1.0, 2.0], [[0.1, 0.0], [np.nan, 0.0]])
     with pytest.raises(KernelModelError, match="shapes"):
         build_kernel_model(good, [1.0], [[0.1, 0.0], [0.1, 0.0]])
     with pytest.raises(KernelModelError, match="outside"):

@@ -18,7 +18,7 @@ from porohom.fem import (
     boundary_edge_load,
     p1_integral_vector,
 )
-from porohom.kernel_model import build_kernel_model
+from porohom.kernel_model import KernelModel, build_kernel_model
 from porohom.macro import (
     MacroProblem,
     MacroState,
@@ -430,6 +430,26 @@ def test_memoryless_model_reproduces_steady_state(rect_mesh):
     assert state.v_aux.shape == (0, rect_mesh.num_vertices)
     after = prob.step(state)
     assert np.max(np.abs(after.v - state.v)) < 1e-12
+
+
+def test_zero_weight_mode_never_reaches_the_flow(rect_mesh, model3):
+    # a mode with a = 0 exactly has D = 0: its auxiliary field is marched
+    # but never enters v, the other fields or the ledger, which is why
+    # the kernel model drops it at every epsilon
+    lams = np.insert(LAMS3, 2, 70.0)
+    coeffs = np.insert(COEF3, 2, 0.0, axis=0)
+    padded = KernelModel(KBAR3, lams, coeffs, [1, 2, 3, 4])
+    assert np.array_equal(padded.k_tilde, model3.k_tilde)
+    runs = [run(MacroProblem(rect_mesh, model, BC_DIR, sigma=0.5, tau=1e-3),
+                0.01, snapshot_times=[0.005, 0.01])
+            for model in (model3, padded)]
+    for (_, kept), (_, full) in zip(runs[0].snapshots, runs[1].snapshots):
+        assert np.array_equal(kept.v, full.v)
+        assert np.array_equal(kept.v_aux, full.v_aux[[0, 1, 3]])
+    rows = np.array([runs[0].ledger, runs[1].ledger])
+    assert rows.shape == (2, 10, 5)
+    scale = np.abs(rows[0, :, 2:4]).max(axis=1, keepdims=True)
+    assert np.all(np.abs(rows[1] - rows[0])[:, 2:] <= 1e-15 * scale)
 
 
 def test_run_validates_times(rect_mesh, model3):

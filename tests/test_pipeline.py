@@ -8,7 +8,7 @@ import pytest
 
 from porohom.cli import main
 from porohom.cell_spectral import read_spectrum_csv
-from porohom.kernel_model import read_model_csv
+from porohom.kernel_model import KernelModel, read_model_csv
 from porohom.pipeline import (
     DEFAULTS,
     STAGES,
@@ -118,10 +118,15 @@ def test_kernel_stage_keeps_whole_clusters(tmp_path):
     # or K_tilde of an isotropic cell comes out anisotropic
     out = tmp_path / "run"
     run_pipeline(fast_config(out, stages="mesh,cell-steady,eigen,kernel"))
-    lams, _ = read_spectrum_csv(out / "spectrum.csv")
+    lams, coeffs = read_spectrum_csv(out / "spectrum.csv")
     model = read_model_csv(out / "kernel.csv")
     assert lams.size == 5
-    assert model.num_modes == 5
+    # mode 3 is even under the half-turn, so its a is exactly zero and
+    # the model drops it, even at epsilon = 0, without moving K_tilde
+    assert np.array_equal(coeffs[2], [0.0, 0.0])
+    assert np.array_equal(model.mode_ids, [1, 2, 4, 5])
+    full = KernelModel(model.k_bar, lams, coeffs, np.arange(1, 6))
+    assert np.array_equal(model.k_tilde, full.k_tilde)
     k = model.k_tilde
     assert abs(k[0, 1]) <= 1e-12 * k[0, 0]
     assert abs(k[1, 1] - k[0, 0]) <= 1e-12 * k[0, 0]
@@ -144,7 +149,8 @@ def test_memoryless_chain_runs_end_to_end(tmp_path):
 
 def test_kernel_mode_count_must_fit_the_spectrum(tmp_path, capsys):
     # more modes than the spectrum holds is an error, not a silent cap;
-    # the kernel subcommand without --modes keeps the whole spectrum
+    # the kernel subcommand without --modes keeps the whole spectrum but
+    # for its one mode with a = 0
     out = tmp_path / "run"
     run_pipeline(fast_config(out, stages="mesh,cell-steady,eigen"))
     with pytest.raises(PipelineError) as info:
@@ -156,7 +162,7 @@ def test_kernel_mode_count_must_fit_the_spectrum(tmp_path, capsys):
     assert "num_modes=6 outside [0, 5]" in capsys.readouterr().err
     assert not (out / "k.csv").exists()
     assert main(args) == 0
-    assert read_model_csv(out / "k.csv").num_modes == 5
+    assert read_model_csv(out / "k.csv").num_modes == 4
 
 
 def test_pipeline_shares_one_cell_system(tmp_path, monkeypatch):

@@ -140,7 +140,7 @@ def models(draw):
     k_bar[1, 0] = k_bar[0, 1]
     ids = np.sort(draw(st.lists(st.integers(1, 10 ** 6), min_size=len(modes),
                                 max_size=len(modes), unique=True)))
-    return KernelModel(k_bar, lams, coeffs, ids, epsilon=0.0)
+    return KernelModel(k_bar, lams, coeffs, ids)
 
 
 @EXAMPLES
@@ -157,7 +157,7 @@ def test_model_keeps_the_symmetric_part_of_k_bar(tmp_path):
     # model stores its symmetric part, so the model file reads back
     k_bar = KBAR3.copy()
     k_bar[1, 0] = np.nextafter(k_bar[0, 1], 1.0)
-    model = KernelModel(k_bar, LAMS3, COEF3, [1, 2, 3], 0.0)
+    model = KernelModel(k_bar, LAMS3, COEF3, [1, 2, 3])
     assert model.k_bar[0, 1] == model.k_bar[1, 0]
     write_model_csv(model, tmp_path / "kernel.csv")
     assert same_bits(read_model_csv(tmp_path / "kernel.csv").k_bar,
@@ -193,7 +193,7 @@ def good(tmp_path):
              ("k_bar.csv", "spectrum.csv", "kernel.csv", "domain.mesh")}
     write_permeability_csv(KBAR3, paths["k_bar.csv"])
     paths["spectrum.csv"].write_text(_spectrum_text())
-    write_model_csv(KernelModel(KBAR3, LAMS3, COEF3, [1, 2, 3], 0.0),
+    write_model_csv(KernelModel(KBAR3, LAMS3, COEF3, [1, 2, 3]),
                     paths["kernel.csv"])
     write_mesh(gen_rect_mesh(2.0, 1.0, 0.5), paths["domain.mesh"])
     return paths
