@@ -58,6 +58,7 @@ raises SolverError when the recurrence has drifted from it.
 """
 
 import logging
+import os
 import time
 
 import numpy as np
@@ -70,7 +71,7 @@ from .fem import (
     p1_gradient_load,
     p1_integral_vector,
 )
-from .textio import write_rows
+from .textio import write_numbered_table, write_rows
 
 _log = logging.getLogger(__name__)
 
@@ -505,10 +506,13 @@ def write_state_csv(path, mesh, state):
     """State table: node,x,y,v,v_1..v_m rows."""
     m = state.v_aux.shape[0]
     header = "node,x,y,v" + "".join(f",v_{k + 1}" for k in range(m))
-    write_rows(path, ([i, x, y, v] + state.v_aux[:, i].tolist()
-                      for i, ((x, y), v) in enumerate(
-                          zip(mesh.vertices.tolist(), state.v.tolist()))),
-               header=header)
+    start = time.perf_counter()
+    processes, fallback = write_numbered_table(
+        path, header, (mesh.vertices, state.v, state.v_aux.T))
+    _log.debug("state %s: %d rows, %d bytes, %d processes, %.3f s%s", path,
+               mesh.num_vertices, os.path.getsize(path), processes,
+               time.perf_counter() - start,
+               f", fallback: {fallback}" if fallback else "")
 
 
 def write_ledger_csv(path, ledger):

@@ -2,7 +2,8 @@
 
 Filled contours are produced per triangle by clipping it against the
 level bands of the linear interpolant (a Sutherland-Hodgman pass in
-value space), so the output needs no external plotting stack.  The
+value space; a triangle inside one band is written as it stands), so
+the output needs no external plotting stack.  The
 renderer is a convenience artifact; nothing downstream consumes it.
 """
 
@@ -47,19 +48,26 @@ def _band_polygon(points, values, lo, hi):
     return points
 
 
+def _polygon(coords, band):
+    return (f'<polygon points="{coords}" fill="{_RAMP[band]}" '
+            f'stroke="{_RAMP[band]}" stroke-width="0.4"/>')
+
+
 def render_field_svg(path, mesh, values, title=None):
     """Write a filled-contour SVG of a nodal field.
 
     Parameters
     ----------
     mesh : TriMesh
-    values : (num_vertices,) nodal data
+    values : (num_vertices,) finite nodal data
     title : str or None
         Optional caption placed above the drawing.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (mesh.num_vertices,):
         raise ValueError("values must be nodal (one per vertex)")
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
     verts = mesh.vertices
     lo = verts.min(axis=0)
     hi = verts.max(axis=0)
@@ -89,33 +97,52 @@ def render_field_svg(path, mesh, values, title=None):
         f'<rect width="{total_w:.0f}" height="{total_h:.0f}" fill="white"/>',
     ]
     if title:
+        # What xml.sax.saxutils.escape does, without importing it: that
+        # loads urllib and ssl, 2 MB of resident memory.
+        text = title.replace("&", "&amp;").replace("<", "&lt;").replace(
+            ">", "&gt;")
         rows.append(
             f'<text x="{pad:.1f}" y="{0.05 * WIDTH:.1f}" '
             f'font-family="monospace" font-size="{0.03 * WIDTH:.0f}">'
-            f"{title}</text>")
+            f"{text}</text>")
 
-    for tri in mesh.triangles:
-        pts = [tuple(verts[i]) for i in tri]
-        val = [float(values[i]) for i in tri]
-        tmin, tmax = min(val), max(val)
-        if flat:
-            bands = [0]
-        else:
-            first = max(0, int(np.searchsorted(edges, tmin, "right")) - 1)
-            last = min(len(_RAMP) - 1,
-                       int(np.searchsorted(edges, tmax, "left")))
-            bands = range(first, last + 1)
-        for b in bands:
-            if flat:
-                poly = pts
-            else:
-                poly = _band_polygon(pts, val, edges[b], edges[b + 1])
-            if len(poly) < 3:
-                continue
-            coords = " ".join(f"{x:.2f},{y:.2f}"
-                              for x, y in (to_px(p) for p in poly))
-            rows.append(f'<polygon points="{coords}" fill="{_RAMP[b]}" '
-                        f'stroke="{_RAMP[b]}" stroke-width="0.4"/>')
+    tris = mesh.triangles
+    tri_vals = values[tris]
+    tmin = tri_vals.min(axis=1)
+    tmax = tri_vals.max(axis=1)
+    # Bands first..last may hold part of a triangle.  One whose values
+    # all lie in band first (the last band includes its top level, which
+    # linspace makes exactly vmax) is that band's polygon as it stands;
+    # the clipper would return its three corners unchanged.  A triangle
+    # touching any other level keeps the clipper, degenerate parts and all.
+    if flat:
+        first = last = np.zeros(len(tris), dtype=np.int64)
+        whole = np.ones(len(tris), dtype=bool)
+    else:
+        top_band = len(_RAMP) - 1
+        first = np.maximum(np.searchsorted(edges, tmin, "right") - 1, 0)
+        last = np.minimum(np.searchsorted(edges, tmax, "left"), top_band)
+        upper = edges[np.minimum(first + 1, top_band + 1)]
+        whole = (first == top_band) | ((first < top_band) & (tmax < upper))
+    px = pad + (verts[:, 0] - lo[0]) * scale
+    py = top + (hi[1] - verts[:, 1]) * scale
+    labels = [f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist())]
+    corners = np.array(labels, dtype=object)[tris].T
+    polygons = [_polygon(f"{p} {q} {r}", b) if one else ""
+                for p, q, r, b, one in zip(*corners, first.tolist(),
+                                           whole.tolist())]
+    bounds = edges.tolist()
+    for t in np.flatnonzero(~whole).tolist():
+        pts = verts[tris[t]].tolist()
+        vals = tri_vals[t].tolist()
+        parts = []
+        for band in range(first[t], last[t] + 1):
+            poly = _band_polygon(pts, vals, bounds[band], bounds[band + 1])
+            if len(poly) >= 3:
+                parts.append(_polygon(" ".join(
+                    f"{x:.2f},{y:.2f}" for x, y in map(to_px, poly)), band))
+        polygons[t] = "\n".join(parts)
+    rows.extend(filter(None, polygons))
 
     bar_x = WIDTH + 2 * pad
     seg_h = height / len(_RAMP)

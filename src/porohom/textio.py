@@ -1,13 +1,17 @@
-"""The one writer and the one record reader of porohom's text artifacts.
+"""The writers and the one record reader of porohom's text artifacts.
 
 Every artifact is ASCII: an optional header line, then one record per
 line, fields joined by a comma (blanks in the mesh format).  Floats are
-written by repr, so they read back bit for bit.  The reader skips blank
+written by repr, so they read back bit for bit.  write_rows writes any
+records; write_numbered_table writes a numbered float table, formatting
+a large one in forked worker processes.  The reader skips blank
 lines and checks the header, the field count of every record, that
 floats are finite and that integers lie in their field's range; every
 failure is a FormatError that names the 1-based line.
 """
 
+import os
+from collections import deque
 from itertools import repeat
 
 import numpy as np
@@ -17,6 +21,14 @@ import numpy as np
 # allowed integers or words.  Counts and indices beyond 2**31 are garbage.
 POSITIVE = "positive"
 INDEX = range(1, 2 ** 31)
+
+# A numbered table of fewer values is formatted in this process: forking
+# the workers would cost more than the quarter second of repr it saves.
+# A worker formats about this many values per task.
+_POOL_MIN_VALUES = 2 ** 18
+_BLOCK_VALUES = 2 ** 14
+# The tables a forked worker formats from, set only in the worker.
+_worker_tables = None
 
 
 class FormatError(ValueError):
@@ -38,6 +50,116 @@ def write_rows(path, rows, header=None, sep=","):
         for row in rows:
             handle.write(sep.join([repr(float(v)) if isinstance(v, float)
                                    else str(v) for v in row]) + "\n")
+
+
+def numbered_lines(tables, start, stop):
+    """Rows start..stop-1 of a numbered table as text: each line is the
+    row number, then that row of every table, floats written by repr."""
+    block = np.hstack([np.reshape(t[start:stop], (stop - start, -1))
+                       for t in tables])
+    return "".join([f"{i},{','.join(map(repr, row))}\n"
+                    for i, row in zip(range(start, stop), block.tolist())])
+
+
+def _adopt(tables):
+    global _worker_tables
+    _worker_tables = tables
+
+
+def _worker_lines(start, stop):
+    return numbered_lines(_worker_tables, start, stop)
+
+
+def _cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _write_in_workers(handle, tables, blocks, workers):
+    """Write the blocks' lines in order, formatted by forked workers.
+
+    The workers inherit the tables through fork, so a task is a
+    (start, stop) pair and no array is pickled; at most two tasks per
+    worker are in flight.  Fork, not spawn: a worker only copies numbers
+    and calls repr, touching no lock a BLAS thread could hold, where a
+    spawned one would import the package again and be sent the arrays.
+    Returns the number of blocks written and, if the pool could not
+    start or broke, why.
+    """
+    # Imported here: these modules hold 2.6 MB of resident memory, which
+    # only a process that forks should pay.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:
+        return 0, "no fork start method"
+    others = set(multiprocessing.active_children())
+    pool = ProcessPoolExecutor(workers, mp_context=context,
+                               initializer=_adopt, initargs=(tables,))
+    todo = iter(blocks)
+    queued = deque()
+    done, failure = 0, None
+    try:
+        while True:
+            try:
+                for block in todo:
+                    queued.append(pool.submit(_worker_lines, *block))
+                    if len(queued) == 2 * workers:
+                        break
+                if not queued:
+                    break
+                text = queued.popleft().result()
+            except (OSError, BrokenProcessPool) as exc:
+                failure = f"{type(exc).__name__}: {exc}"
+                break
+            handle.write(text)
+            done += 1
+    finally:
+        pool.shutdown(cancel_futures=True)
+    if failure is not None:
+        # A fork that fails after the first leaves the workers already
+        # started waiting for tasks, and shutdown does not join them.
+        for child in set(multiprocessing.active_children()) - others:
+            child.terminate()
+            child.join()
+    return done, failure
+
+
+def write_numbered_table(path, header, tables):
+    """Write the header line, then one numbered_lines line per row.
+
+    tables are float arrays whose first axis runs over the rows.  A large
+    table is formatted by one forked worker per CPU this process may run
+    on, in blocks of rows written in order, so the bytes do not depend on
+    the number of workers; a pool that cannot start or breaks leaves the
+    rest to this process.  Returns the number of processes that
+    formatted the rows and the reason for a fallback, or None.
+    """
+    rows = len(tables[0])
+    width = max(1, sum(t[:1].size for t in tables))
+    step = max(1, _BLOCK_VALUES // width)
+    blocks = [(start, min(start + step, rows))
+              for start in range(0, rows, step)]
+    workers = min(_cpus(), len(blocks))
+    processes, done, fallback = 1, 0, None
+    with open(path, "w", encoding="ascii") as handle:
+        handle.write(header + "\n")
+        if workers > 1 and rows * width >= _POOL_MIN_VALUES:
+            # a forked worker must not inherit unwritten text
+            handle.flush()
+            done, fallback = _write_in_workers(handle, tables, blocks,
+                                               workers)
+            if fallback is None:
+                processes = workers
+        for start, stop in blocks[done:]:
+            handle.write(numbered_lines(tables, start, stop))
+    return processes, fallback
 
 
 def _column(tokens, kind):

@@ -5,10 +5,13 @@ macroscopic rectangle, which keeps the module tests fast.  The
 acceptance tests build their own fine meshes.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from porohom import textio
 from porohom.cell_spectral import solve_eigen
 from porohom.cell_steady import solve_cell_steady
 from porohom.cell_unsteady import KernelSamples
@@ -64,6 +67,32 @@ def kernel_time_integral(samples, component=(0, 0)):
         # sum_{n>=1} k_N * ratio^n * dt
         total += float(k[-1] * dt * ratio / (1.0 - ratio))
     return total
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_running():
+    """Fail a test after which a child process is still alive, and stop
+    that child so the tests after it start clean."""
+    yield
+    children = multiprocessing.active_children()
+    for child in children:
+        child.terminate()
+        child.join(10)
+    if children:
+        pytest.fail(f"child processes left running: {children}")
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Send even a coarse numbered table to the worker processes, about
+    ten rows per task; the test sets the CPU count, and one CPU keeps
+    the table in the test's process."""
+    monkeypatch.setattr(textio, "_POOL_MIN_VALUES", 0)
+    monkeypatch.setattr(textio, "_BLOCK_VALUES", 70)
+
+    def cpus(count):
+        monkeypatch.setattr(textio, "_cpus", lambda: count)
+    return cpus
 
 
 @pytest.fixture(scope="session")

@@ -7,11 +7,15 @@ must track a two-component recurrence to rounding accuracy.  Uniform
 Dirichlet data reduce the same way to a scalar recurrence per mode.
 """
 
+import errno
 import logging
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from porohom import textio
 from porohom.fem import (
     P1Stiffness,
     SolverError,
@@ -28,6 +32,7 @@ from porohom.macro import (
     write_ledger_csv,
     write_state_csv,
 )
+from porohom.textio import Records, write_rows
 
 from conftest import COEF3, KBAR3, LAMS3, p1_mass
 
@@ -508,3 +513,109 @@ def test_state_and_ledger_csv(tmp_path, rect_mesh, model3):
     last = lines[-1].split(",")
     assert int(last[0]) == len(res.ledger)
     assert float(last[4]) == res.ledger[-1][4]
+
+
+@pytest.fixture
+def march_state(rect_mesh, model3):
+    prob = MacroProblem(rect_mesh, model3, BC_NAT, f=(1.0, 0.0),
+                        sigma=0.5, tau=1e-3)
+    return run(prob, 0.005, snapshot_times=[0.005]).snapshots[0][1]
+
+
+def write_reference_state(path, mesh, state):
+    """The state table written one value at a time."""
+    header = "node,x,y,v" + "".join(
+        f",v_{k + 1}" for k in range(state.v_aux.shape[0]))
+    write_rows(path, ([i, x, y, v] + state.v_aux[:, i].tolist()
+                      for i, ((x, y), v) in enumerate(
+                          zip(mesh.vertices.tolist(), state.v.tolist()))),
+               header=header)
+
+
+def state_log(caplog):
+    [record] = [r for r in caplog.records if r.name == "porohom.macro"
+                and r.message.startswith("state ")]
+    return record.message
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_state_csv_bytes_do_not_depend_on_processes(
+        tmp_path, caplog, rect_mesh, march_state, pooled, cpus):
+    pooled(cpus)
+    write_reference_state(tmp_path / "reference.csv", rect_mesh, march_state)
+    path = tmp_path / "state.csv"
+    with caplog.at_level(logging.DEBUG, logger="porohom.macro"):
+        write_state_csv(path, rect_mesh, march_state)
+    assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    message = state_log(caplog)
+    assert f"{rect_mesh.num_vertices} rows" in message
+    assert f"{path.stat().st_size} bytes" in message
+    assert f"{cpus} processes" in message
+    assert "fallback" not in message
+
+
+def test_state_csv_reads_back_bit_for_bit(tmp_path, rect_mesh, march_state,
+                                          pooled):
+    pooled(2)
+    path = tmp_path / "state.csv"
+    write_state_csv(path, rect_mesh, march_state)
+    m = march_state.v_aux.shape[0]
+    header = "node,x,y,v" + "".join(f",v_{k + 1}" for k in range(m))
+    _, (node, x, y, v, *v_aux) = Records(path, header=header).table(
+        (("node", range(0, 2 ** 31)),) + (("value", float),) * (3 + m))
+    assert node.tolist() == list(range(rect_mesh.num_vertices))
+    assert (np.column_stack((x, y)).tobytes()
+            == rect_mesh.vertices.tobytes())
+    assert v.tobytes() == march_state.v.tobytes()
+    assert np.stack(v_aux).tobytes() == march_state.v_aux.tobytes()
+
+
+def lines_then_exit(start, stop):
+    """A worker task that ends its worker past the first blocks."""
+    if start >= 40:
+        os._exit(1)
+    return textio.numbered_lines(textio._worker_tables, start, stop)
+
+
+def failing_fork(succeed):
+    """os.fork that raises EAGAIN after its first succeed calls."""
+    real, calls = os.fork, []
+
+    def fork():
+        calls.append(None)
+        if len(calls) > succeed:
+            raise OSError(errno.EAGAIN, "fork refused")
+        return real()
+    return fork
+
+
+def no_fork_context(method=None):
+    raise ValueError(f"cannot find context for {method!r}")
+
+
+@pytest.mark.parametrize("fault, reason", [
+    ("no fork", "no fork start method"),
+    ("fork fails", "[Errno 11] fork refused"),
+    ("second fork fails", "[Errno 11] fork refused"),
+    ("worker exits", "BrokenProcessPool"),
+])
+def test_state_csv_falls_back_to_this_process(
+        tmp_path, monkeypatch, caplog, rect_mesh, march_state, pooled,
+        fault, reason):
+    pooled(2)
+    if fault == "no fork":
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork_context)
+    elif fault == "worker exits":
+        monkeypatch.setattr(textio, "_worker_lines", lines_then_exit)
+    else:
+        monkeypatch.setattr(os, "fork", failing_fork(
+            0 if fault == "fork fails" else 1))
+    write_reference_state(tmp_path / "reference.csv", rect_mesh, march_state)
+    path = tmp_path / "state.csv"
+    with caplog.at_level(logging.DEBUG, logger="porohom.macro"):
+        write_state_csv(path, rect_mesh, march_state)
+    assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    message = state_log(caplog)
+    assert "1 processes" in message
+    assert "fallback: " in message and reason in message
+    assert not multiprocessing.active_children()

@@ -1,6 +1,7 @@
 """End-to-end pipeline, its config file handling and the CLI wrapper."""
 
 import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -96,10 +97,13 @@ def test_full_pipeline_products(tmp_path):
     assert not list(out.glob("*.partial"))
 
 
-def test_pipeline_is_deterministic(tmp_path):
+def test_pipeline_is_deterministic(tmp_path, pooled):
+    pooled(1)
     m1 = run_pipeline(fast_config(tmp_path / "a"))
+    pooled(2)  # the second run formats its states in two workers
     m2 = run_pipeline(fast_config(tmp_path / "b"))
     assert m1["artifacts"] == m2["artifacts"]
+    assert not multiprocessing.active_children()
 
 
 def test_stage_subsets_resume_from_artifacts(tmp_path):
