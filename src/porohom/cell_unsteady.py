@@ -44,7 +44,8 @@ def solve_cell_unsteady(system, tau, horizon):
         Final time; the number of steps is round(horizon / tau).
 
     Returns KernelSamples whose first row is the raw t=0 average, equal
-    to the fluid area times the identity.
+    to the fluid area times the identity.  A block's cached steady
+    factorization is dropped before its stepper is factored.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
@@ -64,6 +65,7 @@ def solve_cell_unsteady(system, tau, horizon):
         if not block.forces.size:
             continue
         mass_tau = block.mass / tau
+        block.free_factor()  # no steady factor beside the stepper
         factor = SparseFactor(block.operator + mass_tau)
         for force, load in zip(block.forces, block.loads.T):
             state = load / tau

@@ -18,7 +18,13 @@ from .meshing import (
     gen_rect_mesh,
     write_mesh,
 )
-from .pipeline import PipelineError, parse_config, run_pipeline, run_stage
+from .pipeline import (
+    PipelineError,
+    _StageFiles,
+    parse_config,
+    run_pipeline,
+    run_stage,
+)
 
 
 # Failures of the numerics rather than of the input (exit code 3).
@@ -58,13 +64,14 @@ def _cmd_stage(args):
     """Run one pipeline stage; outputs without a flag land next to --out."""
     keys, flags = _STAGE_FLAGS[args.command]
     overrides = {key: getattr(args, key) for key in keys}
+    overrides["out_dir"] = os.path.dirname(args.out) or "."
+    paths = {name: getattr(args, flag) for flag, name in flags.items()}
     if args.command == "kernel" and args.modes is None:
         # Without --modes the kernel keeps the whole spectrum.
-        overrides["modes"] = read_spectrum_csv(args.spectrum)[0].size
-    overrides["out_dir"] = os.path.dirname(args.out) or "."
+        spectrum = _StageFiles(".", paths).input("spectrum.csv")
+        overrides["modes"] = read_spectrum_csv(spectrum)[0].size
     os.makedirs(overrides["out_dir"], exist_ok=True)
     config = parse_config(overrides=overrides)
-    paths = {name: getattr(args, flag) for flag, name in flags.items()}
     for _, path in run_stage(args.command, config, paths):
         print(f"wrote {path}")
 

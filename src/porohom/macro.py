@@ -90,7 +90,7 @@ def parse_bc(bc):
 
     bc is a string like "left=dirichlet:0,right=natural:1"; a side is a
     plain name or its tag (OuterLeft, ...), and kinds may be in any case.
-    All four sides must be given."""
+    All four sides must be given, each with a finite value."""
     table = {}
     for item in bc.split(","):
         item = item.strip()
@@ -110,7 +110,11 @@ def parse_bc(bc):
             raise ValueError(f"unknown boundary kind {kind!r}")
         if tag in table:
             raise ValueError(f"duplicate condition for side {side!r}")
-        table[tag] = (kind, float(value))
+        value = float(value)
+        if not np.isfinite(value):
+            raise ValueError(f"boundary value {value} on side {side!r} "
+                             "must be finite")
+        table[tag] = (kind, value)
     missing = [s for s in _SIDES if s not in table]
     if missing:
         raise ValueError(f"missing boundary condition for {missing}")

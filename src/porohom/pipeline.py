@@ -22,43 +22,12 @@ from .cell_steady import (
 from .cell_unsteady import solve_cell_unsteady, write_samples_csv
 from .fem import StokesSystem
 from .kernel_model import build_kernel_model, read_model_csv, write_model_csv
-from .macro import MacroProblem, run, write_ledger_csv, write_state_csv
+from .macro import (MacroProblem, parse_bc, run, write_ledger_csv,
+                    write_state_csv)
 from .meshing import EllipseSpec, gen_cell_mesh, gen_rect_mesh, read_mesh, write_mesh
 from .svgplot import render_field_svg
 
 STAGES = ("mesh", "cell-steady", "eigen", "kernel", "oracle", "macro")
-
-DEFAULTS = {
-    "gamma": 3.0,
-    "cell_h": 0.01,
-    "macro_h": 0.05,
-    "macro_lx": 2.0,
-    "macro_ly": 1.0,
-    "modes": 100,
-    "epsilon": 0.0,
-    "sigma": 0.5,
-    "tau": 1e-5,
-    "t_final": 7.5e-4,
-    "snapshots": (0.0, 2.5e-4, 5e-4, 7.5e-4),
-    "bc": "left=dirichlet:0,right=dirichlet:1,"
-          "top=natural:0,bottom=natural:0",
-    "f": (0.0, 0.0),
-    "source": 0.0,
-    "oracle_tau": 1e-4,
-    "oracle_horizon": 0.2,
-    "svg": True,
-    "out_dir": "pipeline_out",
-    "stages": ("mesh", "cell-steady", "eigen", "kernel", "macro"),
-}
-
-_STAGE_INPUTS = {
-    "mesh": (),
-    "cell-steady": ("cell.mesh",),
-    "eigen": ("cell.mesh",),
-    "kernel": ("k_bar.csv", "spectrum.csv"),
-    "oracle": ("cell.mesh",),
-    "macro": ("macro.mesh", "kernel.csv"),
-}
 
 
 class PipelineError(RuntimeError):
@@ -96,27 +65,40 @@ def _parse_stages(text):
         raise ValueError("duplicate stage names")
     return tuple(sorted(names, key=STAGES.index))
 
-_PARSERS = {
-    "gamma": float,
-    "cell_h": float,
-    "macro_h": float,
-    "macro_lx": float,
-    "macro_ly": float,
-    "modes": int,
-    "epsilon": float,
-    "sigma": float,
-    "tau": float,
-    "t_final": float,
-    "snapshots": _parse_float_list,
-    "bc": str,
-    "f": _parse_float_list,
-    "source": float,
-    "oracle_tau": float,
-    "oracle_horizon": float,
-    "svg": _parse_bool,
-    "out_dir": str,
-    "stages": _parse_stages,
+
+# Rules on a parsed value: a test it must pass and what a failure
+# says.  The bc rule is the macro stage's boundary parser, which raises
+# its own error.
+_POSITIVE = (lambda value: value > 0.0, "must be positive")
+_NONNEGATIVE = (lambda value: value >= 0.0, "must be nonnegative")
+_UNIT = (lambda value: 0.0 <= value <= 1.0, "must lie in [0, 1]")
+_BOUNDARY = (parse_bc, None)
+
+# key: (default, parser, rule or None); float values must be finite.
+_KEYS = {
+    "gamma": (3.0, float, None),
+    "cell_h": (0.01, float, _POSITIVE),
+    "macro_h": (0.05, float, _POSITIVE),
+    "macro_lx": (2.0, float, _POSITIVE),
+    "macro_ly": (1.0, float, _POSITIVE),
+    "modes": (100, int, _NONNEGATIVE),
+    "epsilon": (0.0, float, _NONNEGATIVE),
+    "sigma": (0.5, float, _UNIT),
+    "tau": (1e-5, float, _POSITIVE),
+    "t_final": (7.5e-4, float, _NONNEGATIVE),
+    "snapshots": ((0.0, 2.5e-4, 5e-4, 7.5e-4), _parse_float_list, None),
+    "bc": ("left=dirichlet:0,right=dirichlet:1,"
+           "top=natural:0,bottom=natural:0", str, _BOUNDARY),
+    "f": ((0.0, 0.0), _parse_float_list, None),
+    "source": (0.0, float, None),
+    "oracle_tau": (1e-4, float, _POSITIVE),
+    "oracle_horizon": (0.2, float, _POSITIVE),
+    "svg": (True, _parse_bool, None),
+    "out_dir": ("pipeline_out", str, None),
+    "stages": (("mesh", "cell-steady", "eigen", "kernel", "macro"),
+               _parse_stages, None),
 }
+DEFAULTS = {key: default for key, (default, _, _) in _KEYS.items()}
 
 
 def parse_config(path=None, overrides=None):
@@ -142,25 +124,16 @@ def parse_config(path=None, overrides=None):
     if overrides:
         raw.update(overrides)
     for key, value in raw.items():
-        if key not in _PARSERS:
+        if key not in _KEYS:
             raise ValueError(f"unknown config key {key!r}")
-        config[key] = _PARSERS[key](value)
-    for key, parse in _PARSERS.items():
+        config[key] = _KEYS[key][1](value)
+    for key, (_, parse, rule) in _KEYS.items():
+        value = config[key]
         if parse in (float, _parse_float_list) and not np.isfinite(
-                config[key]).all():
+                value).all():
             raise ValueError(f"{key} must be finite")
-    if not 0.0 <= config["sigma"] <= 1.0:
-        raise ValueError("sigma must lie in [0, 1]")
-    for key in ("cell_h", "macro_h", "tau", "oracle_tau", "oracle_horizon",
-                "macro_lx", "macro_ly"):
-        if config[key] <= 0.0:
-            raise ValueError(f"{key} must be positive")
-    if config["modes"] < 0:
-        raise ValueError("modes must be nonnegative")
-    if config["epsilon"] < 0.0:
-        raise ValueError("epsilon must be nonnegative")
-    if config["t_final"] < 0.0:
-        raise ValueError("t_final must be nonnegative")
+        if rule and not rule[0](value):
+            raise ValueError(f"{key} {rule[1]}")
     return config
 
 
@@ -195,6 +168,14 @@ class _StageFiles:
                 return f"{path}_{name[len(key):]}"
         return os.path.join(self.out_dir, name)
 
+    def input(self, name):
+        """The file of an input artifact, which must exist."""
+        path = self.locate(name)
+        if not os.path.exists(path):
+            raise FileNotFoundError(
+                f"missing input {name} at {path} (run its stage first)")
+        return path
+
     def path(self, name):
         final = self.locate(name)
         self._pending.append((name, final))
@@ -202,7 +183,7 @@ class _StageFiles:
 
     def cell_system(self):
         if self.system is None:
-            self.system = StokesSystem(read_mesh(self.locate("cell.mesh")))
+            self.system = StokesSystem(read_mesh(self.input("cell.mesh")))
         return self.system
 
     def commit(self):
@@ -236,8 +217,8 @@ def _stage_eigen(config, files):
 
 
 def _stage_kernel(config, files):
-    k_bar = read_permeability_csv(files.locate("k_bar.csv"))
-    lams, coeffs = read_spectrum_csv(files.locate("spectrum.csv"))
+    k_bar = read_permeability_csv(files.input("k_bar.csv"))
+    lams, coeffs = read_spectrum_csv(files.input("spectrum.csv"))
     model = build_kernel_model(k_bar, lams, coeffs,
                                epsilon=config["epsilon"],
                                num_modes=config["modes"])
@@ -245,18 +226,14 @@ def _stage_kernel(config, files):
 
 
 def _stage_oracle(config, files):
-    # Its own system: the stepper factorizations of the two blocks odd
-    # under the half-turn then never live next to the block
-    # factorizations of the cell-steady and eigen stages.
-    system = StokesSystem(read_mesh(files.locate("cell.mesh")))
-    samples = solve_cell_unsteady(system, config["oracle_tau"],
+    samples = solve_cell_unsteady(files.cell_system(), config["oracle_tau"],
                                   config["oracle_horizon"])
     write_samples_csv(samples, files.path("oracle.csv"))
 
 
 def _stage_macro(config, files):
-    mesh = read_mesh(files.locate("macro.mesh"))
-    model = read_model_csv(files.locate("kernel.csv"))
+    mesh = read_mesh(files.input("macro.mesh"))
+    model = read_model_csv(files.input("kernel.csv"))
     problem = MacroProblem(mesh, model, config["bc"], f=config["f"],
                            source=config["source"], sigma=config["sigma"],
                            tau=config["tau"])
@@ -281,7 +258,7 @@ _STAGE_RUNNERS = {
 
 
 # Stages that work on the shared cell StokesSystem.
-_SYSTEM_STAGES = ("cell-steady", "eigen")
+_SYSTEM_STAGES = ("cell-steady", "eigen", "oracle")
 
 
 def run_stage(stage, config, paths):
@@ -307,10 +284,6 @@ def run_pipeline(config):
     stages = config["stages"]
     artifacts = {}
     for pos, stage in enumerate(stages):
-        for name in _STAGE_INPUTS[stage]:
-            if not os.path.exists(files.locate(name)):
-                raise PipelineError(
-                    stage, f"missing input {name} (run its stage first)")
         try:
             _STAGE_RUNNERS[stage](config, files)
         except Exception as exc:
@@ -331,13 +304,8 @@ def run_pipeline(config):
 
 
 def _config_json(config):
-    out = {}
-    for key, value in sorted(config.items()):
-        if isinstance(value, tuple):
-            out[key] = list(value)
-        else:
-            out[key] = value
-    return out
+    return {key: list(value) if isinstance(value, tuple) else value
+            for key, value in sorted(config.items())}
 
 
 def render_table(lams, coeffs):

@@ -120,7 +120,9 @@ def render_field_svg(path, mesh, values, title=None):
         whole = np.ones(len(tris), dtype=bool)
     else:
         top_band = len(_RAMP) - 1
-        first = np.maximum(np.searchsorted(edges, tmin, "right") - 1, 0)
+        # a triangle at vmax would start past the top band: clip it in
+        first = np.clip(np.searchsorted(edges, tmin, "right") - 1, 0,
+                        top_band)
         last = np.minimum(np.searchsorted(edges, tmax, "left"), top_band)
         upper = edges[np.minimum(first + 1, top_band + 1)]
         whole = (first == top_band) | ((first < top_band) & (tmax < upper))

@@ -6,6 +6,7 @@ import pytest
 from porohom.cell_steady import solve_cell_steady
 from porohom.cell_spectral import solve_eigen
 from porohom.cell_unsteady import solve_cell_unsteady, write_samples_csv
+from porohom.fem import StokesSystem
 from porohom.kernel_model import build_kernel_model
 
 from conftest import kernel_time_integral, read_samples_csv
@@ -53,6 +54,16 @@ def test_time_integral_reproduces_steady_permeability(k_bar_g1, samples_g1):
     for comp, want in (((0, 0), k_bar_g1[0, 0]), ((1, 1), k_bar_g1[1, 1])):
         got = kernel_time_integral(samples_g1, component=comp)
         assert got == pytest.approx(want, rel=0.10)
+
+
+def test_steppers_never_sit_beside_steady_factors(cell_mesh_g1):
+    # the steady solves leave their block factors cached; the march
+    # drops each before it factors that block's stepper
+    system = StokesSystem(cell_mesh_g1)
+    solve_cell_steady(system)
+    assert sum(block._factor is not None for block in system.blocks) == 2
+    solve_cell_unsteady(system, TAU, 2 * TAU)
+    assert all(block._factor is None for block in system.blocks)
 
 
 def test_tau_guards(system_g1):

@@ -92,6 +92,11 @@ BC_SPECS = [
     pytest.param("left=dirichlet:zero,right=dirichlet:1,top=natural:0,"
                  "bottom=natural:0", "could not convert",
                  id="string-bad-value"),
+    pytest.param("left=dirichlet:nan,right=dirichlet:1,top=natural:0,"
+                 "bottom=natural:0", "boundary value nan on side 'left' "
+                 "must be finite", id="string-nan-value"),
+    pytest.param(BC_DIR.replace("top=natural:0", "top=natural:-inf"),
+                 "must be finite", id="string-inf-value"),
 ]
 
 

@@ -3,10 +3,13 @@
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import porohom
 from porohom.cli import main
 from porohom.cell_spectral import read_spectrum_csv
 from porohom.kernel_model import KernelModel, read_model_csv
@@ -77,6 +80,31 @@ def test_config_rejects_unknown_and_malformed(tmp_path):
     for key in ("f", "snapshots"):
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             parse_config(overrides={key: "0.0,nan"})
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("cell_h", "0", "cell_h must be positive"),
+    ("oracle_horizon", "-1", "oracle_horizon must be positive"),
+    ("modes", "-1", "modes must be nonnegative"),
+    ("t_final", "-1e-4", "t_final must be nonnegative"),
+    ("sigma", "1.5", r"sigma must lie in \[0, 1\]"),
+    ("sigma", "-0.1", r"sigma must lie in \[0, 1\]"),
+])
+def test_config_rule_errors_name_the_key(key, value, message):
+    with pytest.raises(ValueError, match=message):
+        parse_config(overrides={key: value})
+
+
+def test_config_checks_the_boundary_spec():
+    # the macro stage's own parser, so a bad bc fails before any stage
+    natural = ",top=natural:0,bottom=natural:0"
+    with pytest.raises(ValueError, match="unknown boundary kind 'warp'"):
+        parse_config(overrides={"bc": "left=warp:0,right=natural:0"
+                                + natural})
+    with pytest.raises(ValueError, match="missing boundary condition"):
+        parse_config(overrides={"bc": "left=natural:0" + natural})
+    bc = "Left=Dirichlet:0,right=natural:1" + natural
+    assert parse_config(overrides={"bc": bc})["bc"] == bc
 
 
 def test_full_pipeline_products(tmp_path):
@@ -170,8 +198,9 @@ def test_kernel_mode_count_must_fit_the_spectrum(tmp_path, capsys):
 
 
 def test_pipeline_shares_one_cell_system(tmp_path, monkeypatch):
-    # cell-steady and eigen reuse one assembly, and each of its blocks
-    # is factored exactly once
+    # cell-steady, eigen and oracle reuse one assembly: each of its
+    # blocks is factored exactly once, plus the steppers of the two
+    # blocks that carry a force
     from porohom import fem
 
     systems, factored = [], []
@@ -188,19 +217,27 @@ def test_pipeline_shares_one_cell_system(tmp_path, monkeypatch):
     monkeypatch.setattr(fem.StokesSystem, "__init__", building)
     monkeypatch.setattr(fem.SparseFactor, "__init__", factoring)
     out = tmp_path / "run"
-    run_pipeline(fast_config(out, stages="mesh"))
-    run_pipeline(fast_config(out, stages="cell-steady,eigen"))
+    run_pipeline(fast_config(out, stages="mesh,cell-steady,eigen,oracle"))
     assert len(systems) == 1
     blocks = systems[0].blocks
     assert len(blocks) == 4
-    assert sorted(map(id, factored)) == sorted(
+    assert sorted(map(id, factored[:4])) == sorted(
         id(block.operator) for block in blocks)
+    tau = float(FAST["oracle_tau"])
+    steppers = [b.operator + b.mass / tau for b in blocks if b.forces.size]
+    assert len(factored) == 4 + len(steppers) == 6
+    for got, want in zip(factored[4:], steppers):
+        assert abs(got - want).max() == 0.0
 
 
 def test_missing_stage_input_names_the_stage(tmp_path):
-    with pytest.raises(PipelineError, match="missing input") as err:
-        run_pipeline(fast_config(tmp_path / "run", stages="kernel"))
+    out = tmp_path / "run"
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(fast_config(out, stages="kernel"))
     assert err.value.stage == "kernel"
+    assert str(err.value) == (
+        f"stage kernel: missing input k_bar.csv at {out / 'k_bar.csv'} "
+        "(run its stage first)")
 
 
 def test_oracle_stage_is_off_by_default_but_runs(tmp_path):
@@ -296,6 +333,16 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                  "--h", "0.1", "--out", str(tmp_path / "c.mesh")])
     assert code == 2
 
+    # a missing input is named the way the pipeline names it
+    for args in (["cell-steady", "--mesh", str(tmp_path / "none.mesh")],
+                 ["kernel", "--spectrum", str(tmp_path / "none.csv"),
+                  "--kbar", str(tmp_path / "k.csv")]):
+        code = main(args + ["--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        name = "cell.mesh" if args[0] == "cell-steady" else "spectrum.csv"
+        assert (f"missing input {name} at {args[2]} (run its stage first)"
+                in capsys.readouterr().err)
+
     # a NaN threshold is refused before it could drop every mode
     code = main(["kernel", "--spectrum", str(tmp_path / "s.csv"), "--kbar",
                  str(tmp_path / "k.csv"), "--epsilon", "nan", "--modes", "1",
@@ -309,6 +356,15 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     code = main(["pipeline", "--config", str(cfg),
                  "--out", str(tmp_path / "run")])
     assert code == 2
+
+    # a bad boundary spec stops the run before its first stage
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in FAST.items())
+                   + "bc=left=warp:0\n")
+    code = main(["pipeline", "--config", str(cfg),
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "unknown boundary kind 'warp'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_pipeline_and_resume(tmp_path, capsys):
@@ -363,3 +419,33 @@ def test_cli_stages_match_the_pipeline(tmp_path, capsys):
             name
     assert sorted(p.name for p in cli.iterdir()) == sorted(
         n.replace("macro_", "run_") for n in ref_names)
+
+
+def test_cli_macro_run_imports_no_heavy_modules(tmp_path, model3):
+    # textio, fem and svgplot import these lazily, or not at all, to keep
+    # the resident memory of a run down; a fresh interpreter shows them
+    from porohom.kernel_model import write_model_csv
+    from porohom.meshing import gen_rect_mesh, write_mesh
+
+    out = tmp_path / "run"
+    out.mkdir()
+    write_mesh(gen_rect_mesh(2.0, 1.0, 0.25), out / "macro.mesh")
+    write_model_csv(model3, out / "kernel.csv")
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in FAST.items()))
+    heavy = ("multiprocessing", "concurrent.futures.process",
+             "scipy.sparse.csgraph", "xml.sax")
+    args = ["pipeline", "--config", str(cfg), "--out", str(out),
+            "--only", "macro"]
+    script = ("import sys\n"
+              "from porohom.cli import main\n"
+              f"assert main({args!r}) == 0\n"
+              f"print([name for name in {heavy!r} if name in sys.modules])\n")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(porohom.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (out / "macro_field_0.0004.svg").exists()
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -7,6 +7,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 import pytest
 
+from porohom.meshing import gen_rect_mesh
 from porohom.svgplot import render_field_svg
 
 
@@ -71,3 +72,16 @@ def test_title_is_escaped(tmp_path, rect_mesh):
     assert f">{escape(title)}</text>" in path.read_text()
     texts = xml.dom.minidom.parse(str(path)).getElementsByTagName("text")
     assert texts[0].firstChild.data == title
+
+
+def test_plateau_at_the_maximum_is_drawn(tmp_path):
+    # every triangle at x >= 1 has all three values at vmax; it belongs
+    # to the top band, as the same plateau at vmin belongs to the bottom
+    mesh = gen_rect_mesh(2.0, 1.0, 0.25)
+    field = np.minimum(mesh.vertices[:, 0], 1.0)
+    counts = []
+    for values in (field, -field):
+        path = tmp_path / "field.svg"
+        render_field_svg(path, mesh, values)
+        counts.append(path.read_text().count("<polygon"))
+    assert counts[0] == counts[1] == 136
