@@ -20,6 +20,10 @@ BOUNDARY_TAGS = ("OuterLeft", "OuterRight", "OuterBottom", "OuterTop", "Inclusio
 MIN_ANGLE_DEG = 20.0
 
 _CENTER = np.array([0.5, 0.5])
+# Each Outer* side's axis, and whether its line is the vertices' least (0)
+# or greatest (1) coordinate along it.
+_SIDE_LINES = {"OuterLeft": (0, 0), "OuterRight": (0, 1),
+               "OuterBottom": (1, 0), "OuterTop": (1, 1)}
 
 # The half-turn R and the diagonal reflection S about the cell center,
 # as matrices on (x, y); they generate the symmetry group {I, R, S, RS}
@@ -207,91 +211,107 @@ def vertex_image(mesh, mat):
     return image
 
 
-def _boundary_faults(mesh, edges, side_edge, counts):
-    """Where the boundary records and the edges of one triangle disagree:
-    the records that repeat an earlier one or name no such edge, and the
-    triangle sides on such an edge that no record names."""
-    nv = mesh.num_vertices
-    keys, tagged = edge_keys(edges, nv), edge_keys(mesh.boundary_edges, nv)
+def _words(row):
+    """A record's fields as the mesh file writes them."""
+    return " ".join(map(str, row))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _contract_fault(mesh):
+    """The first break of the structural mesh contract, as (message,
+    record kind, index) with kind "vertex", "triangle", "boundary",
+    "pair" or None for the whole mesh; None if the mesh keeps it.
+
+    In order: every triangle has a finite positive area; no edge is
+    shared by more than two triangles; the boundary records are exactly
+    the edges of one triangle, each once; each periodic pair along axis
+    0 or 1 is a translation across the cell; there is a triangle; the
+    vertices are finite and each is used by a triangle; every tag is
+    known and each Outer* edge lies on its side's line, within 1e-12;
+    every pair's axis is 0 or 1.
+    """
+    v, tris, nv = mesh.vertices, mesh.triangles, mesh.num_vertices
+    records, pairs = mesh.boundary_edges, mesh.periodic_pairs
+    areas = mesh.triangle_areas()
+    bad = np.flatnonzero(~(np.isfinite(areas) & (areas > 0.0)))
+    if bad.size:
+        return (f"triangle {_words(tris[bad[0]])} has area "
+                f"{float(areas[bad[0]])!r}, must be finite and positive",
+                "triangle", bad[0])
+    edges, side_edge, counts = edge_table(tris, nv)
+    sides = side_edge.ravel()
+    if counts.max(initial=0) > 2:
+        # the sides on crowded edges, grouped by edge in file order
+        s = np.flatnonzero(counts[sides] > 2)
+        s = s[np.argsort(sides[s], kind="stable")]
+        k = s[2:][sides[s[2:]] == sides[s[:-2]]].min()
+        return (f"edge {_words(edges[sides[k]])} is shared by more than two "
+                "triangles", "triangle", k // 3)
+    keys, tagged = edge_keys(edges, nv), edge_keys(records, nv)
     first = np.zeros(tagged.size, dtype=bool)
     first[np.unique(tagged, return_index=True)[1]] = True
-    stray = np.flatnonzero(~(first & np.isin(tagged, keys[counts == 1])))
-    untagged = (counts == 1) & ~np.isin(keys, tagged)
-    return stray, np.flatnonzero(untagged[side_edge.ravel()])
+    bad = np.flatnonzero(~(first & np.isin(tagged, keys[counts == 1])))
+    if bad.size:
+        return (f"boundary edge {_words(records[bad[0]])} is tagged twice or "
+                "not the side of exactly one triangle", "boundary", bad[0])
+    bad = np.flatnonzero(((counts == 1) & ~np.isin(keys, tagged))[sides])
+    if bad.size:
+        return (f"edge {_words(edges[sides[bad[0]]])} of exactly one "
+                "triangle has no boundary record", "triangle", bad[0] // 3)
 
+    # A slave lies off its master by the span of all vertices along the
+    # pair's axis and by 0 along the other (a NaN from overflow fails).
+    bounds = np.array([v.min(axis=0, initial=np.inf),
+                       v.max(axis=0, initial=-np.inf)])
+    master, slave, axis = pairs.T
+    unit = np.arange(2) == np.clip(axis, 0, 1)[:, None]
+    offset = np.where(unit, bounds[1] - bounds[0], 0.0)
+    ok = (np.abs(v[slave] - v[master] - offset) <= 1e-12).all(axis=1)
+    bad = np.flatnonzero(~ok & ((axis == 0) | (axis == 1)))
+    if bad.size:
+        return (f"periodic pair {_words(pairs[bad[0]])} is not a translation "
+                "across the cell", "pair", bad[0])
 
-def _pair_faults(mesh):
-    """The periodic pairs that are not a translation across the cell:
-    the slave's offset from its master along the pair's axis must equal
-    the span of all vertices along it, and the other offset be 0, both
-    within 1e-12 (a NaN from overflowing coordinates fails)."""
-    master, slave, axis = mesh.periodic_pairs.T
-    if not axis.size:
-        return axis  # empty
-    v, rows = mesh.vertices, np.arange(axis.size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        delta = v[slave] - v[master]
-        span = (v.max(axis=0) - v.min(axis=0))[axis]
-        ok = ((np.abs(delta[rows, axis] - span) <= 1e-12)
-              & (np.abs(delta[rows, 1 - axis]) <= 1e-12))
-    return np.flatnonzero(~ok)
+    if not tris.size:
+        return "mesh has no triangles", None, None
+    bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
+    if bad.size:
+        return (f"vertex {bad[0]} at {_words(v[bad[0]].tolist())} is not "
+                "finite", "vertex", bad[0])
+    bad = np.flatnonzero(np.bincount(tris.ravel(), minlength=nv) == 0)
+    if bad.size:
+        return f"vertex {bad[0]} is not used by any triangle", "vertex", bad[0]
+    tags = np.asarray(mesh.boundary_tags, dtype=str)
+    bad = np.flatnonzero(~np.isin(tags, BOUNDARY_TAGS))
+    if bad.size:
+        return (f"boundary edge {_words(records[bad[0]])} has unknown tag "
+                f"{mesh.boundary_tags[bad[0]]!r}", "boundary", bad[0])
+    off = np.zeros(tags.size)
+    for tag, (side_axis, top) in _SIDE_LINES.items():
+        on = tags == tag
+        off[on] = np.abs(v[records[on], side_axis]
+                         - bounds[top, side_axis]).max(axis=1)
+    bad = np.flatnonzero(off > 1e-12)
+    if bad.size:
+        return (f"{mesh.boundary_tags[bad[0]]} edge {_words(records[bad[0]])} "
+                "is not on its boundary line", "boundary", bad[0])
+    bad = np.flatnonzero((axis != 0) & (axis != 1))
+    if bad.size:
+        return (f"periodic pair {_words(pairs[bad[0]])} has an axis other "
+                "than 0 or 1", "pair", bad[0])
+    return None
 
 
 def validate_mesh(mesh):
-    """Check structural invariants; raise MeshQualityError on violation.
+    """Check the structural contract that read_mesh also checks (see
+    _contract_fault), then the minimum angle; raise MeshQualityError on
+    the first violation.
 
     Returns a dict with quality statistics.
     """
-    v = mesh.vertices
-    if not np.isfinite(v).all():
-        raise MeshQualityError("vertex coordinates must be finite")
-    areas = mesh.triangle_areas()
-    if areas.size == 0:
-        raise MeshQualityError("mesh has no triangles")
-    if np.any(areas <= 0.0):
-        raise MeshQualityError(f"{np.sum(areas <= 0)} nonpositive triangle areas")
-
-    nv = mesh.num_vertices
-    used = np.zeros(nv, dtype=bool)
-    used[mesh.triangles.ravel()] = True
-    if not used.all():
-        raise MeshQualityError(f"{np.sum(~used)} vertices not used by any triangle")
-
-    edges, side_edge, counts = edge_table(mesh.triangles, nv)
-    if np.any(counts > 2):
-        raise MeshQualityError("non-manifold edge (shared by more than 2 triangles)")
-    stray, untagged = _boundary_faults(mesh, edges, side_edge, counts)
-    if stray.size or untagged.size:
-        raise MeshQualityError(
-            f"tagged boundary edges do not match mesh boundary "
-            f"({stray.size} extra, {untagged.size} missing)"
-        )
-    for tag in mesh.boundary_tags:
-        if tag not in BOUNDARY_TAGS:
-            raise MeshQualityError(f"unknown boundary tag {tag!r}")
-
-    lo = v.min(axis=0)
-    hi = v.max(axis=0)
-    for tag, axis, value in (("OuterLeft", 0, lo[0]), ("OuterRight", 0, hi[0]),
-                             ("OuterBottom", 1, lo[1]), ("OuterTop", 1, hi[1])):
-        edge = mesh.side(tag)
-        off = np.abs(v[edge, axis] - value).max(axis=1, initial=0.0)
-        if np.any(off > 1e-12):
-            raise MeshQualityError(f"{tag} edge {edge[np.argmax(off)]} not on "
-                                   f"its boundary line")
-
-    axes = mesh.periodic_pairs[:, 2]
-    odd = axes[(axes != 0) & (axes != 1)]
-    if odd.size:
-        raise MeshQualityError(f"periodic pair axis {odd[0]} not in (0, 1)")
-    bad = _pair_faults(mesh)
-    if bad.size:
-        master, slave, axis = mesh.periodic_pairs[bad[0]]
-        raise MeshQualityError(
-            f"periodic pair ({master}, {slave}) offset {v[slave] - v[master]} "
-            f"is not a full translation along axis {axis}"
-        )
-
+    fault = _contract_fault(mesh)
+    if fault is not None:
+        raise MeshQualityError(fault[0])
     min_angle = mesh.min_angle()
     if min_angle < MIN_ANGLE_DEG:
         raise MeshQualityError(
@@ -299,7 +319,7 @@ def validate_mesh(mesh):
         )
     return {
         "min_angle": min_angle,
-        "area": float(np.sum(areas)),
+        "area": mesh.area(),
         "num_vertices": mesh.num_vertices,
         "num_triangles": mesh.num_triangles,
     }
@@ -598,6 +618,9 @@ def gen_rect_mesh(lx, ly, h):
         raise ValueError("rectangle sides must be positive")
     if h <= 0:
         raise ValueError("h must be positive")
+    if not all(map(math.isfinite, (lx, ly, h, lx / h, ly / h))):
+        raise ValueError(f"lx={lx}, ly={ly} and h={h} must give finite "
+                         f"sides and cell counts")
     nx = max(1, int(round(lx / h)))
     ny = max(1, int(round(ly / h)))
     xs = np.arange(nx + 1) * (lx / nx)
@@ -643,59 +666,35 @@ def write_mesh(mesh, path):
 
 
 def _section(records, keyword):
-    _, (_, count) = records.table((("section", (keyword,)),
-                                   ("count", range(2 ** 31))), 1)
-    return int(count[0])
+    """The line and count of a section's head record, "keyword count"."""
+    [line], (_, count) = records.table((("section", (keyword,)),
+                                        ("count", range(2 ** 31))), 1)
+    return line, int(count[0])
 
 
 def read_mesh(path):
-    """Read a MESH2D 1 file; errors carry 1-based line numbers.  Every
-    triangle needs a finite positive area, every edge at most two
-    triangles, and the boundary records must tag each edge of exactly one
-    triangle once; angles are not checked."""
+    """Read a MESH2D 1 file; errors carry 1-based line numbers.  The mesh
+    must keep the structural contract of validate_mesh (_contract_fault):
+    a break of it is reported at the line of the record it names, or of
+    the NT head for a mesh without triangles; angles are not checked."""
     records = Records(path, header="MESH2D 1", sep=None)
-    nv = _section(records, "NV")
-    _, xy = records.table((("coordinate", float),) * 2, nv)
+    nv = _section(records, "NV")[1]
+    lines = {}
+    lines["vertex"], xy = records.table((("coordinate", float),) * 2, nv)
     index = ("index", range(nv))
-    lines, tris = records.table((index,) * 3, _section(records, "NT"))
-    edge_lines, tagged = records.table(
-        (index, index, ("boundary tag", BOUNDARY_TAGS)), _section(records, "NB"))
-    pair_lines, pairs = records.table((index, index, ("axis", (0, 1))),
-                                      _section(records, "NP"))
+    head, nt = _section(records, "NT")
+    lines["triangle"], tris = records.table((index,) * 3, nt)
+    lines["boundary"], tagged = records.table(
+        (index, index, ("boundary tag", BOUNDARY_TAGS)),
+        _section(records, "NB")[1])
+    lines["pair"], pairs = records.table((index, index, ("axis", (0, 1))),
+                                         _section(records, "NP")[1])
     records.finish()
     mesh = TriMesh(np.column_stack(xy), np.column_stack(tris),
                    np.column_stack(tagged[:2]), tagged[2].tolist(),
                    np.column_stack(pairs))
-    with np.errstate(over="ignore", invalid="ignore"):
-        areas = mesh.triangle_areas()
-    bad = np.flatnonzero(~(np.isfinite(areas) & (areas > 0.0)))
-    if bad.size:
-        t = bad[0]
-        raise FormatError(f"triangle {' '.join(map(str, mesh.triangles[t]))} "
-                          f"has area {float(areas[t])!r}, must be finite "
-                          f"and positive", lines[t])
-    edges, side_edge, counts = edge_table(mesh.triangles, nv)
-    sides = side_edge.ravel()
-    if counts.max(initial=0) > 2:
-        # the sides on crowded edges, grouped by edge in file order
-        s = np.flatnonzero(counts[sides] > 2)
-        s = s[np.argsort(sides[s], kind="stable")]
-        k = s[2:][sides[s[2:]] == sides[s[:-2]]].min()
-        a, b = edges[sides[k]]
-        raise FormatError(f"edge {a} {b} is shared by more than two "
-                          f"triangles", lines[k // 3])
-    stray, untagged = _boundary_faults(mesh, edges, side_edge, counts)
-    if stray.size:
-        a, b = mesh.boundary_edges[stray[0]]
-        raise FormatError(f"boundary edge {a} {b} is tagged twice or not the "
-                          f"side of exactly one triangle", edge_lines[stray[0]])
-    if untagged.size:
-        a, b = edges[sides[untagged[0]]]
-        raise FormatError(f"edge {a} {b} of exactly one triangle has no "
-                          f"boundary record", lines[untagged[0] // 3])
-    bad = _pair_faults(mesh)
-    if bad.size:
-        pair = " ".join(map(str, mesh.periodic_pairs[bad[0]]))
-        raise FormatError(f"periodic pair {pair} is not a translation "
-                          "across the cell", pair_lines[bad[0]])
+    fault = _contract_fault(mesh)
+    if fault is not None:
+        message, kind, row = fault
+        raise FormatError(message, head if kind is None else lines[kind][row])
     return mesh

@@ -67,11 +67,14 @@ def _parse_stages(text):
 
 
 # Rules on a parsed value: a test it must pass and what a failure
-# says.  The bc rule is the macro stage's boundary parser, which raises
-# its own error.
+# says; _NONNEGATIVE holds for a number or for every entry of a list.
+# The bc rule is the macro stage's boundary parser, which raises its own
+# error.
 _POSITIVE = (lambda value: value > 0.0, "must be positive")
-_NONNEGATIVE = (lambda value: value >= 0.0, "must be nonnegative")
+_NONNEGATIVE = (lambda value: np.all(np.asarray(value) >= 0.0),
+                "must be nonnegative")
 _UNIT = (lambda value: 0.0 <= value <= 1.0, "must lie in [0, 1]")
+_PAIR = (lambda value: len(value) == 2, "must have two entries")
 _BOUNDARY = (parse_bc, None)
 
 # key: (default, parser, rule or None); float values must be finite.
@@ -86,10 +89,11 @@ _KEYS = {
     "sigma": (0.5, float, _UNIT),
     "tau": (1e-5, float, _POSITIVE),
     "t_final": (7.5e-4, float, _NONNEGATIVE),
-    "snapshots": ((0.0, 2.5e-4, 5e-4, 7.5e-4), _parse_float_list, None),
+    "snapshots": ((0.0, 2.5e-4, 5e-4, 7.5e-4), _parse_float_list,
+                  _NONNEGATIVE),
     "bc": ("left=dirichlet:0,right=dirichlet:1,"
            "top=natural:0,bottom=natural:0", str, _BOUNDARY),
-    "f": ((0.0, 0.0), _parse_float_list, None),
+    "f": ((0.0, 0.0), _parse_float_list, _PAIR),
     "source": (0.0, float, None),
     "oracle_tau": (1e-4, float, _POSITIVE),
     "oracle_horizon": (0.2, float, _POSITIVE),

@@ -1,6 +1,7 @@
 """Mesh generation, validation and file round trips."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -107,6 +108,27 @@ def test_cell_mesh_rejects_out_of_range_h():
     for h in (0.5, 0.0, -1.0, 1e-4):
         with pytest.raises(ValueError, match="outside the supported range"):
             gen_cell_mesh(EllipseSpec(1.0), h)
+
+
+@pytest.mark.parametrize("lx, ly, h", [
+    (math.inf, 1.0, 0.5), (1.0, math.nan, 0.5), (1.0, 1.0, math.nan),
+    (1.0, 1.0, math.inf), (1e300, 1.0, 1e-300)])
+def test_rect_mesh_refuses_non_finite_sizes(lx, ly, h):
+    # 1e300 / 1e-300 cells across used to overflow into exit 3
+    with pytest.raises(ValueError, match="must give finite sides and cell "
+                                         "counts"):
+        gen_rect_mesh(lx, ly, h)
+
+
+@pytest.mark.parametrize("size", [["--lx", "inf", "--ly", "1", "--h", "0.5"],
+                                  ["--lx", "1", "--ly", "1", "--h", "nan"],
+                                  ["--lx", "1e300", "--ly", "1",
+                                   "--h", "1e-300"]])
+def test_cli_rect_mesh_refuses_non_finite_sizes(tmp_path, capsys, size):
+    out = tmp_path / "r.mesh"
+    assert main(["mesh", "--geometry", "rect", *size, "--out", str(out)]) == 2
+    assert "finite sides and cell counts" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_rect_mesh_geometry(rect_mesh):
@@ -219,7 +241,7 @@ def test_validate_accepts_unit_square():
 def test_validate_rejects_degenerate_triangle():
     verts, _, edges, tags = _unit_square()
     tris = np.array([[0, 1, 2], [0, 2, 2]])
-    with pytest.raises(MeshQualityError, match="nonpositive triangle areas"):
+    with pytest.raises(MeshQualityError, match="triangle 0 2 2 has area 0.0"):
         validate_mesh(TriMesh(verts, tris, edges, tags))
 
 
@@ -239,7 +261,8 @@ def test_validate_rejects_non_finite_vertex():
 
 def test_validate_rejects_repeated_boundary_edge():
     verts, tris, edges, tags = _unit_square()
-    with pytest.raises(MeshQualityError, match="1 extra, 0 missing"):
+    with pytest.raises(MeshQualityError,
+                       match="boundary edge 0 1 is tagged twice"):
         validate_mesh(TriMesh(verts, tris, np.vstack([edges, edges[:1]]),
                               tags + tags[:1]))
 

@@ -89,6 +89,9 @@ def test_config_rejects_unknown_and_malformed(tmp_path):
     ("t_final", "-1e-4", "t_final must be nonnegative"),
     ("sigma", "1.5", r"sigma must lie in \[0, 1\]"),
     ("sigma", "-0.1", r"sigma must lie in \[0, 1\]"),
+    ("f", "1,2,3", "f must have two entries"),
+    ("f", "1", "f must have two entries"),
+    ("snapshots", "0,-1e-4", "snapshots must be nonnegative"),
 ])
 def test_config_rule_errors_name_the_key(key, value, message):
     with pytest.raises(ValueError, match=message):
@@ -364,6 +367,23 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                  "--out", str(tmp_path / "run")])
     assert code == 2
     assert "unknown boundary kind 'warp'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("f=1,2,3", "f must have two entries"),
+    ("snapshots=-1", "snapshots must be nonnegative")])
+def test_cli_list_keys_fail_before_any_stage(tmp_path, capsys, line,
+                                             message):
+    # these used to be refused only by the macro stage, after the cell
+    # stages had run
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in FAST.items())
+                   + line + "\n")
+    code = main(["pipeline", "--config", str(cfg),
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

@@ -20,10 +20,12 @@ from porohom.kernel_model import KernelModel, read_model_csv, write_model_csv
 from porohom.meshing import (
     BOUNDARY_TAGS,
     EllipseSpec,
+    MeshQualityError,
     TriMesh,
     gen_cell_mesh,
     gen_rect_mesh,
     read_mesh,
+    validate_mesh,
     write_mesh,
 )
 from porohom.textio import FormatError
@@ -64,12 +66,37 @@ def meshes(draw):
                    [e[2] for e in edges], pairs)
 
 
+@st.composite
+def rect_meshes(draw):
+    """Meshes that keep the contract: gen_rect_mesh of drawn sides and
+    edge length, its cells at most twice as long as wide."""
+    h = draw(st.floats(1e-3, 1e3))
+    lx, ly = (h * draw(st.integers(1, 5)) * draw(st.floats(0.8, 1.2))
+              for _ in range(2))
+    return gen_rect_mesh(lx, ly, h)
+
+
+SIDE_LINES = {"OuterLeft": (0, min), "OuterRight": (0, max),
+              "OuterBottom": (1, min), "OuterTop": (1, max)}
+
+
 def _broken_geometry(mesh):
     """Whether a triangle has an area that is not finite and positive, an
     edge is shared by more than two triangles, the boundary records are
-    not the edges of one triangle, each once, or a periodic pair is not a
-    translation by the vertices' span along its axis (Python floats)."""
+    not the edges of one triangle, each once, a periodic pair is not a
+    translation by the vertices' span along its axis, there is no
+    triangle, a vertex is used by no triangle, or an Outer* edge is off
+    its side's line (Python floats)."""
     xy = mesh.vertices.tolist()
+    used = {v for tri in mesh.triangles.tolist() for v in tri}
+    if not used or len(used) < len(xy):
+        return True
+    for (a, b), tag in zip(mesh.boundary_edges.tolist(), mesh.boundary_tags):
+        if tag in SIDE_LINES:
+            axis, end = SIDE_LINES[tag]
+            line = end(p[axis] for p in xy)
+            if max(abs(xy[a][axis] - line), abs(xy[b][axis] - line)) > 1e-12:
+                return True
     span = [max(p[i] for p in xy) - min(p[i] for p in xy) for i in (0, 1)]
     for master, slave, axis in mesh.periodic_pairs.tolist():
         d = [xy[slave][i] - xy[master][i] for i in (0, 1)]
@@ -89,7 +116,7 @@ def _broken_geometry(mesh):
 
 
 @EXAMPLES
-@given(mesh=meshes())
+@given(mesh=st.one_of(meshes(), rect_meshes()))
 @example(mesh=gen_rect_mesh(1.0, 1.0, 0.5))
 @example(mesh=gen_cell_mesh(EllipseSpec(3.0), 0.1))
 def test_mesh_round_trip(tmp_path, mesh):
@@ -266,6 +293,21 @@ REGRESSIONS = {
                                     lambda l: l[:34] + ["NB 11"] + l[36:],
                                     "line 20: edge 0 1 of exactly one "
                                     "triangle has no boundary record"),
+    # the reader used to pass these three: the swapped sides ran to exit 0
+    # with the pressure drop reversed, the unused vertex to a singular
+    # factor (exit 3), the empty mesh to a numpy error
+    "mesh left and right swapped": ("domain.mesh", lambda l: [
+        x.replace("Left", "@").replace("Right", "Left").replace("@", "Right")
+        for x in l], "line 36: OuterRight edge 0 1 is not on its boundary "
+                     "line"),
+    "mesh unused vertex": ("domain.mesh",
+                           lambda l: l[:1] + ["NV 16"] + l[2:17]
+                           + ["1.0 0.25"] + l[17:],
+                           "line 18: vertex 15 is not used by any triangle"),
+    "mesh without triangles": ("domain.mesh",
+                               lambda l: [l[0], "NV 0", "NT 0", "NB 0",
+                                          "NP 0"],
+                               "line 3: mesh has no triangles"),
 }
 
 
@@ -278,8 +320,9 @@ def test_garbage_exits_2_naming_the_line(tmp_path, good, capsys, case):
     assert fragment in capsys.readouterr().err
 
 
-# Boundary records of the gamma = 3, h = 0.1 cell mesh, edited: the
-# first Inclusion record (line 281) made a non-edge, or dropped.
+# The gamma = 3, h = 0.1 cell mesh, edited: the first Inclusion record
+# (line 281) made a non-edge, or dropped; or a vertex that no triangle
+# uses added at the cell center, after the 100 vertices.
 CELL_REGRESSIONS = {
     "non-edge": (lambda l: l[:280] + ["0 40 Inclusion"] + l[281:],
                  "line 281: boundary edge 0 40 is tagged twice or not the "
@@ -287,6 +330,9 @@ CELL_REGRESSIONS = {
     "dropped": (lambda l: l[:239] + ["NB 63"] + l[240:280] + l[281:],
                 "line 225: edge 40 41 of exactly one triangle has no "
                 "boundary record"),
+    "unused vertex": (lambda l: l[:1] + ["NV 101"] + l[2:102] + ["0.5 0.5"]
+                      + l[102:],
+                      "line 103: vertex 100 is not used by any triangle"),
 }
 
 
@@ -298,11 +344,55 @@ def test_cell_mesh_boundary_records_exit_2(tmp_path, capsys, cell_mesh_g3,
     write_mesh(cell_mesh_g3, path)
     lines = path.read_text().splitlines()
     assert lines[239] == "NB 64" and lines[280] == "40 41 Inclusion"
+    assert lines[1] == "NV 100" and lines[102] == "NT 136"
     path.write_text("\n".join(edit(lines)) + "\n")
     code = main(["cell-steady", "--mesh", str(path),
                  "--out", str(tmp_path / "out" / "k_bar.csv")])
     assert code == 2
     assert fragment in capsys.readouterr().err
+
+
+def _unchecked_mesh(lines):
+    """The TriMesh of a MESH2D 1 file's lines, built with no check."""
+    rows, sections = [line.split() for line in lines[1:]], []
+    for width in (2, 3, 3, 3):
+        count = int(rows[0][1])
+        sections.append(np.array(rows[1:count + 1],
+                                 dtype=object).reshape(-1, width))
+        rows = rows[count + 1:]
+    xy, tris, records, pairs = sections
+    return TriMesh(xy.astype(float), tris.astype(np.int64),
+                   records[:, :2].astype(np.int64), records[:, 2].tolist(),
+                   pairs.astype(np.int64))
+
+
+# Every mesh case above whose file parses: the parse refuses a NaN
+# coordinate before the mesh contract is checked.
+CONTRACT_CASES = {
+    **{case: (False, edit) for case, (artifact, edit, _) in REGRESSIONS.items()
+       if artifact == "domain.mesh" and case != "mesh nan coordinate"},
+    **{f"cell {case}": (True, edit)
+       for case, (edit, _) in CELL_REGRESSIONS.items()},
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+def test_read_and_validate_share_one_contract(tmp_path, cell_mesh_g3, case):
+    # the broken mesh built in memory, written, then read back: the
+    # reader names the same fault as validate_mesh, plus a line
+    cell, edit = CONTRACT_CASES[case]
+    good = cell_mesh_g3 if cell else gen_rect_mesh(2.0, 1.0, 0.5)
+    path = tmp_path / "m.mesh"
+    write_mesh(good, path)
+    lines = edit(path.read_text().splitlines())
+    mesh = _unchecked_mesh(lines)
+    write_mesh(mesh, path)
+    assert path.read_text() == "\n".join(lines) + "\n"
+    with pytest.raises(FormatError) as read:
+        read_mesh(path)
+    with pytest.raises(MeshQualityError) as valid:
+        validate_mesh(mesh)
+    assert str(read.value) == f"line {read.value.line}: {valid.value}"
 
 
 def test_blank_lines_are_skipped(tmp_path, good, capsys):
