@@ -4,14 +4,13 @@ Eigenpairs of the vector Laplacian on divergence-free, no-slip, periodic
 velocity fields are computed from the constrained saddle pencil by
 shift-invert Lanczos about zero, once per symmetry block of the cell
 (four quarter-size blocks on a symmetric cell, else the whole operator),
-reusing each block's factorization from the steady solves.  Each run is
-finished by one purifying solve per Ritz vector and one Rayleigh-Ritz
-step, and the blocks' spectra are merged.  Eigenfunctions are
-orthonormal in L2, inside clusters of equal eigenvalues too, and for
-each mode the cell averages a^k = (a1, a2) of the eigenfunction are
-recorded; they are the only quantities the kernel model consumes.  A
-constant field is odd under the half-turn, so the modes of the two
-even blocks carry a^k = (0, 0).
+first the blocks whose factorization the steady solves left.  Each run
+is finished by one purifying solve per Ritz vector and one Rayleigh-Ritz
+step, and the blocks' spectra are merged.  The eigenfunctions are
+checked a block at a time and not kept: only each mode's eigenvalue and
+cell averages a^k = (a1, a2), the quantities the kernel model consumes,
+leave the module.  A constant field is odd under the half-turn, so the
+modes of the two even blocks carry a^k = (0, 0).
 """
 
 import numpy as np
@@ -23,6 +22,8 @@ from .textio import INDEX, POSITIVE, FormatError, Records, write_rows
 
 CLUSTER_RTOL = 1e-6
 RESIDUAL_RTOL = 1e-8
+# Bound on the divergence norm of a mass-normalized eigenfunction.
+DIVERGENCE_ATOL = 1e-8
 # Modes asked of ARPACK beyond the requested count, so the cluster that
 # straddles the cut comes back in full.  While a cluster runs to the end
 # of that window, the window widens by as many again (at least one).
@@ -34,13 +35,12 @@ START_SEED = 20260816
 
 class Spectrum:
     """Ascending cell modes: eigenvalues (m,), averaged coefficients
-    a^k (m, 2), reduced saddle vectors as columns (n, m) and residuals
-    (m,)."""
+    a^k (m, 2) and residuals (m,).  The eigenfunctions are checked block
+    by block inside solve_eigen and not kept."""
 
-    def __init__(self, eigenvalues, coefficients, vectors, residuals):
+    def __init__(self, eigenvalues, coefficients, residuals):
         self.eigenvalues = eigenvalues
         self.coefficients = coefficients
-        self.vectors = vectors
         self.residuals = residuals
 
     def __len__(self):
@@ -80,7 +80,8 @@ def _ritz_pairs(block, window):
     singular mass block leaves the highest Ritz vectors inexact; one
     solve per vector purifies them (Ericsson-Ruhe) and one Rayleigh-Ritz
     step on the purified basis Y, eigh(Y^T K Y, Y^T M Y), finishes the
-    pairs."""
+    pairs.  SolverError unless the whole Gram matrix V^T M V of the
+    vectors lies within 1e-8 of the identity."""
     op = block.operator
     mass = block.mass
     n = op.shape[0]
@@ -98,7 +99,7 @@ def _ritz_pairs(block, window):
     try:
         lams, rot = eigh(basis.T @ (op @ basis), basis.T @ (mass @ basis))
         vecs = basis @ rot
-        drift = np.abs(np.einsum("ij,ij->j", vecs, mass @ vecs) - 1.0).max()
+        drift = np.abs(vecs.T @ (mass @ vecs) - np.eye(window)).max()
     except LinAlgError:
         drift = np.inf
     if not drift <= RESIDUAL_RTOL:
@@ -112,15 +113,16 @@ def _ritz_pairs(block, window):
 def solve_eigen(system, num_modes):
     """First num_modes eigenpairs of a StokesSystem's cell pencil.
 
-    Each block of the system runs its own eigensolve, and the spectrum
-    is their merge.  A cluster of near-equal eigenvalues (relative gap
-    below 1e-6) that straddles the requested cut is returned in full, so
-    the spectrum can be slightly longer than num_modes; a block's window
-    widens until its largest eigenvalue lies past that cluster, and
-    SolverError if the window reaches the last mode the block's solver
-    can compute.  Each returned pair satisfies ||K x - lam M x|| <= 1e-8
-    * lam for the reduced saddle operator K and mass M, and the
-    velocities are orthonormal in L2 (V^T M V = I), inside clusters too.
+    Each block runs its own eigensolve, those still holding a
+    factorization first, and the spectrum is their merge.  A cluster of
+    near-equal eigenvalues (relative gap below 1e-6) that straddles the
+    requested cut is returned in full, so the spectrum can be slightly
+    longer than num_modes; a block's window widens until its largest
+    eigenvalue lies past that cluster, and SolverError if the window
+    reaches the last mode the block's solver can compute.  Each block's
+    kept vectors must have L2-orthonormal velocities (V^T M V = I, inside
+    clusters too), divergence norms <= 1e-8 and ||K x - lam M x|| <= 1e-8
+    * lam for the reduced saddle operator K and mass M, else SolverError.
     A mode's coefficients a^k are its velocity averages projected on the
     forces its block carries: (0, 0) in a block even under the
     half-turn, c (1, +-1) in an odd one.  num_modes = 0 gives an empty
@@ -128,23 +130,20 @@ def solve_eigen(system, num_modes):
     """
     if num_modes < 0:
         raise ValueError("num_modes must be nonnegative")
-    op = system.operator
-    mass = system.mass_saddle
-    n = op.shape[0]
     if num_modes == 0:
-        return Spectrum(np.zeros(0), np.zeros((0, 2)), np.zeros((n, 0)),
-                        np.zeros(0))
+        return Spectrum(np.zeros(0), np.zeros((0, 2)), np.zeros(0))
     blocks = system.blocks
     share = -(-num_modes // len(blocks))
     windows = [min(share + EXTRA_MODES, b.size - 2) for b in blocks]
     pairs = [None] * len(blocks)
+    # cached factors first, then one factor at a time, each freed after
+    # its block's eigensolve: a block whose window widens is factored again
+    visit = sorted(range(len(blocks)), key=lambda k: not blocks[k].factored)
     while True:
-        for k, block in enumerate(blocks):
+        for k in visit:
             if pairs[k] is None or pairs[k][0].size != windows[k]:
-                pairs[k] = _ritz_pairs(block, windows[k])
-                # one block's factors at a time: a block whose window
-                # widens is factored again
-                block.free_factor()
+                pairs[k] = _ritz_pairs(blocks[k], windows[k])
+                blocks[k].free_factor()
         # Keep num_modes of the merged spectrum, extending to finish a
         # cluster cut at the boundary.  A cluster may go on past a
         # block's last mode, so a block whose last mode is kept widens
@@ -168,27 +167,26 @@ def solve_eigen(system, num_modes):
     lams = lams[order]
     owner = np.repeat(np.arange(len(blocks)), windows)[order]
     local = order - np.cumsum([0] + windows)[:-1][owner]
-    # Every contract runs on the lifted vectors, a block at a time.
-    vecs = np.empty((n, keep))
-    residuals = np.empty(keep)
+    residuals, coeffs = np.empty(keep), np.empty((keep, 2))
     for k, block in enumerate(blocks):
-        mine = owner == k
+        mine = np.flatnonzero(owner == k)
         v = block.lift(pairs[k][1][:, local[mine]])
-        residuals[mine] = np.linalg.norm(op @ v - (mass @ v) * lams[mine],
-                                         axis=0)
-        vecs[:, mine] = v
+        residuals[mine] = np.linalg.norm(
+            system.operator @ v - (system.mass_saddle @ v) * lams[mine], axis=0)
+        for j, x in zip(mine, v.T):
+            div = system.divergence_norm(x)
+            if not div <= DIVERGENCE_ATOL:
+                raise SolverError(f"mode {j + 1} divergence residual "
+                                  f"{div:.2e} exceeds {DIVERGENCE_ATOL:.0e}")
+            coeffs[j] = system.velocity_average(x)
+        coeffs[mine] = block.project(coeffs[mine])
     k = np.argmax(residuals / lams)
     if residuals[k] > RESIDUAL_RTOL * lams[k]:
         raise SolverError(
             f"eigen residual {residuals[k]:.2e} exceeds {RESIDUAL_RTOL:.0e} * "
             f"lambda ({lams[k]:.4f}) at mode {k + 1}")
-    coeffs = np.array([system.velocity_average(v) for v in vecs.T])
-    for k, block in enumerate(blocks):
-        coeffs[owner == k] = block.project(coeffs[owner == k])
-    signs = _fix_sign(coeffs)
-    vecs *= signs
-    coeffs *= signs[:, None]
-    return Spectrum(lams, coeffs, vecs, residuals)
+    coeffs *= _fix_sign(coeffs)[:, None]
+    return Spectrum(lams, coeffs, residuals)
 
 
 def write_spectrum_csv(lams, coeffs, path):

@@ -392,6 +392,11 @@ class CellBlock:
             self._factor = SparseFactor(self.operator)
         return self._factor
 
+    @property
+    def factored(self):
+        """Whether the block holds its factorization."""
+        return self._factor is not None
+
     def free_factor(self):
         """Drop the factorization; the next use of factor rebuilds it."""
         self._factor = None
@@ -416,7 +421,8 @@ class StokesSystem:
     divergence row, minus the sum of the others, is left out of the
     operator but kept in bx_r and by_r.  The operator matrix is
     symmetric; the companion mass matrix carries the velocity mass in
-    its leading blocks.
+    its leading blocks.  Cell averages are cell integrals, so the mesh
+    must span 1 along each axis (within 1e-12), else ValueError.
 
     The solvers work on blocks.  A mesh that the half-turn R and the
     diagonal reflection S map onto itself (every gen_cell_mesh cell)
@@ -432,6 +438,10 @@ class StokesSystem:
     """
 
     def __init__(self, mesh):
+        sx, sy = np.ptp(mesh.vertices, axis=0).tolist()
+        if max(abs(sx - 1.0), abs(sy - 1.0)) > 1e-12:
+            raise ValueError(f"cell mesh spans {sx!r} by {sy!r}; the cell "
+                             f"problems need the unit cell, 1 by 1")
         self.mesh = mesh
         k2, m2, dofmap = assemble_p2_stiffness_mass(mesh)
         bx, by = assemble_divergence(mesh, dofmap)

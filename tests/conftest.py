@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 from porohom import textio
-from porohom.cell_spectral import solve_eigen
+from porohom.cell_spectral import EXTRA_MODES, _ritz_pairs, solve_eigen
 from porohom.cell_steady import solve_cell_steady
 from porohom.cell_unsteady import KernelSamples
 from porohom.fem import StokesSystem
@@ -67,6 +67,35 @@ def kernel_time_integral(samples, component=(0, 0)):
         # sum_{n>=1} k_N * ratio^n * dt
         total += float(k[-1] * dt * ratio / (1.0 - ratio))
     return total
+
+
+def ritz_modes(system, num_modes):
+    """The Ritz pairs solve_eigen(system, num_modes) picks its modes from
+    when no window widens: per block of the system, (block, eigenvalues,
+    lifted vectors (n, window)).  Each block's factor is freed after its
+    pairs, as solve_eigen leaves it."""
+    share = -(-num_modes // len(system.blocks))
+    modes = []
+    for block in system.blocks:
+        lams, vecs = _ritz_pairs(block, min(share + EXTRA_MODES,
+                                            block.size - 2))
+        block.free_factor()
+        modes.append((block, lams, block.lift(vecs)))
+    return modes
+
+
+def kept_modes(modes, spectrum):
+    """Eigenvalues (w,), vectors (n, w) and owning blocks (w,) of every
+    pair of ritz_modes, merged in ascending order as solve_eigen merges
+    them; the first len(spectrum) are the spectrum's modes."""
+    lams = np.concatenate([lam for _, lam, _ in modes])
+    order = np.argsort(lams, kind="stable")
+    assert np.array_equal(lams[order][:len(spectrum)], spectrum.eigenvalues)
+    # C order, as solve_eigen holds them: a strided column sums its
+    # average in the same order
+    vecs = np.ascontiguousarray(np.hstack([v for _, _, v in modes])[:, order])
+    owners = [b for b, lam, _ in modes for _ in lam]
+    return lams[order], vecs, [owners[i] for i in order]
 
 
 @pytest.fixture(autouse=True)

@@ -8,6 +8,7 @@ the divergence constraint through the null space Z of B.
 """
 
 import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from porohom.cell_spectral import solve_eigen
 from porohom.cell_steady import solve_cell_steady
 from porohom.cell_unsteady import solve_cell_unsteady
 from porohom.fem import CHARACTERS, StokesSystem
+
+from conftest import kept_modes, ritz_modes
 
 SYSTEMS = ["system_g1", "system_g3", "system_nudged"]
 SYMMETRIC = ["system_g1", "system_g3"]
@@ -127,22 +130,26 @@ def test_blocks_match_a_dense_null_space_reference(request, name):
 
 @pytest.mark.parametrize("name", SYMMETRIC)
 def test_mode_coefficients_follow_the_half_turn(request, name):
-    # R-even modes carry a = (0, 0) exactly, R-odd ones |a1| = |a2|
+    # each block's Ritz vectors turn with its character under the
+    # half-turn; R-even modes carry a = (0, 0) exactly, R-odd ones
+    # |a1| = |a2|
     system = request.getfixturevalue(name)
     spectrum = solve_eigen(system, 20)
     velocity = 2 * system.n_velocity
     t_r = system.symmetries[0][:velocity, :velocity]
-    parity = []
-    for u, a in zip(spectrum.vectors[:velocity].T, spectrum.coefficients):
-        turned = t_r @ u
-        if np.array_equal(a, [0.0, 0.0]):
-            parity.append(1)
-            assert np.abs(turned - u).max() <= 1e-12 * np.abs(u).max()
+    modes = ritz_modes(system, 20)
+    for block, _, v in modes:
+        u = v[:velocity]
+        chi = block.character[0]
+        assert np.all(np.abs(t_r @ u - chi * u).max(axis=0)
+                      <= 1e-12 * np.abs(u).max(axis=0))
+    owners = kept_modes(modes, spectrum)[2][:len(spectrum)]
+    for block, a in zip(owners, spectrum.coefficients):
+        if block.character[0] == 1:
+            assert np.array_equal(a, [0.0, 0.0])
         else:
-            parity.append(-1)
             assert abs(a[0]) == abs(a[1])
-            assert np.abs(turned + u).max() <= 1e-12 * np.abs(u).max()
-    assert 1 in parity and -1 in parity
+    assert {b.character[0] for b in owners} == {1, -1}
 
 
 def test_even_blocks_are_never_factored_for_forces(monkeypatch, system_g3):
@@ -163,3 +170,25 @@ def test_even_blocks_are_never_factored_for_forces(monkeypatch, system_g3):
     assert all(m is b.operator for m, b in zip(factored, odd))
     solve_cell_unsteady(system, 1e-3, 2e-3)
     assert [m.shape[0] for m in factored[2:]] == [b.size for b in odd]
+
+
+def test_eigen_stage_keeps_at_most_two_factors(monkeypatch, system_g3):
+    # the steady solves leave the two odd blocks factored; the eigen
+    # stage uses and frees those before it factors an even block, and
+    # factors each block once
+    factored, alive, most = [], weakref.WeakSet(), [0]
+    init = fem.SparseFactor.__init__
+
+    def counting(self, matrix):
+        init(self, matrix)
+        factored.append(matrix)
+        alive.add(self)
+        most[0] = max(most[0], len(alive))
+
+    monkeypatch.setattr(fem.SparseFactor, "__init__", counting)
+    system = StokesSystem(system_g3.mesh)
+    solve_cell_steady(system)
+    solve_eigen(system, 20)
+    assert most[0] == 2 and len(alive) == 0
+    assert sorted(map(id, factored)) == sorted(id(b.operator)
+                                               for b in system.blocks)

@@ -12,6 +12,8 @@ from porohom.cell_spectral import (
 )
 from porohom.fem import SolverError
 
+from conftest import kept_modes, ritz_modes
+
 # frozen regression value from this solver at gamma = 1, h = 0.1
 LAM1_G1_H01 = 35.843594718901
 
@@ -28,45 +30,54 @@ def test_residual_contract(spectrum_g1):
     assert np.all(spectrum_g1.residuals <= 1e-8 * spectrum_g1.eigenvalues)
 
 
-def test_rayleigh_quotient_consistency(system_g1, spectrum_g1):
-    # the whole Gram matrices: V^T M V = I and V^T K V = diag(lambda),
-    # across clusters and inside them, entry (i, j) relative to
-    # sqrt(lambda_i lambda_j)
+@pytest.fixture(scope="module")
+def modes_g1(system_g1, spectrum_g1):
+    """Every Ritz pair the modes of spectrum_g1 are picked from, merged."""
+    return kept_modes(ritz_modes(system_g1, 6), spectrum_g1)
+
+
+def test_rayleigh_quotient_consistency(system_g1, modes_g1):
+    # the whole Gram matrices of every block's Ritz vectors: V^T M V = I
+    # and V^T K V = diag(lambda), across blocks and clusters and inside
+    # them, entry (i, j) relative to sqrt(lambda_i lambda_j)
     op, mass = system_g1.operator, system_g1.mass_saddle
-    v, lams = spectrum_g1.vectors, spectrum_g1.eigenvalues
+    lams, v, _ = modes_g1
     assert np.abs(v.T @ (mass @ v) - np.eye(lams.size)).max() < 1e-12
     scale = np.sqrt(np.outer(lams, lams))
     assert np.all(np.abs(v.T @ (op @ v) - np.diag(lams)) < 1e-10 * scale)
 
 
-def test_velocity_divergence_free(system_g1, spectrum_g1):
-    for k in range(len(spectrum_g1)):
-        assert system_g1.divergence_norm(spectrum_g1.vectors[:, k]) < 1e-8
+def test_velocity_divergence_free(system_g1, modes_g1):
+    for x in modes_g1[1].T:
+        assert system_g1.divergence_norm(x) < 1e-8
 
 
 def test_coefficients_are_the_vectors_averages(system_g1, spectrum_g1,
-                                               system_nudged):
-    # the sign flip reaches both the vector and its a^k; a symmetric
-    # cell's blocks project the averages on their forces, which moves
-    # them by rounding only, and the whole operator keeps them as they are
+                                               modes_g1, system_nudged):
+    # a^k is the average of its mode's vector up to the sign _fix_sign
+    # picks; a symmetric cell's blocks project the averages on their
+    # forces, which moves them by rounding only, and the whole operator
+    # keeps them as they are
     scale = np.abs(spectrum_g1.coefficients).max()
-    for k in range(len(spectrum_g1)):
-        a = system_g1.velocity_average(spectrum_g1.vectors[:, k])
-        assert np.abs(a - spectrum_g1.coefficients[k]).max() <= 1e-14 * scale
-        assert a @ spectrum_g1.coefficients[k] >= 0.0
+    for x, c in zip(modes_g1[1].T, spectrum_g1.coefficients):
+        a = system_g1.velocity_average(x)
+        a = a if a @ c >= 0.0 else -a
+        assert np.abs(a - c).max() <= 1e-14 * scale
     spectrum = solve_eigen(system_nudged, 6)
-    for k in range(len(spectrum)):
-        a = system_nudged.velocity_average(spectrum.vectors[:, k])
-        assert np.array_equal(a, spectrum.coefficients[k])
+    _, v, _ = kept_modes(ritz_modes(system_nudged, 6), spectrum)
+    for x, c in zip(v.T, spectrum.coefficients):
+        a = system_nudged.velocity_average(x)
+        assert np.array_equal(a, c) or np.array_equal(-a, c)
 
 
-def test_circular_cell_has_a_double_ground_mode(system_g1, spectrum_g1):
+def test_circular_cell_has_a_double_ground_mode(system_g1, spectrum_g1,
+                                                modes_g1):
     lams = spectrum_g1.eigenvalues
     assert lams[1] - lams[0] <= 1e-9 * lams[0]
     groups = cluster_groups(spectrum_g1.eigenvalues)
     assert groups[0] == [0, 1]
     # modes inside one cluster are mass-orthogonal
-    x0, x1 = spectrum_g1.vectors[:, 0], spectrum_g1.vectors[:, 1]
+    x0, x1 = modes_g1[1][:, 0], modes_g1[1][:, 1]
     assert abs(x0 @ (system_g1.mass_saddle @ x1)) < 1e-10
 
 
@@ -167,6 +178,57 @@ def test_degenerate_ritz_basis_raises(monkeypatch, system_g1, pair):
     monkeypatch.setattr(cell_spectral, "eigsh", twin_columns)
     with pytest.raises(SolverError, match="degenerate"):
         solve_eigen(system_g1, 6)
+
+
+# Each contract solve_eigen checks, broken on the symmetry blocks and on
+# the whole operator.
+CONTRACT_SYSTEMS = ["system_g1", "system_nudged"]
+
+
+@pytest.mark.parametrize("name", CONTRACT_SYSTEMS)
+def test_non_orthogonal_ritz_pair_raises(monkeypatch, request, name):
+    # tilt one Ritz vector towards another by 1e-6: every mass norm stays
+    # 1 to rounding, and only an off-diagonal Gram entry shows the tilt
+    eigh = cell_spectral.eigh
+
+    def tilted(*args, **kwargs):
+        lams, rot = eigh(*args, **kwargs)
+        rot[:, 1] = np.sqrt(1.0 - 1e-12) * rot[:, 1] + 1e-6 * rot[:, 0]
+        return lams, rot
+
+    monkeypatch.setattr(cell_spectral, "eigh", tilted)
+    with pytest.raises(SolverError, match="degenerate"):
+        solve_eigen(request.getfixturevalue(name), 6)
+
+
+@pytest.mark.parametrize("name", CONTRACT_SYSTEMS)
+def test_divergent_mode_raises(monkeypatch, request, name):
+    # a small random field added to each block's lowest Ritz vector
+    ritz_pairs = cell_spectral._ritz_pairs
+
+    def leaky(block, window):
+        lams, vecs = ritz_pairs(block, window)
+        rng = np.random.default_rng(0)
+        vecs[:, 0] += 1e-6 * rng.standard_normal(block.size)
+        return lams, vecs
+
+    monkeypatch.setattr(cell_spectral, "_ritz_pairs", leaky)
+    with pytest.raises(SolverError, match="divergence residual"):
+        solve_eigen(request.getfixturevalue(name), 6)
+
+
+@pytest.mark.parametrize("name", CONTRACT_SYSTEMS)
+def test_inexact_eigenvalue_raises(monkeypatch, request, name):
+    # eigenvalues 1e-4 too high beside their exact vectors
+    ritz_pairs = cell_spectral._ritz_pairs
+
+    def shifted(block, window):
+        lams, vecs = ritz_pairs(block, window)
+        return lams * (1.0 + 1e-4), vecs
+
+    monkeypatch.setattr(cell_spectral, "_ritz_pairs", shifted)
+    with pytest.raises(SolverError, match="eigen residual"):
+        solve_eigen(request.getfixturevalue(name), 6)
 
 
 def test_seed_changes_nothing_observable(monkeypatch, system_g1, spectrum_g1):

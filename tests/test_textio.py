@@ -352,6 +352,27 @@ def test_cell_mesh_boundary_records_exit_2(tmp_path, capsys, cell_mesh_g3,
     assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale, shift", [(2.0, 0.0), (1.0, 3.0)])
+def test_cell_steady_needs_the_unit_cell(tmp_path, capsys, cell_mesh_g1,
+                                         k_bar_g1, scale, shift):
+    # the cell averages are cell integrals: a doubled cell would scale
+    # K_bar by 16, so it exits 2 naming its span; a shifted one runs
+    mesh = cell_mesh_g1
+    path, out = tmp_path / "cell.mesh", tmp_path / "k_bar.csv"
+    write_mesh(TriMesh(mesh.vertices * scale + shift, mesh.triangles,
+                       mesh.boundary_edges, mesh.boundary_tags,
+                       mesh.periodic_pairs), path)
+    code = main(["cell-steady", "--mesh", str(path), "--out", str(out)])
+    if scale == 1.0:
+        assert code == 0
+        k_bar = read_permeability_csv(out)
+        assert np.abs(k_bar - k_bar_g1).max() <= 1e-9 * k_bar_g1.max()
+    else:
+        assert code == 2
+        assert "cell mesh spans 2.0 by 2.0" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def _unchecked_mesh(lines):
     """The TriMesh of a MESH2D 1 file's lines, built with no check."""
     rows, sections = [line.split() for line in lines[1:]], []
