@@ -5,31 +5,42 @@ velocity fields are computed from the constrained saddle pencil by
 shift-invert Lanczos about zero, once per symmetry block of the cell
 (four quarter-size blocks on a symmetric cell, else the whole operator),
 first the blocks whose factorization the steady solves left.  Each run
-is finished by one purifying solve per Ritz vector and one Rayleigh-Ritz
-step, and the blocks' spectra are merged.  The eigenfunctions are
-checked a block at a time and not kept: only each mode's eigenvalue and
-cell averages a^k = (a1, a2), the quantities the kernel model consumes,
-leave the module.  A constant field is odd under the half-turn, so the
-modes of the two even blocks carry a^k = (0, 0).
+starts inside the range of K^-1 M, stops when its window of Ritz pairs
+has converged, and purifies its Ritz vectors from its own last Lanczos
+vector (Ericsson-Ruhe) before one Rayleigh-Ritz step; only a vector
+whose residual still misses costs a solve.  The blocks' spectra are
+merged.  The eigenfunctions are checked a block at a time and not kept:
+only each mode's eigenvalue and cell averages a^k = (a1, a2), the
+quantities the kernel model consumes, leave the module.  A constant
+field is odd under the half-turn, so the modes of the two even blocks
+carry a^k = (0, 0).
 """
 
+import logging
+
 import numpy as np
-from scipy.linalg import LinAlgError, eigh
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+from scipy.linalg import LinAlgError, eigh, eigh_tridiagonal
 
 from .fem import SolverError
 from .textio import INDEX, POSITIVE, FormatError, Records, write_rows
+
+_log = logging.getLogger(__name__)
 
 CLUSTER_RTOL = 1e-6
 RESIDUAL_RTOL = 1e-8
 # Bound on the divergence norm of a mass-normalized eigenfunction.
 DIVERGENCE_ATOL = 1e-8
-# Modes asked of ARPACK beyond the requested count, so the cluster that
-# straddles the cut comes back in full.  While a cluster runs to the end
-# of that window, the window widens by as many again (at least one).
+# A Lanczos run stops once every Ritz pair of its window has an
+# estimate beta_j |s_ji| within this fraction of its Ritz value theta_i.
+RITZ_RTOL = 1e-10
+# Modes computed in each block beyond its share of the requested count,
+# so the cluster that straddles the cut comes back in full.  While a
+# cluster runs to the end of that window, the window widens by as many
+# again (at least one).
 EXTRA_MODES = 6
-# Seed of the Lanczos start vector.  Eigenvalues and cluster tensors
-# do not depend on it; vectors inside a cluster may rotate.
+# Seed of the vector r of the Lanczos start K^-1 M r.  Eigenvalues and
+# cluster tensors do not depend on it; vectors inside a cluster may
+# rotate.
 START_SEED = 20260816
 
 
@@ -74,39 +85,132 @@ def _fix_sign(coeffs):
     return np.where(coeffs[np.arange(len(coeffs)), first] < 0.0, -1.0, 1.0)
 
 
-def _ritz_pairs(block, window):
-    """The window lowest eigenpairs of a block's pencil, ascending, with
-    mass-orthonormal vectors in block coordinates.  Shift-invert with a
-    singular mass block leaves the highest Ritz vectors inexact; one
-    solve per vector purifies them (Ericsson-Ruhe) and one Rayleigh-Ritz
-    step on the purified basis Y, eigh(Y^T K Y, Y^T M Y), finishes the
-    pairs.  SolverError unless the whole Gram matrix V^T M V of the
-    vectors lies within 1e-8 of the identity."""
-    op = block.operator
-    mass = block.mass
-    n = op.shape[0]
-    factor = block.factor
-    opinv = LinearOperator((n, n), matvec=factor.solve)
-    v0 = np.random.default_rng(START_SEED).standard_normal(n)
-    try:
-        _, vecs = eigsh(op, k=window, M=mass, sigma=0.0, which="LM",
-                        OPinv=opinv, v0=v0, tol=1e-12, maxiter=2000)
-    except ArpackError as exc:
-        raise SolverError(f"eigensolver failed: {exc}") from exc
-    basis = np.column_stack([factor.solve(v) for v in (mass @ vecs).T])
+def _lanczos_basis(block, window):
+    """Purified Ritz basis Y (size, window) of the window lowest
+    eigenpairs of a block's pencil K x = lam M x, and the Lanczos steps
+    it took.
+
+    Lanczos runs on K^-1 M in the M inner product from q_1 ~ K^-1 M r,
+    r from START_SEED, so that every Lanczos vector lies in the range of
+    K^-1 M.  Each new vector is orthogonalized by the three-term
+    recurrence and then once more against the whole stored basis Q.
+    After step j the tridiagonal T_j = S diag(theta) S^T gives Ritz
+    values theta_i ~ 1/lam_i, Ritz vectors x_i = Q s_i and the relation
+    K^-1 M x_i = theta_i x_i + beta_j s_ji q_j+1.  The run stops at the
+    first step where the window largest theta all have estimates
+    beta_j |s_ji| <= RITZ_RTOL theta_i (the smallest of them is checked
+    every step, the others once it passes).  Column i of Y is then
+    K^-1 M x_i / theta_i, purified at no solve (Ericsson-Ruhe): on the
+    coordinates M sees, x_i + (beta_j s_ji / theta_i) q_j+1; on those it
+    cannot see (the pressures), sum_k s_ki K^-1 M q_k / theta_i from
+    the solves themselves, since the recurrence carries rounding there
+    that M never damps and that grows from step to step (Nour-Omid,
+    Parlett, Ericsson and Jensen 1987).  SolverError on a breakdown
+    (beta_j below 1e-14 max |alpha|) before the window converges, or
+    when the run reaches min(size - 1, 4 window + 40) steps.
+    """
+    mass, factor = block.mass, block.factor
+    cap = min(block.size - 1, 4 * window + 40)
+    q = np.empty((block.size, cap), order="F")
+    # the coordinates M cannot see, and the solves' values there
+    hidden = np.flatnonzero(mass.diagonal() == 0.0)
+    solved = np.empty((hidden.size, cap), order="F")
+    alpha, beta = np.empty(cap), np.empty(cap)
+    w = factor.solve(
+        mass @ np.random.default_rng(START_SEED).standard_normal(block.size))
+    mw = mass @ w
+    norm = np.sqrt(w @ mw)
+    for j in range(cap):
+        if not norm > 1e-14 * np.abs(alpha[:j]).max(initial=0.0):
+            raise SolverError(
+                f"Lanczos breakdown in block {block.character} at step {j}, "
+                f"before {window} Ritz pairs converged")
+        q[:, j] = w / norm
+        mq = mw / norm
+        w = factor.solve(mq)
+        solved[:, j] = w[hidden]
+        alpha[j] = mq @ w
+        w -= alpha[j] * q[:, j]
+        if j:
+            w -= beta[j - 1] * q[:, j - 1]
+        basis = q[:, :j + 1]
+        w -= basis @ (basis.T @ (mass @ w))
+        mw = mass @ w
+        beta[j] = norm = np.sqrt(w @ mw)
+        steps = j + 1
+        if steps < window:
+            continue
+        lo = steps - window
+        theta, s = eigh_tridiagonal(alpha[:steps], beta[:j], select="i",
+                                    select_range=(lo, lo))
+        if not norm * abs(s[-1, 0]) <= RITZ_RTOL * theta[0]:
+            continue
+        theta, s = eigh_tridiagonal(alpha[:steps], beta[:j], select="i",
+                                    select_range=(lo, steps - 1))
+        if np.all(norm * np.abs(s[-1]) <= RITZ_RTOL * theta):
+            purified = basis @ s + np.outer(w, s[-1] / theta)
+            purified[hidden] = solved[:, :steps] @ (s / theta)
+            return purified, steps
+    raise SolverError(f"Lanczos run in block {block.character} did not "
+                      f"converge in {cap} steps")
+
+
+def _rayleigh_ritz(block, basis):
+    """Ascending Ritz pairs of a block's pencil on the span of basis,
+    eigh(Y^T K Y, Y^T M Y), and their residuals ||K x - lam M x||.
+    SolverError unless the whole Gram matrix V^T M V of the vectors lies
+    within 1e-8 of the identity: its diagonal (the mass norms) first,
+    then the rest (their mass-orthogonality)."""
+    op, mass = block.operator, block.mass
     # A rank-deficient basis fails the Cholesky factorization inside eigh
     # or, deficient only to rounding, yields vectors of near-zero norm.
     try:
         lams, rot = eigh(basis.T @ (op @ basis), basis.T @ (mass @ basis))
-        vecs = basis @ rot
-        drift = np.abs(vecs.T @ (mass @ vecs) - np.eye(window)).max()
     except LinAlgError:
-        drift = np.inf
-    if not drift <= RESIDUAL_RTOL:
+        raise SolverError("purified Ritz basis is degenerate: its mass "
+                          "Gram matrix is not positive definite") from None
+    vecs = basis @ rot
+    gram = vecs.T @ (mass @ vecs) - np.eye(lams.size)
+    norms = np.abs(np.diag(gram)).max()
+    if not norms <= RESIDUAL_RTOL:
         raise SolverError(f"purified Ritz basis is degenerate: mass norms "
-                          f"off by {drift:.2e}")
+                          f"off by {norms:.2e}")
+    skew = np.abs(gram).max()
+    if not skew <= RESIDUAL_RTOL:
+        raise SolverError(f"purified Ritz basis is degenerate: its vectors "
+                          f"are not mass-orthogonal, a Gram entry off by "
+                          f"{skew:.2e}")
+    residuals = np.linalg.norm(op @ vecs - (mass @ vecs) * lams, axis=0)
+    return lams, vecs, residuals
+
+
+def _ritz_pairs(block, window):
+    """The window lowest eigenpairs of a block's pencil, ascending, with
+    mass-orthonormal vectors in block coordinates.
+
+    One shift-invert Lanczos run (_lanczos_basis) gives a purified basis
+    Y and one Rayleigh-Ritz step on it (_rayleigh_ritz) the pairs.  A
+    vector x whose residual still misses 1e-8 lam is replaced by
+    K^-1 M x, one solve each, and the Rayleigh-Ritz step runs once more.
+    SolverError from either step, or on a nonpositive eigenvalue.  Logs
+    one DEBUG line per block: its character, window, Lanczos steps,
+    solves, purified vectors and largest residual / lam.
+    """
+    factor = block.factor
+    first_solve = factor.solve_count
+    basis, steps = _lanczos_basis(block, window)
+    lams, vecs, residuals = _rayleigh_ritz(block, basis)
+    miss = np.flatnonzero(~(residuals <= RESIDUAL_RTOL * lams))
+    if miss.size:
+        for i in miss:
+            vecs[:, i] = factor.solve(block.mass @ vecs[:, i])
+        lams, vecs, residuals = _rayleigh_ritz(block, vecs)
     if lams[0] <= 0.0:
         raise SolverError(f"nonpositive eigenvalue {lams[0]:.3e} in cell spectrum")
+    _log.debug("eigen block %s: window %d, %d Lanczos steps, %d solves, "
+               "%d purified, max residual/lambda %.2e", block.character,
+               window, steps, factor.solve_count - first_solve, miss.size,
+               (residuals / lams).max())
     return lams, vecs
 
 

@@ -196,10 +196,12 @@ def edge_table(triangles, nv):
 
 def vertex_image(mesh, mat):
     """Vertex permutation of the cell symmetry x -> c + mat (x - c) about
-    the cell center c; NotAnOrbit unless it maps every vertex onto a
-    vertex within ORBIT_ATOL and triangles onto triangles."""
+    the center c of the mesh's bounding box; NotAnOrbit unless it maps
+    every vertex onto a vertex within ORBIT_ATOL and triangles onto
+    triangles."""
     pts = mesh.vertices
-    dist, image = cKDTree(pts).query(_CENTER + (pts - _CENTER) @ mat.T)
+    center = (pts.min(axis=0) + pts.max(axis=0)) / 2.0
+    dist, image = cKDTree(pts).query(center + (pts - center) @ mat.T)
     far = np.argmax(dist)
     if dist[far] > ORBIT_ATOL:
         raise NotAnOrbit(f"vertex {far} has no image within {ORBIT_ATOL:.0e}")

@@ -20,6 +20,7 @@ from porohom.cell_spectral import solve_eigen
 from porohom.cell_steady import solve_cell_steady
 from porohom.cell_unsteady import solve_cell_unsteady
 from porohom.fem import CHARACTERS, StokesSystem
+from porohom.meshing import TriMesh
 
 from conftest import kept_modes, ritz_modes
 
@@ -85,6 +86,17 @@ def test_each_path_says_which_ran(caplog, cell_mesh_g3, cell_mesh_nudged):
         f"cell operator: 4 symmetry blocks of {list(blocks.block_sizes)}",
         f"cell operator: one block of {n}, {whole.fallback}",
     ]
+
+
+def test_a_shifted_cell_splits_into_blocks(cell_mesh_g1, system_g1):
+    # the symmetries map about the mesh's own center, so the unit cell
+    # moved to [3, 4]^2 is still their orbit
+    mesh = cell_mesh_g1
+    shifted = StokesSystem(TriMesh(mesh.vertices + 3.0, mesh.triangles,
+                                   mesh.boundary_edges, mesh.boundary_tags,
+                                   mesh.periodic_pairs))
+    assert shifted.fallback is None
+    assert shifted.block_sizes == system_g1.block_sizes
 
 
 @pytest.mark.parametrize("name", SYMMETRIC)

@@ -1,16 +1,21 @@
 """Stokes eigenpairs on the perforated cell."""
 
+import logging
+import re
+
 import numpy as np
 import pytest
 
-from porohom import cell_spectral
+from porohom import cell_spectral, fem
 from porohom.cell_spectral import (
     cluster_groups,
     read_spectrum_csv,
     solve_eigen,
     write_spectrum_csv,
 )
-from porohom.fem import SolverError
+from porohom.cli import main
+from porohom.fem import CHARACTERS, SolverError, StokesSystem
+from porohom.meshing import NotAnOrbit, write_mesh
 
 from conftest import kept_modes, ritz_modes
 
@@ -165,19 +170,141 @@ def test_cluster_past_a_block_widens_that_block(monkeypatch, system_g1):
 
 @pytest.mark.parametrize("pair", [(0, 1), (2, 3)])
 def test_degenerate_ritz_basis_raises(monkeypatch, system_g1, pair):
-    # two equal Ritz vectors make Y^T M Y singular: its Cholesky
-    # factorization either fails or, singular only to rounding, passes
-    # and leaves a near-null vector; both must raise
-    eigsh = cell_spectral.eigsh
+    # two equal columns of the purified Lanczos basis make Y^T M Y
+    # singular: its Cholesky factorization either fails or, singular
+    # only to rounding, passes and leaves a near-null vector; both must
+    # raise
+    lanczos_basis = cell_spectral._lanczos_basis
 
-    def twin_columns(*args, **kwargs):
-        lams, vecs = eigsh(*args, **kwargs)
-        vecs[:, pair[1]] = vecs[:, pair[0]]
-        return lams, vecs
+    def twin_columns(block, window):
+        basis, steps = lanczos_basis(block, window)
+        basis[:, pair[1]] = basis[:, pair[0]]
+        return basis, steps
 
-    monkeypatch.setattr(cell_spectral, "eigsh", twin_columns)
+    monkeypatch.setattr(cell_spectral, "_lanczos_basis", twin_columns)
     with pytest.raises(SolverError, match="degenerate"):
         solve_eigen(system_g1, 6)
+
+
+def block_runs(caplog):
+    """(character, window, steps, solves, purified, residual / lambda)
+    of each block's DEBUG line, in the order the blocks ran."""
+    pattern = re.compile(r"eigen block (.+): window (\d+), (\d+) Lanczos "
+                         r"steps, (\d+) solves, (\d+) purified, max "
+                         r"residual/lambda (\S+)$")
+    runs = []
+    for record in caplog.records:
+        if record.name == "porohom.cell_spectral":
+            match = pattern.match(record.getMessage())
+            assert match, record.getMessage()
+            runs.append((match[1], *map(int, match.groups()[1:5]),
+                         float(match[6])))
+    return runs
+
+
+def test_each_block_logs_its_lanczos_run(caplog, system_g1):
+    # one start solve and one per Lanczos step; the residuals of the
+    # purified basis pass without a further solve
+    with caplog.at_level(logging.DEBUG, logger="porohom.cell_spectral"):
+        solve_eigen(system_g1, 6)
+    runs = block_runs(caplog)
+    assert sorted(r[0] for r in runs) == sorted(map(str, CHARACTERS))
+    for _, window, steps, solves, purified, worst in runs:
+        assert window == 2 + cell_spectral.EXTRA_MODES
+        assert window < steps < 4 * window + 40
+        assert solves == steps + 1 and purified == 0
+        assert worst <= 1e-10
+
+
+def test_a_vector_that_misses_its_residual_is_purified(monkeypatch, caplog,
+                                                       system_g1,
+                                                       spectrum_g1):
+    # a pressure, which M cannot see, added to one column of the purified
+    # basis leaves the Rayleigh-Ritz values alone but not that vector's
+    # residual: that vector alone gets one solve K^-1 M x, and passes
+    lanczos_basis = cell_spectral._lanczos_basis
+    rhs, polluted = [], []
+
+    def one_pressure(block, window):
+        basis, steps = lanczos_basis(block, window)
+        pressure = np.flatnonzero(block.mass.diagonal() == 0.0)[0]
+        basis[pressure, 3] += 1e-2 * np.abs(basis[:, 3]).max()
+        polluted.append(block.mass @ basis[:, 3])
+        solve = block.factor.solve
+        monkeypatch.setattr(block.factor, "solve",
+                            lambda b: rhs.append(b) or solve(b))
+        return basis, steps
+
+    monkeypatch.setattr(cell_spectral, "_lanczos_basis", one_pressure)
+    with caplog.at_level(logging.DEBUG, logger="porohom.cell_spectral"):
+        spectrum = solve_eigen(system_g1, 6)
+    runs = block_runs(caplog)
+    assert [r[4] for r in runs] == [1] * 4
+    assert all(solves == steps + 2 for _, _, steps, solves, _, _ in runs)
+    assert len(rhs) == 4
+    for b, mx in zip(rhs, polluted):
+        cosine = abs(b @ mx) / (np.linalg.norm(b) * np.linalg.norm(mx))
+        assert cosine >= 1.0 - 1e-10
+    assert max(r[5] for r in runs) <= 1e-10
+    assert np.abs(spectrum.eigenvalues - spectrum_g1.eigenvalues).max() \
+        <= 1e-12 * spectrum_g1.eigenvalues.max()
+
+
+def test_a_run_that_cannot_converge_raises(monkeypatch, tmp_path, capsys,
+                                           cell_mesh_g1, system_g1):
+    # no estimate reaches 0: each block runs to its step cap
+    monkeypatch.setattr(cell_spectral, "RITZ_RTOL", 0.0)
+    cap = 4 * (2 + cell_spectral.EXTRA_MODES) + 40
+    with pytest.raises(SolverError, match=f"did not converge in {cap} steps"):
+        solve_eigen(system_g1, 6)
+    mesh = tmp_path / "cell.mesh"
+    write_mesh(cell_mesh_g1, mesh)
+    assert main(["eigen", "--mesh", str(mesh), "--modes", "6",
+                 "--out", str(tmp_path / "spectrum.csv")]) == 3
+    assert "did not converge" in capsys.readouterr().err
+
+
+def test_a_run_past_the_finite_spectrum_breaks_down(tmp_path, capsys,
+                                                    cell_mesh_g1, system_g1):
+    # a block's window of size - 2 modes reaches past its finite
+    # eigenvalues, one per divergence-free velocity: the Krylov space
+    # runs out before the window converges
+    count = 4 * max(system_g1.block_sizes)
+    with pytest.raises(SolverError, match="Lanczos breakdown"):
+        solve_eigen(system_g1, count)
+    mesh = tmp_path / "cell.mesh"
+    write_mesh(cell_mesh_g1, mesh)
+    assert main(["eigen", "--mesh", str(mesh), "--modes", str(count),
+                 "--out", str(tmp_path / "spectrum.csv")]) == 3
+    assert "Lanczos breakdown" in capsys.readouterr().err
+
+
+def test_whole_operator_keeps_both_copies_of_each_double(monkeypatch, caplog,
+                                                         cell_mesh_g1,
+                                                         system_g1):
+    # on the exactly symmetric gamma = 1 cell, one Lanczos run on the
+    # whole operator meets every double eigenvalue, which the block path
+    # splits between the two R-odd blocks; its rounding must bring out
+    # the second copy of each.  Its 190 steps also let the rounding in
+    # the pressures grow far past the velocities: the purified basis
+    # takes them from the solves, so no vector needs a solve of its own
+    def not_an_orbit(*args):
+        raise NotAnOrbit("forced")
+
+    monkeypatch.setattr(fem, "_saddle_symmetry", not_an_orbit)
+    whole = StokesSystem(cell_mesh_g1)
+    assert whole.block_sizes == (whole.operator.shape[0],)
+    for count in (20, 60):
+        want = solve_eigen(system_g1, count).eigenvalues
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="porohom.cell_spectral"):
+            got = solve_eigen(whole, count).eigenvalues
+        [(_, _, _, _, purified, worst)] = block_runs(caplog)
+        assert purified == 0 and worst <= 1e-10
+        doubles = [g for g in cluster_groups(want) if len(g) == 2]
+        assert len(doubles) >= count // 5
+        assert cluster_groups(got) == cluster_groups(want)
+        assert np.all(np.abs(got - want) <= 1e-10 * want)
 
 
 # Each contract solve_eigen checks, broken on the symmetry blocks and on
@@ -197,7 +324,8 @@ def test_non_orthogonal_ritz_pair_raises(monkeypatch, request, name):
         return lams, rot
 
     monkeypatch.setattr(cell_spectral, "eigh", tilted)
-    with pytest.raises(SolverError, match="degenerate"):
+    with pytest.raises(SolverError,
+                       match="degenerate: its vectors are not mass-orthogonal"):
         solve_eigen(request.getfixturevalue(name), 6)
 
 
