@@ -275,8 +275,7 @@ def solve_eigen(system, num_modes):
     for k, block in enumerate(blocks):
         mine = np.flatnonzero(owner == k)
         v = block.lift(pairs[k][1][:, local[mine]])
-        residuals[mine] = np.linalg.norm(
-            system.operator @ v - (system.mass_saddle @ v) * lams[mine], axis=0)
+        residuals[mine] = system.residual_norms(v, lams[mine])
         for j, x in zip(mine, v.T):
             div = system.divergence_norm(x)
             if not div <= DIVERGENCE_ATOL:

@@ -6,6 +6,7 @@ or quality breakdowns).
 """
 
 import argparse
+import logging
 import os
 import sys
 
@@ -94,6 +95,9 @@ def build_parser():
         prog="porohom",
         description="Homogenization toolkit for unsteady filtration in "
                     "periodic porous media.")
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="log what each stage builds and solves "
+                             "(DEBUG lines) to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mesh", help="generate a cell or rectangle mesh")
@@ -162,12 +166,21 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    log = logging.getLogger("porohom")
+    handler, level = logging.StreamHandler(), log.level
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    if args.verbose:
+        log.addHandler(handler)
+        log.setLevel(logging.DEBUG)
     try:
         args.func(args)
     except (PipelineError, ValueError, OSError, *_NUMERICAL) as exc:
         print(f"error: {exc}", file=sys.stderr)
         cause = exc.__cause__ if isinstance(exc, PipelineError) else exc
         return 3 if isinstance(cause, _NUMERICAL) else 2
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
     return 0
 
 

@@ -8,6 +8,7 @@ eliminated symbolically through a prolongation matrix so that reduced
 operators keep the spectrum of the constrained problem.
 """
 
+import functools
 import logging
 import time
 
@@ -123,6 +124,15 @@ def _geometry(mesh):
     return jac, det, inv_t
 
 
+def _physical_grads(inv_t, gref):
+    """x and y parts, (e, i) each, of the physical gradients of the
+    reference gradients gref (i, 2) on triangles with inverse-transpose
+    Jacobians inv_t (e, 2, 2)."""
+    gx = inv_t[:, 0, 0, None] * gref[:, 0] + inv_t[:, 0, 1, None] * gref[:, 1]
+    gy = inv_t[:, 1, 0, None] * gref[:, 0] + inv_t[:, 1, 1, None] * gref[:, 1]
+    return gx, gy
+
+
 def _accumulate(rows, cols, vals, shape):
     mat = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
     return mat.tocsr()
@@ -145,8 +155,9 @@ def assemble_p2_stiffness_mass(mesh):
     stiff = np.zeros((nt, 6, 6))
     mass = np.zeros((nt, 6, 6))
     for q, w in enumerate(QUAD_WEIGHTS):
-        gphys = np.einsum("eab,ib->eia", inv_t, gref[q])   # (e, 6, 2)
-        stiff += w * det[:, None, None] * np.einsum("eia,eja->eij", gphys, gphys)
+        gx, gy = _physical_grads(inv_t, gref[q])   # (e, 6) each
+        stiff += w * det[:, None, None] * (gx[:, :, None] * gx[:, None, :]
+                                           + gy[:, :, None] * gy[:, None, :])
         mass += w * det[:, None, None] * np.outer(nref[q], nref[q])[None, :, :]
     rows, cols, vals = _element_matrix_to_coo(dofmap.cell_dofs, stiff)
     k = _accumulate(rows, cols, vals, (dofmap.num_dofs, dofmap.num_dofs))
@@ -164,9 +175,9 @@ def assemble_divergence(mesh, dofmap):
     bx = np.zeros((nt, 3, 6))
     by = np.zeros((nt, 3, 6))
     for q, w in enumerate(QUAD_WEIGHTS):
-        gphys = np.einsum("eab,ib->eia", inv_t, gref[q])
-        bx += w * det[:, None, None] * p1[q][None, :, None] * gphys[:, None, :, 0]
-        by += w * det[:, None, None] * p1[q][None, :, None] * gphys[:, None, :, 1]
+        gx, gy = _physical_grads(inv_t, gref[q])
+        bx += w * det[:, None, None] * p1[q][None, :, None] * gx[:, None, :]
+        by += w * det[:, None, None] * p1[q][None, :, None] * gy[:, None, :]
     tris = mesh.triangles
     nv = mesh.num_vertices
     rows = np.repeat(tris, 6, axis=1)
@@ -187,7 +198,7 @@ class P1Stiffness:
 
     def __init__(self, mesh):
         _, det, inv_t = _geometry(mesh)
-        gphys = np.einsum("eab,ib->eia", inv_t, P1_GRADS)   # (e, 3, 2)
+        gphys = np.stack(_physical_grads(inv_t, P1_GRADS), axis=2)   # (e, 3, 2)
         area = 0.5 * det
         # products[a, b][e, i, j] = area_e * d_a(phi_i) * d_b(phi_j)
         self._products = np.einsum("e,eia,ejb->abeij", area, gphys, gphys)
@@ -220,7 +231,7 @@ def p1_gradient_load(mesh, g):
     """Load vector with entries integral of g . grad(psi_i), g constant."""
     g = np.asarray(g, dtype=float)
     _, det, inv_t = _geometry(mesh)
-    gphys = np.einsum("eab,ib->eia", inv_t, P1_GRADS)
+    gphys = np.stack(_physical_grads(inv_t, P1_GRADS), axis=2)
     elem = 0.5 * det[:, None] * np.einsum("a,eia->ei", g, gphys)
     vec = np.zeros(mesh.num_vertices)
     np.add.at(vec, mesh.triangles.ravel(), elem.ravel())
@@ -359,22 +370,21 @@ def _orbit_bases(group):
 class CellBlock:
     """One symmetry block of the cell pencil.
 
-    basis (n, m) lifts block coordinates to reduced saddle vectors, and
-    operator and mass are the pencil restricted to it, (m, m).  character
-    is (chi(R), chi(S)), or None for the one block of a cell that is not
-    an orbit.  forces (k, 2) are the unit body forces whose constant
-    fields lie in the block, and loads (m, k) their block loads, from
-    unit_loads (n, 2), the reduced loads of e_x and e_y.  The
-    factorization of operator is built on first use and kept until
-    free_factor.
+    character is (chi(R), chi(S)), or None for the one block of a cell
+    that is not an orbit, size is the block's dimension m, and forces
+    (k, 2) are the unit body forces whose constant fields lie in the
+    block.  Those are known at once.  The rest is built on the first
+    read of any of it, by build() -> (basis, operator, mass), with one
+    DEBUG line: basis (n, m) lifts block coordinates to reduced saddle
+    vectors, operator and mass are the pencil restricted to it, (m, m),
+    and loads (m, k) are the forces' block loads, from unit_loads (n, 2),
+    the reduced loads of e_x and e_y.  The factorization of operator is
+    built on first use and kept until free_factor.
     """
 
-    def __init__(self, character, basis, operator, mass, unit_loads):
+    def __init__(self, character, size, build, unit_loads):
         self.character = character
-        self.basis = basis
-        self.operator = operator
-        self.mass = mass
-        self.size = operator.shape[0]
+        self.size = size
         # e_x + s e_y is odd under R and has chi(S) = s, so only the
         # blocks odd under R hold a constant force
         if character is None:
@@ -383,8 +393,24 @@ class CellBlock:
             self.forces = np.array([[1.0, character[1]]])
         else:
             self.forces = np.zeros((0, 2))
-        self.loads = basis.T @ (unit_loads @ self.forces.T)
+        self._build, self._unit_loads = build, unit_loads
         self._factor = None
+
+    @functools.cached_property
+    def _parts(self):
+        start = time.perf_counter()
+        basis, operator, mass = self._build()
+        loads = basis.T @ (self._unit_loads @ self.forces.T)
+        self._build = self._unit_loads = None
+        _log.debug("cell block %s built: n=%d nnz=%d in %.3f s",
+                   self.character, self.size, operator.nnz,
+                   time.perf_counter() - start)
+        return basis, operator, mass, loads
+
+    basis = property(lambda self: self._parts[0])
+    operator = property(lambda self: self._parts[1])
+    mass = property(lambda self: self._parts[2])
+    loads = property(lambda self: self._parts[3])
 
     @property
     def factor(self):
@@ -413,6 +439,20 @@ class CellBlock:
         return (averages @ f.T / (f ** 2).sum(axis=1)) @ f
 
 
+def _pinned_pencil(saddle, mass):
+    """The one block of a cell that is not an orbit: the identity basis
+    and the pencil without the last pressure dof."""
+    return (sp.identity(saddle.shape[0] - 1, format="csr"),
+            saddle[:-1, :-1].tocsc(), mass[:-1, :-1])
+
+
+def _block_pencil(saddle, mass, pin, q):
+    """The block on the orthonormal orbit basis q (CSC): its pinned
+    basis pin @ q and the pencil Q^T A Q, Q^T M Q."""
+    qt, q = q.T, q.tocsr()
+    return pin @ q, (qt @ (saddle @ q)).tocsc(), qt @ (mass @ q)
+
+
 class StokesSystem:
     """Constrained Taylor-Hood saddle operator on the perforated cell.
 
@@ -421,8 +461,11 @@ class StokesSystem:
     divergence row, minus the sum of the others, is left out of the
     operator but kept in bx_r and by_r.  The operator matrix is
     symmetric; the companion mass matrix carries the velocity mass in
-    its leading blocks.  Cell averages are cell integrals, so the mesh
-    must span 1 along each axis (within 1e-12), else ValueError.
+    its leading blocks.  pencil holds both (CSR) before the pin, on
+    every pressure dof; operator (CSC) and mass_saddle are their pinned
+    slices, made on first read.  Cell averages are cell integrals, so
+    the mesh must span 1 along each axis (within 1e-12), else
+    ValueError.
 
     The solvers work on blocks.  A mesh that the half-turn R and the
     diagonal reflection S map onto itself (every gen_cell_mesh cell)
@@ -434,7 +477,9 @@ class StokesSystem:
     pressure dof.  symmetries holds the signed permutations (T_R, T_S)
     on unpinned (ux, uy, p) vectors.  Any other mesh gets one block, the
     pinned operator itself, with symmetries None and the reason in
-    fallback.
+    fallback.  The symmetries and the orbit bases are found at once, so
+    each block's character, size and forces are known; its matrices are
+    built when a solver first reads them.
     """
 
     def __init__(self, mesh):
@@ -450,27 +495,26 @@ class StokesSystem:
         rp, pressure_of_full = build_prolongation(
             mesh.num_vertices, pairs1, np.zeros(mesh.num_vertices, dtype=bool))
 
-        self.stiff_r = (rv.T @ k2 @ rv).tocsr()
-        self.mass_r = (rv.T @ m2 @ rv).tocsr()
+        stiff = (rv.T @ k2 @ rv).tocsr()
+        velocity_mass = (rv.T @ m2 @ rv).tocsr()
         self.bx_r = (rp.T @ bx @ rv).tocsr()
         self.by_r = (rp.T @ by @ rv).tocsr()
         # pairing a velocity component with these weights integrates it
         self.velocity_weights = rv.T @ (m2 @ np.ones(dofmap.num_dofs))
 
-        nvr = self.stiff_r.shape[0]
+        nvr = stiff.shape[0]
         npr = self.bx_r.shape[0]
         self.n_velocity = nvr
         self.n_pressure = npr
         saddle = sp.bmat([
-            [self.stiff_r, None, self.bx_r.T],
-            [None, self.stiff_r, self.by_r.T],
+            [stiff, None, self.bx_r.T],
+            [None, stiff, self.by_r.T],
             [self.bx_r, self.by_r, None],
         ], format="csr")
         mass = sp.block_diag(
-            [self.mass_r, self.mass_r, sp.csr_matrix((npr, npr))],
+            [velocity_mass, velocity_mass, sp.csr_matrix((npr, npr))],
             format="csr")
-        self.operator = saddle[:-1, :-1].tocsc()
-        self.mass_saddle = mass[:-1, :-1]
+        self.pencil = (saddle, mass)
         unit = np.column_stack([self.unit_load(0), self.unit_load(1)])
         try:
             self.symmetries = tuple(
@@ -480,18 +524,19 @@ class StokesSystem:
         except NotAnOrbit as exc:
             self.symmetries, self.fallback = None, f"not an orbit: {exc}"
             self.blocks = [CellBlock(
-                None, sp.identity(self.operator.shape[0], format="csr"),
-                self.operator, self.mass_saddle, unit)]
+                None, unit.shape[0],
+                functools.partial(_pinned_pencil, saddle, mass), unit)]
             _log.debug("cell operator: one block of %d, %s",
-                       self.operator.shape[0], self.fallback)
+                       unit.shape[0], self.fallback)
         else:
             self.fallback = None
-            self.blocks = self._symmetry_blocks(saddle, mass, unit)
+            self.blocks = self._symmetry_blocks(unit)
             _log.debug("cell operator: %d symmetry blocks of %s",
                        len(self.blocks), [b.size for b in self.blocks])
         self.block_sizes = tuple(b.size for b in self.blocks)
 
-    def _symmetry_blocks(self, saddle, mass, unit):
+    def _symmetry_blocks(self, unit):
+        saddle, mass = self.pencil
         t_r, t_s = self.symmetries
         n = saddle.shape[0]
         group = [sp.identity(n, format="csc"), t_r, t_s, (t_r @ t_s).tocsc()]
@@ -506,18 +551,42 @@ class StokesSystem:
         for character, q in zip(CHARACTERS, _orbit_bases(group)):
             if character == (1, 1):
                 q = q[:, q[[-1]].toarray().ravel() == 0.0]
-            qt, q = q.T, q.tocsr()
-            blocks.append(CellBlock(character, pin @ q,
-                                    (qt @ (saddle @ q)).tocsc(),
-                                    qt @ (mass @ q), unit))
+            blocks.append(CellBlock(
+                character, q.shape[1],
+                functools.partial(_block_pencil, saddle, mass, pin, q), unit))
         return blocks
+
+    @functools.cached_property
+    def operator(self):
+        # on a cell that is not an orbit, the one block holds the slices
+        if self.symmetries is None:
+            return self.blocks[0].operator
+        return self.pencil[0][:-1, :-1].tocsc()
+
+    @functools.cached_property
+    def mass_saddle(self):
+        if self.symmetries is None:
+            return self.blocks[0].mass
+        return self.pencil[1][:-1, :-1]
 
     def unit_load(self, axis):
         """Reduced load for a constant unit body force along an axis."""
-        rhs = np.zeros(self.operator.shape[0])
+        rhs = np.zeros(2 * self.n_velocity + self.n_pressure - 1)
         start = axis * self.n_velocity
         rhs[start:start + self.n_velocity] = self.velocity_weights
         return rhs
+
+    def residual_norms(self, x, lams):
+        """||K x_j - lams_j M x_j|| for the columns x_j of the reduced
+        saddle vectors x (n, m), with the operator K and mass_saddle M,
+        applied through the pencil so that neither slice is made."""
+        saddle, mass = self.pencil
+        padded = np.zeros((x.shape[0] + 1, x.shape[1]))  # the pinned dof
+        padded[:-1] = x
+        residual = mass @ padded
+        residual *= lams
+        residual -= saddle @ padded
+        return np.linalg.norm(residual[:-1], axis=0)
 
     def velocity_average(self, x):
         """Cell integral of the velocity in a saddle vector, per component."""

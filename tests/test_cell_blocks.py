@@ -28,16 +28,6 @@ SYSTEMS = ["system_g1", "system_g3", "system_nudged"]
 SYMMETRIC = ["system_g1", "system_g3"]
 
 
-def unpinned_pencil(system):
-    """The saddle operator and mass on (ux, uy, p), every pressure dof kept."""
-    stiff, bx, by = system.stiff_r, system.bx_r, system.by_r
-    saddle = sp.bmat([[stiff, None, bx.T], [None, stiff, by.T],
-                      [bx, by, None]], format="csr")
-    mass = sp.block_diag([system.mass_r, system.mass_r,
-                          sp.csr_matrix((system.n_pressure,) * 2)], format="csr")
-    return saddle, mass
-
-
 class NullSpaceReference:
     """The cell problems on divergence-free velocities u = Z c, dense."""
 
@@ -45,8 +35,9 @@ class NullSpaceReference:
         nv2 = 2 * system.n_velocity
         z = null_space(sp.hstack([system.bx_r, system.by_r]).toarray())
         self.z = z
-        self.stiff = z.T @ (sp.block_diag([system.stiff_r] * 2) @ z)
-        self.mass = z.T @ (sp.block_diag([system.mass_r] * 2) @ z)
+        saddle, mass = system.pencil
+        self.stiff = z.T @ (saddle[:nv2, :nv2] @ z)
+        self.mass = z.T @ (mass[:nv2, :nv2] @ z)
         # the unit loads, which also integrate the velocity components
         self.loads = np.column_stack([system.unit_load(j)[:nv2]
                                       for j in range(2)])
@@ -88,6 +79,25 @@ def test_each_path_says_which_ran(caplog, cell_mesh_g3, cell_mesh_nudged):
     ]
 
 
+def test_a_block_is_built_on_first_read(caplog, cell_mesh_g3):
+    # what a block is (its character, size and forces) is known at
+    # once; its matrices are built, and logged, when first read
+    with caplog.at_level(logging.DEBUG, logger="porohom.fem"):
+        system = StokesSystem(cell_mesh_g3)
+        seen = [(b.character, b.size, b.forces.shape) for b in system.blocks]
+        assert [s[0] for s in seen] == list(CHARACTERS)
+        assert [s[1] for s in seen] == list(system.block_sizes)
+        assert not [r for r in caplog.records if "built" in r.getMessage()]
+        block = system.blocks[2]
+        assert block.lift(block.loads).shape == (sum(system.block_sizes), 1)
+        assert block.operator.shape == block.mass.shape == (block.size,) * 2
+    built = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("cell block")]
+    assert len(built) == 1
+    assert built[0].startswith(f"cell block (-1, 1) built: n={block.size} "
+                               f"nnz={block.operator.nnz} in ")
+
+
 def test_a_shifted_cell_splits_into_blocks(cell_mesh_g1, system_g1):
     # the symmetries map about the mesh's own center, so the unit cell
     # moved to [3, 4]^2 is still their orbit
@@ -102,7 +112,7 @@ def test_a_shifted_cell_splits_into_blocks(cell_mesh_g1, system_g1):
 @pytest.mark.parametrize("name", SYMMETRIC)
 def test_symmetries_commute_with_the_pencil(request, name):
     system = request.getfixturevalue(name)
-    saddle, mass = unpinned_pencil(system)
+    saddle, mass = system.pencil
     for t in system.symmetries:
         assert abs(t @ t.T - sp.identity(t.shape[0])).max() == 0.0
         assert (abs(t @ saddle - saddle @ t).max()

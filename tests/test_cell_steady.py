@@ -47,8 +47,8 @@ def energy_tensor(system):
     Entry [i, j] is the integral of grad(w_i):grad(w_j), which equals the
     velocity-average form when the discrete solves are exact.
     """
-    stiff = system.stiff_r
     nv = system.n_velocity
+    stiff = system.pencil[0][:nv, :nv]
     vectors = saddle_vectors(system)
     out = np.empty((2, 2))
     for i, xi in enumerate(vectors):

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from porohom import fem
 from porohom.cell_unsteady import solve_cell_unsteady
 from porohom.fem import (
     QUAD_POINTS,
@@ -21,11 +22,12 @@ from porohom.fem import (
     cell_constraints,
     p1_gradient_load,
     p1_integral_vector,
+    p1_shape,
     p2_grads,
     p2_shape,
 )
 from porohom.macro import MacroProblem
-from porohom.meshing import TriMesh, gen_rect_mesh
+from porohom.meshing import EllipseSpec, TriMesh, gen_cell_mesh, gen_rect_mesh
 
 from conftest import p1_mass
 
@@ -118,6 +120,50 @@ def test_divergence_of_linear_field(rect_mesh):
     assert np.allclose(bx @ coords[:, 0], ints, atol=1e-13)
     assert np.allclose(by @ coords[:, 0], 0.0, atol=1e-13)
     assert np.allclose(by @ coords[:, 1], ints, atol=1e-13)
+
+
+def einsum_kernels(mesh, dofmap):
+    """P2 stiffness and mass and the divergence blocks Bx, By from
+    einsum contractions of the physical gradients: the bit-for-bit
+    reference for the explicit products fem writes out."""
+    _, det, inv_t = fem._geometry(mesh)
+    gref, nref, p1 = (p2_grads(QUAD_POINTS), p2_shape(QUAD_POINTS),
+                      p1_shape(QUAD_POINTS))
+    nt = mesh.num_triangles
+    stiff, mass = np.zeros((nt, 6, 6)), np.zeros((nt, 6, 6))
+    bx, by = np.zeros((nt, 3, 6)), np.zeros((nt, 3, 6))
+    for q, w in enumerate(QUAD_WEIGHTS):
+        gphys = np.einsum("eab,ib->eia", inv_t, gref[q])
+        wdet = w * det[:, None, None]
+        stiff += wdet * np.einsum("eia,eja->eij", gphys, gphys)
+        mass += wdet * np.outer(nref[q], nref[q])[None, :, :]
+        bx += wdet * p1[q][None, :, None] * gphys[:, None, :, 0]
+        by += wdet * p1[q][None, :, None] * gphys[:, None, :, 1]
+
+    def assemble(rows, cols, elem, shape):
+        return sp.coo_matrix((elem.ravel(), (rows.ravel(), cols.ravel())),
+                             shape=shape).tocsr()
+
+    dofs, n = dofmap.cell_dofs, dofmap.num_dofs
+    rows, cols = np.repeat(dofs, 6, axis=1), np.tile(dofs, (1, 6))
+    drows = np.repeat(mesh.triangles, 6, axis=1)
+    dcols = np.tile(dofs, (1, 3))
+    return (assemble(rows, cols, stiff, (n, n)),
+            assemble(rows, cols, mass, (n, n)),
+            assemble(drows, dcols, bx, (mesh.num_vertices, n)),
+            assemble(drows, dcols, by, (mesh.num_vertices, n)))
+
+
+def test_element_kernels_match_einsum_bit_for_bit():
+    mesh = gen_cell_mesh(EllipseSpec(3.0), 0.05)
+    k, m, dofmap = assemble_p2_stiffness_mass(mesh)
+    got = (k, m, *assemble_divergence(mesh, dofmap))
+    for name, new, ref in zip(("stiffness", "mass", "Bx", "By"), got,
+                              einsum_kernels(mesh, dofmap)):
+        assert new.shape == ref.shape, name
+        assert np.array_equal(new.indptr, ref.indptr), name
+        assert np.array_equal(new.indices, ref.indices), name
+        assert np.array_equal(new.data, ref.data), name
 
 
 def test_p1_stiffness_matches_quadratic_form(rect_mesh):

@@ -1,6 +1,8 @@
 """End-to-end pipeline, its config file handling and the CLI wrapper."""
 
+import hashlib
 import json
+import logging
 import multiprocessing
 import os
 import subprocess
@@ -233,6 +235,25 @@ def test_pipeline_shares_one_cell_system(tmp_path, monkeypatch):
         assert abs(got - want).max() == 0.0
 
 
+def built_blocks(records):
+    """Characters of the cell blocks whose build the records log."""
+    return [r.args[0] for r in records
+            if r.name == "porohom.fem" and r.msg.startswith("cell block")]
+
+
+def test_stages_build_only_the_blocks_they_read(tmp_path, caplog):
+    # a constant force is odd under the half-turn: the oracle and the
+    # steady solves read the two odd blocks, the eigen stage all four
+    out = tmp_path / "run"
+    run_pipeline(fast_config(out, stages="mesh"))
+    with caplog.at_level(logging.DEBUG, logger="porohom.fem"):
+        run_pipeline(fast_config(out, stages="oracle"))
+        assert built_blocks(caplog.records) == [(-1, 1), (-1, -1)]
+        caplog.clear()
+        run_pipeline(fast_config(out, stages="cell-steady,eigen"))
+    assert built_blocks(caplog.records) == [(-1, 1), (-1, -1), (1, 1), (1, -1)]
+
+
 def test_missing_stage_input_names_the_stage(tmp_path):
     out = tmp_path / "run"
     with pytest.raises(PipelineError) as err:
@@ -403,6 +424,51 @@ def test_cli_pipeline_and_resume(tmp_path, capsys):
     code = main(["pipeline", "--config", str(cfg),
                  "--out", str(tmp_path / "fresh"), "--only", "macro"])
     assert code == 2
+
+
+def test_cli_verbose_logs_each_block_it_builds(tmp_path, capsys):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in FAST.items()))
+    manifests = []
+    for flags, built in (([], 0), (["-v"], 2)):
+        out = tmp_path / f"run{len(flags)}"
+        run_pipeline(fast_config(out, stages="mesh"))
+        assert main([*flags, "pipeline", "--config", str(cfg), "--out",
+                     str(out), "--only", "oracle"]) == 0
+        err = capsys.readouterr().err
+        lines = [line for line in err.splitlines() if "cell block" in line]
+        assert len(lines) == built
+        assert all(line.startswith("porohom.fem: cell block (-1, ")
+                   for line in lines)
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    assert "sparse LU: n=" in err
+    assert manifests[0]["artifacts"] == manifests[1]["artifacts"]
+    assert not logging.getLogger("porohom").handlers
+
+
+# sha256 of the cell artifacts of a gamma = 3, h = 0.05 run, recorded
+# with numpy 2.4 and scipy 1.17 on x86-64: a change of the cell
+# numerics at the rounding level moves them
+PINNED_CELL_SHA256 = {
+    "k_bar.csv":
+        "6ae69087ca4f2589ee1747e2c06a68661764d19e14a8481a1ee209b374a2cc4f",
+    "spectrum.csv":
+        "6c345dde23f0389ab097eea43fd76fd0ea5717223db4adf6a99fea5426eddf80",
+    "table3.txt":
+        "fb90a01430671bdf356df8da1b97ec46192baba808fabe05193b9216a3db1aac",
+    "oracle.csv":
+        "5e5e3c442ae453031428a7866857e68b514d9900cf50903e83c77e7afabd68d8",
+}
+
+
+def test_cell_artifact_bytes_are_pinned(tmp_path):
+    out = tmp_path / "run"
+    run_pipeline(parse_config(overrides={
+        "cell_h": "0.05", "modes": "20", "oracle_horizon": "2e-3",
+        "stages": "mesh,cell-steady,eigen,oracle", "out_dir": str(out)}))
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in PINNED_CELL_SHA256}
+    assert got == PINNED_CELL_SHA256
 
 
 def test_cli_stages_match_the_pipeline(tmp_path, capsys):
