@@ -83,6 +83,8 @@ _SIDE_ALIASES = {
     "top": "OuterTop",
 }
 _BC_KINDS = ("dirichlet", "natural")
+# Modes per block in the direct evaluation of the memory energies.
+_ENERGY_BLOCK = 8
 
 
 def parse_bc(bc):
@@ -189,8 +191,9 @@ class _EllipticSolver:
         self._fixed_idx = fixed_idx
         self._fixed_val = fixed_val
         self._free_idx = free_idx
-        self._factor = SparseFactor(matrix[free_idx][:, free_idx])
-        self._coupling = matrix[free_idx][:, fixed_idx].tocsr()
+        rows = matrix[free_idx]
+        self._factor = SparseFactor(rows[:, free_idx])
+        self._coupling = rows[:, fixed_idx].tocsr()
 
     def solve(self, load):
         """Nodal solution for a full-length load vector."""
@@ -218,6 +221,15 @@ class MacroState:
         self.dissipation = float(dissipation)
         self.source_work = float(source_work)
         self.energies = None
+
+
+def _copy_state(state):
+    """A MacroState that shares no array with state."""
+    out = MacroState(state.t, state.v.copy(), state.v_aux.copy(),
+                     state.dissipation, state.source_work)
+    if state.energies is not None:
+        out.energies = state.energies.copy()
+    return out
 
 
 class MacroRun:
@@ -277,8 +289,8 @@ class MacroProblem:
                  sigma=0.5, tau=1e-5):
         if not 0.0 <= sigma <= 1.0:
             raise ValueError(f"sigma must lie in [0, 1], got {sigma}")
-        if tau <= 0.0:
-            raise ValueError("tau must be positive")
+        if not (np.isfinite(tau) and tau > 0.0):
+            raise ValueError(f"tau must be positive and finite, got {tau}")
         self.mesh = mesh
         self.model = model
         self.sigma = float(sigma)
@@ -286,7 +298,11 @@ class MacroProblem:
         self.f = np.asarray(f, dtype=float)
         if self.f.shape != (2,):
             raise ValueError("f must be a 2-vector")
+        if not np.isfinite(self.f).all():
+            raise ValueError(f"f must be finite, got {tuple(self.f)}")
         self.source = float(source)
+        if not np.isfinite(self.source):
+            raise ValueError(f"source must be finite, got {self.source}")
         (self.bc, self._fixed_idx, self._fixed_val, self._free_idx,
          self._static_load) = _boundary(mesh, bc, self.source)
 
@@ -312,14 +328,16 @@ class MacroProblem:
             * model.d_tensors, axis=0)
         self._grad_load_x = p1_gradient_load(mesh, (1.0, 0.0))
         self._grad_load_y = p1_gradient_load(mesh, (0.0, 1.0))
-        nodes = (self._fixed_idx, self._fixed_val, self._free_idx)
-        self._tilde_solver = _EllipticSolver(
-            stiffness.matrix(model.k_tilde), mesh, *nodes)
-        if self.sigma > 0.0 and lam.size:
-            self._eff_solver = _EllipticSolver(
-                stiffness.matrix(k_eff), mesh, *nodes)
-        else:
-            self._eff_solver = self._tilde_solver
+        # The march solves with K_eff when sigma > 0 and there are modes,
+        # so K_tilde serves only init_state's one solve and is factored
+        # there; otherwise K_eff is K_tilde and one factor serves both.
+        tilde = stiffness.matrix(model.k_tilde)
+        separate = self.sigma > 0.0 and lam.size > 0
+        march = stiffness.matrix(k_eff) if separate else tilde
+        del stiffness  # release the element products before factoring
+        self._tilde_matrix = tilde if separate else None
+        self._solver = _EllipticSolver(march, mesh, self._fixed_idx,
+                                      self._fixed_val, self._free_idx)
 
     @property
     def ledger_guaranteed(self):
@@ -348,10 +366,17 @@ class MacroProblem:
         return self._area * float(g @ (self._k_tilde_inv @ g))
 
     def _mode_energies(self, v_aux):
-        """Per-mode (D^k grad v_k, grad v_k), evaluated directly."""
+        """Per-mode (D^k grad v_k, grad v_k), evaluated directly.
+
+        The modes go through in blocks of _ENERGY_BLOCK, so the products
+        S_b v_k never make an (nv x m) temporary."""
         energies = np.zeros(v_aux.shape[0])
-        for s_b, weights in zip(self._basis, self._mode_weights):
-            energies += weights * np.einsum("kn,nk->k", v_aux, s_b @ v_aux.T)
+        for start in range(0, v_aux.shape[0], _ENERGY_BLOCK):
+            block = v_aux[start:start + _ENERGY_BLOCK]
+            part = energies[start:start + _ENERGY_BLOCK]
+            for s_b, weights in zip(self._basis, self._mode_weights):
+                part += (weights[start:start + _ENERGY_BLOCK]
+                         * np.einsum("kn,nk->k", block, s_b @ block.T))
         return energies
 
     def _energies(self, state):
@@ -361,31 +386,42 @@ class MacroProblem:
         return state.energies
 
     def init_state(self):
-        """Elliptic solve at t = 0 with all auxiliary fields zero."""
-        v0 = self._tilde_solver.solve(self._load(0.0))
+        """Elliptic solve at t = 0 with all auxiliary fields zero.
+
+        When the march solves with K_eff, K_tilde is factored here for
+        this one solve, and the factor is dropped on return."""
+        if self._tilde_matrix is None:
+            v0 = self._solver.solve(self._load(0.0))
+        else:
+            v0 = _EllipticSolver(self._tilde_matrix, self.mesh,
+                                 self._fixed_idx, self._fixed_val,
+                                 self._free_idx).solve(self._load(0.0))
         v_aux = np.zeros((self.model.num_modes, self.mesh.num_vertices))
         state = MacroState(0.0, v0, v_aux)
         state.energies = np.zeros(self.model.num_modes)
         return state
 
     def step(self, state):
-        """Advance one time level."""
+        """Advance one time level; state is left untouched."""
+        new = _copy_state(state)
+        self._step_in_place(new)
+        return new
+
+    def _step_in_place(self, state):
+        """Advance state one time level, overwriting it.
+
+        Everything that reads the old auxiliary fields comes first: the
+        memory load, the cross term and any directly evaluated energies.
+        Only then do they advance in place, v_k <- q_k v_k + p_k w."""
         tau = self.tau
         sigma = self.sigma
         if sigma == 0.0:
             v_mid = state.v
             t_mid = state.t
-            v_aux = self._advance(state.v_aux, v_mid)
-            t_new = state.t + tau
-            v_new = self._tilde_solver.solve(
-                self._load(t_new) - self._memory_load(v_aux))
         else:
             t_mid = state.t + sigma * tau
-            v_mid = self._eff_solver.solve(
+            v_mid = self._solver.solve(
                 self._load(t_mid) - self._memory_load(state.v_aux))
-            v_aux = self._advance(state.v_aux, v_mid)
-            v_new = (v_mid - (1.0 - sigma) * state.v) / sigma
-            t_new = state.t + tau
         # the ledger's quadratic forms all come from the products S_b v_mid
         s_mid = np.stack([s_b @ v_mid for s_b in self._basis])
         forms = s_mid @ v_mid
@@ -394,19 +430,19 @@ class MacroProblem:
         q, p = self._q, self._p
         energies = (q * q * self._energies(state) + 2.0 * p * q * cross
                     + p * p * (forms @ self._mode_weights))
-        dissipation = state.dissipation \
-            + tau * float(self._tilde_weights @ forms)
-        source_work = state.source_work + tau * self._source_rate(t_mid)
-        new = MacroState(t_new, v_new, v_aux, dissipation, source_work)
-        new.energies = energies
-        return new
-
-    def _advance(self, v_aux, w):
-        """q_k v_k + p_k w in one new array; v_aux is left untouched."""
-        out = self._q[:, None] * v_aux
-        for row, p_k in zip(out, self._p):
-            row += p_k * w
-        return out
+        state.v_aux *= q[:, None]
+        for row, p_k in zip(state.v_aux, p):
+            row += p_k * v_mid
+        t_new = state.t + tau
+        if sigma == 0.0:
+            state.v = self._solver.solve(
+                self._load(t_new) - self._memory_load(state.v_aux))
+        else:
+            state.v = (v_mid - (1.0 - sigma) * state.v) / sigma
+        state.t = t_new
+        state.dissipation += tau * float(self._tilde_weights @ forms)
+        state.source_work += tau * self._source_rate(t_mid)
+        state.energies = energies
 
     def memory_energy(self, state):
         """sum_k (D^k grad v_k, grad v_k) at the state's time level,
@@ -446,6 +482,10 @@ def run(problem, t_final, snapshot_times=(), initial_state=None):
     differs from a direct evaluation by more than 1e-10 * max(lhs, rhs)
     of the last ledger row.
 
+    initial_state is left untouched.  The snapshots share no array with
+    it or with each other, except that requests for one time share one
+    state.
+
     Returns a MacroRun.
     """
     state = problem.init_state() if initial_state is None else initial_state
@@ -466,15 +506,24 @@ def run(problem, t_final, snapshot_times=(), initial_state=None):
                              f"[{t_start}, {t_final}]")
         requests.append((int(round((t_req - t_start) / problem.tau)), t_req))
 
-    snapshots = {}
-    for index, t_req in requests:
-        if index == 0:
-            snapshots[(0, t_req)] = state
+    # The march advances one state in place: a caller's initial state is
+    # copied once, and so is every snapshot but one at the last step.
+    if initial_state is not None:
+        state = _copy_state(state)
+    wanted = {index for index, _ in requests}
+    copies = len(wanted - {nsteps})
+    taken = {}
+
+    def take(n):
+        if n in wanted:
+            taken[n] = state if n == nsteps else _copy_state(state)
+
+    take(0)
     guarded = problem.ledger_guaranteed
     ledger = []
     start = time.perf_counter()
     for n in range(1, nsteps + 1):
-        state = problem.step(state)
+        problem._step_in_place(state)
         row = problem.ledger_row(state, n)
         ledger.append(row)
         if guarded:
@@ -482,9 +531,7 @@ def run(problem, t_final, snapshot_times=(), initial_state=None):
             if margin < -1e-10 * max(lhs, rhs):
                 raise SolverError(
                     f"energy ledger violated at step {n}: margin {margin:.3e}")
-        for index, t_req in requests:
-            if index == n:
-                snapshots[(n, t_req)] = state
+        take(n)
     step_ms = 1e3 * (time.perf_counter() - start) / max(nsteps, 1)
     memory_check = 0.0
     if ledger:
@@ -497,12 +544,13 @@ def run(problem, t_final, snapshot_times=(), initial_state=None):
                 f"memory energy recurrence drifted by {drift:.3e} "
                 f"(ledger scale {scale:.3e}) over {nsteps} steps")
         memory_check = drift / scale if scale > 0.0 else 0.0
-    ordered = [(t_req, snapshots[(index, t_req)])
-               for index, t_req in requests]
+    ordered = [(t_req, taken[index]) for index, t_req in requests]
     result = MacroRun(ordered, ledger, step_ms, memory_check)
     _log.debug("macro run: %d steps, %.3f ms per step, min margin %s, "
-               "memory check %.1e", result.steps, result.step_ms,
-               result.min_margin, result.memory_check)
+               "memory check %.1e, state array %dx%d (%.1f MB), "
+               "%d snapshot copies", result.steps, result.step_ms,
+               result.min_margin, result.memory_check, *state.v_aux.shape,
+               state.v_aux.nbytes / 1e6, copies)
     return result
 
 

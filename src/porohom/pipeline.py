@@ -238,10 +238,11 @@ def _stage_oracle(config, files):
 def _stage_macro(config, files):
     mesh = read_mesh(files.input("macro.mesh"))
     model = read_model_csv(files.input("kernel.csv"))
-    problem = MacroProblem(mesh, model, config["bc"], f=config["f"],
-                           source=config["source"], sigma=config["sigma"],
-                           tau=config["tau"])
-    result = run(problem, config["t_final"], config["snapshots"])
+    # The problem, factor and all, is dropped before the writers run.
+    result = run(MacroProblem(mesh, model, config["bc"], f=config["f"],
+                              source=config["source"], sigma=config["sigma"],
+                              tau=config["tau"]),
+                 config["t_final"], config["snapshots"])
     for t_req, state in result.snapshots:
         stamp = f"{t_req:.6g}"
         write_state_csv(files.path(f"macro_state_{stamp}.csv"), mesh, state)

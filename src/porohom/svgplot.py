@@ -16,6 +16,8 @@ _RAMP = (
 )
 # Pixel width of the drawing area; its height follows the aspect.
 WIDTH = 640
+# Triangles formatted per write.
+_CHUNK = 4096
 
 
 def _clip_half(points, values, level, keep_above):
@@ -128,24 +130,33 @@ def render_field_svg(path, mesh, values, title=None):
         whole = (first == top_band) | ((first < top_band) & (tmax < upper))
     px = pad + (verts[:, 0] - lo[0]) * scale
     py = top + (hi[1] - verts[:, 1]) * scale
-    labels = [f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist())]
-    corners = np.array(labels, dtype=object)[tris].T
-    polygons = [_polygon(f"{p} {q} {r}", b) if one else ""
-                for p, q, r, b, one in zip(*corners, first.tolist(),
-                                           whole.tolist())]
+    labels = np.array([f"{x:.2f},{y:.2f}"
+                       for x, y in zip(px.tolist(), py.tolist())],
+                      dtype=object)
     bounds = edges.tolist()
-    for t in np.flatnonzero(~whole).tolist():
-        pts = verts[tris[t]].tolist()
-        vals = tri_vals[t].tolist()
-        parts = []
-        for band in range(first[t], last[t] + 1):
-            poly = _band_polygon(pts, vals, bounds[band], bounds[band + 1])
-            if len(poly) >= 3:
-                parts.append(_polygon(" ".join(
-                    f"{x:.2f},{y:.2f}" for x, y in map(to_px, poly)), band))
-        polygons[t] = "\n".join(parts)
-    rows.extend(filter(None, polygons))
 
+    def polygons(start, stop):
+        """The rows of triangles start..stop-1, in order, as one text."""
+        out = [_polygon(f"{p} {q} {r}", b) if one else ""
+               for p, q, r, b, one in zip(*labels[tris[start:stop]].T,
+                                          first[start:stop].tolist(),
+                                          whole[start:stop].tolist())]
+        for i in np.flatnonzero(~whole[start:stop]).tolist():
+            t = start + i
+            pts = verts[tris[t]].tolist()
+            vals = tri_vals[t].tolist()
+            parts = []
+            for band in range(first[t], last[t] + 1):
+                poly = _band_polygon(pts, vals, bounds[band],
+                                     bounds[band + 1])
+                if len(poly) >= 3:
+                    parts.append(_polygon(" ".join(
+                        f"{x:.2f},{y:.2f}" for x, y in map(to_px, poly)),
+                        band))
+            out[i] = "\n".join(parts)
+        return "".join(row + "\n" for row in out if row)
+
+    head = len(rows)
     bar_x = WIDTH + 2 * pad
     seg_h = height / len(_RAMP)
     for b, color in enumerate(_RAMP):
@@ -161,5 +172,10 @@ def render_field_svg(path, mesh, values, title=None):
                 f'font-family="monospace" font-size="{fs:.0f}">'
                 f"{vmax:.4g}</text>")
     rows.append("</svg>")
+    # The triangles go a chunk at a time between the head and the
+    # legend, so the document is never held whole in memory.
     with open(path, "w", encoding="ascii") as handle:
-        handle.write("\n".join(rows) + "\n")
+        handle.write("\n".join(rows[:head]) + "\n")
+        for start in range(0, len(tris), _CHUNK):
+            handle.write(polygons(start, start + _CHUNK))
+        handle.write("\n".join(rows[head:]) + "\n")

@@ -385,8 +385,8 @@ def test_sparse_factor_falls_back_to_colamd(caplog):
 def test_no_factorization_falls_back(monkeypatch, cell_mesh_g3, rect_mesh,
                                      model3):
     # the four cell saddle blocks, the two oracle stepper blocks and both
-    # macro operators keep the symmetric factorization, with less fill
-    # than COLAMD's
+    # macro operators (K_eff, then K_tilde for the t = 0 solve) keep the
+    # symmetric factorization, with less fill than COLAMD's
     factors = []
     init = SparseFactor.__init__
 
@@ -399,7 +399,7 @@ def test_no_factorization_falls_back(monkeypatch, cell_mesh_g3, rect_mesh,
     assert [block.factor for block in system.blocks] == factors
     solve_cell_unsteady(system, 1e-4, 1e-4)
     MacroProblem(rect_mesh, model3, "left=dirichlet:0,right=dirichlet:1,"
-                 "top=natural:0,bottom=natural:0")
+                 "top=natural:0,bottom=natural:0").init_state()
     assert len(factors) == 8
     for factor in factors:
         assert factor.ordering == "MMD_AT_PLUS_A"

@@ -8,9 +8,12 @@ Dirichlet data reduce the same way to a scalar recurrence per mode.
 """
 
 import errno
+import gc
 import logging
 import multiprocessing
 import os
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from porohom import textio
 from porohom.fem import (
     P1Stiffness,
     SolverError,
+    SparseFactor,
     boundary_edge_load,
     p1_integral_vector,
 )
@@ -32,6 +36,7 @@ from porohom.macro import (
     write_ledger_csv,
     write_state_csv,
 )
+from porohom.meshing import gen_rect_mesh
 from porohom.textio import Records, write_rows
 
 from conftest import COEF3, KBAR3, LAMS3, p1_mass
@@ -131,6 +136,17 @@ def test_problem_validates_sides_and_parameters(rect_mesh, model3):
     with pytest.raises(ValueError, match="incompatible"):
         MacroProblem(rect_mesh, model3, BC_NAT.replace("left=natural:0",
                                                        "left=natural:0.3"))
+
+
+@pytest.mark.parametrize("name,value", [
+    ("tau", np.nan), ("tau", np.inf),
+    ("f", (np.nan, 0.0)), ("f", (0.0, -np.inf)),
+    ("source", np.nan), ("source", np.inf),
+])
+def test_problem_refuses_non_finite_input(rect_mesh, model3, name, value):
+    # bad input, not a numerical failure of the factorization or a solve
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        MacroProblem(rect_mesh, model3, BC_DIR, **{name: value})
 
 
 # ----------------------------------------------------------- steady solve
@@ -460,6 +476,82 @@ def test_zero_weight_mode_never_reaches_the_flow(rect_mesh, model3):
     assert rows.shape == (2, 10, 5)
     scale = np.abs(rows[0, :, 2:4]).max(axis=1, keepdims=True)
     assert np.all(np.abs(rows[1] - rows[0])[:, 2:] <= 1e-15 * scale)
+
+
+def state_arrays(state):
+    return (state.t, state.v.copy(), state.v_aux.copy(),
+            state.dissipation, state.source_work, state.energies.copy())
+
+
+def same_state(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_run_owns_the_state_it_marches(rect_mesh, model3):
+    # the march advances one state in place, so the caller's initial
+    # state and every snapshot before the last step must be copies
+    prob = MacroProblem(rect_mesh, model3, BC_NAT, f=(1.0, 0.25),
+                        sigma=0.5, tau=1e-3)
+    start = run(prob, 0.003, snapshot_times=[0.003]).snapshots[0][1]
+    given = state_arrays(start)
+    res = run(prob, 0.013, snapshot_times=[0.003, 0.008, 0.013],
+              initial_state=start)
+    assert same_state(state_arrays(start), given)
+    assert same_state(state_arrays(res.snapshots[0][1]), given)
+    alone = run(prob, 0.008, snapshot_times=[0.008], initial_state=start)
+    assert same_state(state_arrays(res.snapshots[1][1]),
+                      state_arrays(alone.snapshots[0][1]))
+    assert res.snapshots[2][1].t == pytest.approx(0.013)
+
+
+def test_run_holds_one_state_array(model3):
+    mesh = gen_rect_mesh(2.0, 1.0, 0.02)
+    m = 40
+    rng = np.random.default_rng(40)
+    lams = 40.0 * np.cumsum(np.r_[1.0, rng.uniform(0.1, 0.6, m - 1)])
+    coeffs = (rng.normal(0.0, 0.1, (m, 2))
+              / np.sqrt(np.arange(1, m + 1))[:, None])
+    k_bar = model3.k_tilde + np.einsum("ki,kj->ij", coeffs,
+                                       coeffs / lams[:, None])
+    model = build_kernel_model(k_bar, lams, coeffs)
+    assert model.num_modes == m
+    prob = MacroProblem(mesh, model, BC_NAT, f=(1.0, 0.5), sigma=0.5,
+                        tau=1e-4)
+    tracemalloc.start()
+    try:
+        res = run(prob, 5e-4, snapshot_times=[5e-4])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.steps == 5
+    assert peak < 2 * m * mesh.num_vertices * 8
+
+
+@pytest.mark.parametrize("sigma,built", [(0.5, 2), (0.0, 1)])
+def test_one_factor_is_alive_through_the_march(rect_mesh, model3,
+                                               monkeypatch, sigma, built):
+    matrices = []
+    alive = weakref.WeakSet()
+    init = SparseFactor.__init__
+
+    def spy(self, matrix):
+        init(self, matrix)
+        matrices.append(self.matrix)
+        alive.add(self)
+
+    monkeypatch.setattr(SparseFactor, "__init__", spy)
+    prob = MacroProblem(rect_mesh, model3, BC_NAT, sigma=sigma, tau=1e-3)
+    gc.collect()
+    assert len(alive) == 1
+    prob.init_state()
+    gc.collect()
+    assert len(alive) == 1
+    assert len(matrices) == built
+    # K_tilde is factored last, for the t = 0 solve; vertex 0 is pinned
+    k_tilde = P1Stiffness(rect_mesh).matrix(model3.k_tilde)[1:, 1:]
+    assert abs(matrices[-1] - k_tilde).max() == 0.0
+    if built == 2:
+        assert abs(matrices[0] - k_tilde).max() > 0.0
 
 
 def test_run_validates_times(rect_mesh, model3):

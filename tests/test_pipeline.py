@@ -14,7 +14,13 @@ import pytest
 import porohom
 from porohom.cli import main
 from porohom.cell_spectral import read_spectrum_csv
-from porohom.kernel_model import KernelModel, read_model_csv
+from porohom.kernel_model import (
+    KernelModel,
+    build_kernel_model,
+    read_model_csv,
+    write_model_csv,
+)
+from porohom.meshing import gen_rect_mesh, write_mesh
 from porohom.pipeline import (
     DEFAULTS,
     STAGES,
@@ -23,6 +29,8 @@ from porohom.pipeline import (
     render_table,
     run_pipeline,
 )
+
+from conftest import COEF3, KBAR3, LAMS3
 
 # coarse settings so one full pipeline run takes a few seconds
 FAST = {
@@ -444,6 +452,29 @@ def test_cli_verbose_logs_each_block_it_builds(tmp_path, capsys):
     assert "sparse LU: n=" in err
     assert manifests[0]["artifacts"] == manifests[1]["artifacts"]
     assert not logging.getLogger("porohom").handlers
+
+
+def test_cli_verbose_macro_logs_its_factors_and_state(tmp_path, capsys):
+    mesh = gen_rect_mesh(2.0, 1.0, 0.25)
+    write_mesh(mesh, tmp_path / "domain.mesh")
+    write_model_csv(build_kernel_model(KBAR3, LAMS3, COEF3),
+                    tmp_path / "kernel.csv")
+    bc = "left=natural:0,right=natural:0,top=natural:0,bottom=natural:0"
+    assert main(["-v", "macro", "--mesh", str(tmp_path / "domain.mesh"),
+                 "--model", str(tmp_path / "kernel.csv"), "--sigma", "0.5",
+                 "--tau", "1e-4", "--t-final", "4e-4", "--bc", bc,
+                 "--snapshots", "0,2e-4,4e-4",
+                 "--out-prefix", str(tmp_path / "macro")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    # K_eff when the problem is built, K_tilde for the t = 0 solve
+    factors = [i for i, line in enumerate(err) if "sparse LU: n=" in line]
+    runs = [i for i, line in enumerate(err)
+            if line.startswith("porohom.macro: macro run: 4 steps")]
+    assert len(factors) == 2 and len(runs) == 1 and factors[1] < runs[0]
+    nv = mesh.num_vertices
+    assert err[runs[0]].endswith(
+        f"state array 3x{nv} ({3 * nv * 8 / 1e6:.1f} MB), "
+        "2 snapshot copies")
 
 
 # sha256 of the cell artifacts of a gamma = 3, h = 0.05 run, recorded

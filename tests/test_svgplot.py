@@ -7,6 +7,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 import pytest
 
+from porohom import svgplot
 from porohom.meshing import gen_rect_mesh
 from porohom.svgplot import render_field_svg
 
@@ -53,6 +54,17 @@ def test_bytes_are_pinned(tmp_path, cases, case):
     path = tmp_path / "field.svg"
     render_field_svg(path, mesh, values, title=title)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED[case]
+
+
+def test_chunked_writes_keep_the_bytes(tmp_path, cases, monkeypatch):
+    # the triangles are written a chunk at a time; chunk boundaries,
+    # clipped triangles among them, must not show in the file
+    monkeypatch.setattr(svgplot, "_CHUNK", 7)
+    for case, (mesh, values, title) in cases.items():
+        path = tmp_path / f"{case}.svg"
+        render_field_svg(path, mesh, values, title=title)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == PINNED[case], case
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
