@@ -11,10 +11,15 @@ that hold them, with one stepper factorization each; elsewhere they are
 e_x and e_y on the whole operator.
 """
 
+import logging
+import time
+
 import numpy as np
 
 from .fem import SolverError, SparseFactor
 from .textio import write_rows
+
+_log = logging.getLogger(__name__)
 
 
 class KernelSamples:
@@ -44,9 +49,15 @@ def solve_cell_unsteady(system, tau, horizon):
         Final time; the number of steps is round(horizon / tau).
 
     Returns KernelSamples whose first row is the raw t=0 average, equal
-    to the fluid area times the identity.  A block's cached steady
-    factorization is dropped before its stepper is factored.
+    to the fluid area times the identity.  Every block's cached steady
+    factorization is dropped before the march, and each block's stepper
+    is freed before the next one is factored, so at most one factor is
+    alive.  Logs one DEBUG line per marched block: its character, the
+    stepper's n and fill, the steps per force and the seconds taken.
     """
+    for name, value in (("tau", tau), ("horizon", horizon)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     if tau > 0.1 / LAMBDA1_HINT:
@@ -58,35 +69,46 @@ def solve_cell_unsteady(system, tau, horizon):
     if nsteps < 1:
         raise ValueError("horizon shorter than one step")
 
-    # Backward Euler on each block's pencil:
-    # (K + M / tau) y_n = M y_{n-1} / tau, from the raw force loads.
+    for block in system.blocks:
+        block.free_factor()  # no steady factor beside a stepper
     forces, averages = [], []
     for block in system.blocks:
-        if not block.forces.size:
-            continue
-        mass_tau = block.mass / tau
-        block.free_factor()  # no steady factor beside the stepper
-        factor = SparseFactor(block.operator + mass_tau)
-        for force, load in zip(block.forces, block.loads.T):
-            state = load / tau
-            history = []
-            for n in range(1, nsteps + 1):
-                y = factor.solve(state)
-                x = block.lift(y)
-                div = system.divergence_norm(x)
-                if div > 1e-8 * max(1.0, np.linalg.norm(x)):
-                    raise SolverError(f"unsteady step {n} force {force}: "
-                                      f"divergence {div:.2e}")
-                state = mass_tau @ y
-                history.append(system.velocity_average(x))
-            forces.append(force)
-            averages.append(history)
+        if block.forces.size:
+            forces.extend(block.forces)
+            averages.extend(_march_block(system, block, tau, nsteps))
     # values[n] @ force = average at step n for every force
     values = np.linalg.solve(np.array(forces),
                              np.array(averages).transpose(1, 0, 2))
     area = system.mesh.area()
     values = np.concatenate([[area * np.eye(2)], values.transpose(0, 2, 1)])
     return KernelSamples(tau * np.arange(nsteps + 1), values)
+
+
+def _march_block(system, block, tau, nsteps):
+    """The velocity averages of nsteps backward Euler steps,
+    (K + M / tau) y_n = M y_{n-1} / tau from each force's raw load, one
+    list per force of the block.  The stepper dies with the call."""
+    start = time.perf_counter()
+    mass_tau = block.mass / tau
+    stepper = SparseFactor(block.operator + mass_tau)
+    histories = []
+    for force, load in zip(block.forces, block.loads.T):
+        state = load / tau
+        history = []
+        for n in range(1, nsteps + 1):
+            y = stepper.solve(state)
+            x = block.lift(y)
+            div = system.divergence_norm(x)
+            if div > 1e-8 * max(1.0, np.linalg.norm(x)):
+                raise SolverError(f"unsteady step {n} force {force}: "
+                                  f"divergence {div:.2e}")
+            state = mass_tau @ y
+            history.append(system.velocity_average(x))
+        histories.append(history)
+    _log.debug("oracle block %s: stepper n=%d fill=%d, %d steps per force, "
+               "%.3f s", block.character, stepper.n, stepper.fill, nsteps,
+               time.perf_counter() - start)
+    return histories
 
 
 def write_samples_csv(samples, path):

@@ -501,6 +501,8 @@ class StokesSystem:
         self.by_r = (rp.T @ by @ rv).tocsr()
         # pairing a velocity component with these weights integrates it
         self.velocity_weights = rv.T @ (m2 @ np.ones(dofmap.num_dofs))
+        # the P2 assembly is spent: free it before the saddle is stacked
+        del k2, m2, bx, by, rv, rp
 
         nvr = stiff.shape[0]
         npr = self.bx_r.shape[0]

@@ -68,14 +68,32 @@ def _parse_stages(text):
 
 # Rules on a parsed value: a test it must pass and what a failure
 # says; _NONNEGATIVE holds for a number or for every entry of a list.
-# The bc rule is the macro stage's boundary parser, which raises its own
-# error.
+# The bc rule is the macro stage's boundary parser and the snapshots
+# rule _snapshot_times; each raises its own error.
 _POSITIVE = (lambda value: value > 0.0, "must be positive")
 _NONNEGATIVE = (lambda value: np.all(np.asarray(value) >= 0.0),
                 "must be nonnegative")
 _UNIT = (lambda value: 0.0 <= value <= 1.0, "must lie in [0, 1]")
 _PAIR = (lambda value: len(value) == 2, "must have two entries")
 _BOUNDARY = (parse_bc, None)
+
+
+def _stamp(t):
+    """The time stamp in a snapshot's file names."""
+    return f"{t:.6g}"
+
+
+def _snapshot_times(times):
+    """The snapshots rule: nonnegative times, no two of which would
+    write the same files."""
+    if not _NONNEGATIVE[0](times):
+        raise ValueError(f"snapshots {_NONNEGATIVE[1]}")
+    stamps = [_stamp(t) for t in times]
+    for i, stamp in enumerate(stamps):
+        if stamp in stamps[:i]:
+            raise ValueError(f"snapshots repeat the file stamp {stamp}")
+    return True
+
 
 # key: (default, parser, rule or None); float values must be finite.
 _KEYS = {
@@ -90,7 +108,7 @@ _KEYS = {
     "tau": (1e-5, float, _POSITIVE),
     "t_final": (7.5e-4, float, _NONNEGATIVE),
     "snapshots": ((0.0, 2.5e-4, 5e-4, 7.5e-4), _parse_float_list,
-                  _NONNEGATIVE),
+                  (_snapshot_times, None)),
     "bc": ("left=dirichlet:0,right=dirichlet:1,"
            "top=natural:0,bottom=natural:0", str, _BOUNDARY),
     "f": ((0.0, 0.0), _parse_float_list, _PAIR),
@@ -244,7 +262,7 @@ def _stage_macro(config, files):
                               tau=config["tau"]),
                  config["t_final"], config["snapshots"])
     for t_req, state in result.snapshots:
-        stamp = f"{t_req:.6g}"
+        stamp = _stamp(t_req)
         write_state_csv(files.path(f"macro_state_{stamp}.csv"), mesh, state)
         if config["svg"]:
             render_field_svg(files.path(f"macro_field_{stamp}.svg"), mesh,

@@ -6,12 +6,13 @@ acceptance tests build their own fine meshes.
 """
 
 import multiprocessing
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from porohom import textio
+from porohom import fem, textio
 from porohom.cell_spectral import EXTRA_MODES, _ritz_pairs, solve_eigen
 from porohom.cell_steady import solve_cell_steady
 from porohom.cell_unsteady import KernelSamples
@@ -122,6 +123,35 @@ def pooled(monkeypatch):
     def cpus(count):
         monkeypatch.setattr(textio, "_cpus", lambda: count)
     return cpus
+
+
+class FactorSpy:
+    """What SparseFactor was asked to factor: matrices holds each matrix
+    as it was passed, in order, alive the factors not yet collected, and
+    most the largest number of them alive at once as each was made."""
+
+    def __init__(self):
+        self.matrices = []
+        self.alive = weakref.WeakSet()
+        self.most = 0
+
+    def record(self, factor, matrix):
+        self.matrices.append(matrix)
+        self.alive.add(factor)
+        self.most = max(self.most, len(self.alive))
+
+
+@pytest.fixture
+def factor_spy(monkeypatch):
+    """A FactorSpy that records every SparseFactor built in the test."""
+    spy, init = FactorSpy(), fem.SparseFactor.__init__
+
+    def recording(self, matrix):
+        init(self, matrix)
+        spy.record(self, matrix)
+
+    monkeypatch.setattr(fem.SparseFactor, "__init__", recording)
+    return spy
 
 
 @pytest.fixture(scope="session")

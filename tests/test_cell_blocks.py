@@ -8,14 +8,12 @@ the divergence constraint through the null space Z of B.
 """
 
 import logging
-import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigh, null_space
 
-from porohom import fem
 from porohom.cell_spectral import solve_eigen
 from porohom.cell_steady import solve_cell_steady
 from porohom.cell_unsteady import solve_cell_unsteady
@@ -174,17 +172,10 @@ def test_mode_coefficients_follow_the_half_turn(request, name):
     assert {b.character[0] for b in owners} == {1, -1}
 
 
-def test_even_blocks_are_never_factored_for_forces(monkeypatch, system_g3):
+def test_even_blocks_are_never_factored_for_forces(factor_spy, system_g3):
     # a constant force is odd under the half-turn, so the steady and
     # unsteady cell problems factor the two odd blocks only
-    factored = []
-    init = fem.SparseFactor.__init__
-
-    def recording(self, matrix):
-        init(self, matrix)
-        factored.append(matrix)
-
-    monkeypatch.setattr(fem.SparseFactor, "__init__", recording)
+    factored = factor_spy.matrices
     system = StokesSystem(system_g3.mesh)
     solve_cell_steady(system)
     odd = [b for b in system.blocks if b.character[0] == -1]
@@ -194,23 +185,13 @@ def test_even_blocks_are_never_factored_for_forces(monkeypatch, system_g3):
     assert [m.shape[0] for m in factored[2:]] == [b.size for b in odd]
 
 
-def test_eigen_stage_keeps_at_most_two_factors(monkeypatch, system_g3):
+def test_eigen_stage_keeps_at_most_two_factors(factor_spy, system_g3):
     # the steady solves leave the two odd blocks factored; the eigen
     # stage uses and frees those before it factors an even block, and
     # factors each block once
-    factored, alive, most = [], weakref.WeakSet(), [0]
-    init = fem.SparseFactor.__init__
-
-    def counting(self, matrix):
-        init(self, matrix)
-        factored.append(matrix)
-        alive.add(self)
-        most[0] = max(most[0], len(alive))
-
-    monkeypatch.setattr(fem.SparseFactor, "__init__", counting)
     system = StokesSystem(system_g3.mesh)
     solve_cell_steady(system)
     solve_eigen(system, 20)
-    assert most[0] == 2 and len(alive) == 0
-    assert sorted(map(id, factored)) == sorted(id(b.operator)
-                                               for b in system.blocks)
+    assert factor_spy.most == 2 and len(factor_spy.alive) == 0
+    assert sorted(map(id, factor_spy.matrices)) == sorted(
+        id(b.operator) for b in system.blocks)

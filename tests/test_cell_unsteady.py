@@ -1,5 +1,8 @@
 """Time-marched kernel samples and their cross-checks."""
 
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -66,6 +69,38 @@ def test_steppers_never_sit_beside_steady_factors(cell_mesh_g1):
     assert all(block._factor is None for block in system.blocks)
 
 
+@pytest.mark.parametrize("steady_first", [True, False],
+                         ids=["after-steady", "fresh"])
+def test_one_factor_is_alive_through_the_march(factor_spy, cell_mesh_g3,
+                                               steady_first):
+    # the steady factors go before the march, and each block's stepper
+    # before the next block's is factored
+    system = StokesSystem(cell_mesh_g3)
+    if steady_first:
+        solve_cell_steady(system)
+    factor_spy.most = 0  # count from the march's first factor on
+    solve_cell_unsteady(system, TAU, 2 * TAU)
+    steppers = factor_spy.matrices[-2:]
+    assert [m.shape[0] for m in steppers] == [
+        b.size for b in system.blocks if b.forces.size]
+    assert factor_spy.most == 1 and len(factor_spy.alive) == 0
+
+
+def test_each_block_logs_its_march(caplog, system_g3):
+    pattern = re.compile(r"oracle block \((-?1), (-?1)\): stepper n=(\d+) "
+                         r"fill=(\d+), (\d+) steps per force, \S+ s$")
+    with caplog.at_level(logging.DEBUG, logger="porohom.cell_unsteady"):
+        solve_cell_unsteady(system_g3, TAU, 3 * TAU)
+    lines = [pattern.match(r.getMessage()) for r in caplog.records
+             if r.name == "porohom.cell_unsteady"]
+    assert all(lines)
+    odd = [b for b in system_g3.blocks if b.forces.size]
+    assert [(int(m[1]), int(m[2])) for m in lines] == [b.character
+                                                       for b in odd]
+    assert [int(m[3]) for m in lines] == [b.size for b in odd]
+    assert all(int(m[4]) > int(m[3]) and int(m[5]) == 3 for m in lines)
+
+
 def test_tau_guards(system_g1):
     with pytest.raises(ValueError, match="positive"):
         solve_cell_unsteady(system_g1, -1e-3, 0.1)
@@ -73,6 +108,15 @@ def test_tau_guards(system_g1):
         solve_cell_unsteady(system_g1, 0.05, 0.1)
     with pytest.raises(ValueError, match="shorter than one step"):
         solve_cell_unsteady(system_g1, 1e-3, 1e-5)
+
+
+@pytest.mark.parametrize("tau, horizon, name", [
+    (np.nan, 0.1, "tau"), (np.inf, 0.1, "tau"),
+    (1e-3, np.nan, "horizon"), (1e-3, np.inf, "horizon"),
+    (1e-3, -np.inf, "horizon")])
+def test_refuses_non_finite_times(system_g1, tau, horizon, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        solve_cell_unsteady(system_g1, tau, horizon)
 
 
 def test_samples_cover_every_step(samples_g1):

@@ -13,7 +13,6 @@ import logging
 import multiprocessing
 import os
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from porohom import textio
 from porohom.fem import (
     P1Stiffness,
     SolverError,
-    SparseFactor,
     boundary_edge_load,
     p1_integral_vector,
 )
@@ -529,17 +527,8 @@ def test_run_holds_one_state_array(model3):
 
 @pytest.mark.parametrize("sigma,built", [(0.5, 2), (0.0, 1)])
 def test_one_factor_is_alive_through_the_march(rect_mesh, model3,
-                                               monkeypatch, sigma, built):
-    matrices = []
-    alive = weakref.WeakSet()
-    init = SparseFactor.__init__
-
-    def spy(self, matrix):
-        init(self, matrix)
-        matrices.append(self.matrix)
-        alive.add(self)
-
-    monkeypatch.setattr(SparseFactor, "__init__", spy)
+                                               factor_spy, sigma, built):
+    matrices, alive = factor_spy.matrices, factor_spy.alive
     prob = MacroProblem(rect_mesh, model3, BC_NAT, sigma=sigma, tau=1e-3)
     gc.collect()
     assert len(alive) == 1

@@ -210,25 +210,20 @@ def test_kernel_mode_count_must_fit_the_spectrum(tmp_path, capsys):
     assert read_model_csv(out / "k.csv").num_modes == 4
 
 
-def test_pipeline_shares_one_cell_system(tmp_path, monkeypatch):
+def test_pipeline_shares_one_cell_system(tmp_path, monkeypatch, factor_spy):
     # cell-steady, eigen and oracle reuse one assembly: each of its
     # blocks is factored exactly once, plus the steppers of the two
     # blocks that carry a force
     from porohom import fem
 
-    systems, factored = [], []
-    build, factor = fem.StokesSystem.__init__, fem.SparseFactor.__init__
+    systems, factored = [], factor_spy.matrices
+    build = fem.StokesSystem.__init__
 
     def building(self, mesh):
         systems.append(self)
         build(self, mesh)
 
-    def factoring(self, matrix):
-        factored.append(matrix)
-        factor(self, matrix)
-
     monkeypatch.setattr(fem.StokesSystem, "__init__", building)
-    monkeypatch.setattr(fem.SparseFactor, "__init__", factoring)
     out = tmp_path / "run"
     run_pipeline(fast_config(out, stages="mesh,cell-steady,eigen,oracle"))
     assert len(systems) == 1
@@ -414,6 +409,30 @@ def test_cli_list_keys_fail_before_any_stage(tmp_path, capsys, line,
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("times, stamp", [
+    ("2e-4,2e-4", "0.0002"), ("1e-4,1.0000001e-4", "0.0001")])
+def test_snapshots_that_share_a_file_stamp_are_refused(tmp_path, capsys,
+                                                       times, stamp):
+    # two snapshots with one stamp would write the same files: the macro
+    # stage used to fail as it committed them, leaving its ledger behind
+    # as a .partial file
+    message = f"snapshots repeat the file stamp {stamp}"
+    with pytest.raises(ValueError, match=message):
+        fast_config(tmp_path / "run", snapshots=times)
+    out = tmp_path / "run"
+    run_pipeline(fast_config(out, stages="mesh,cell-steady,eigen,kernel"))
+    before = sorted(os.listdir(out))
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in FAST.items())
+                   + f"snapshots={times}\n")
+    code = main(["pipeline", "--config", str(cfg), "--out", str(out),
+                 "--only", "macro"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == before
+    assert not any(name.endswith(".partial") for name in before)
 
 
 def test_cli_pipeline_and_resume(tmp_path, capsys):
