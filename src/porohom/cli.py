@@ -1,8 +1,10 @@
 """Command line entry points.
 
 Exit codes: 0 on success, 2 on validation errors (bad arguments, bad
-files, bad config), 3 on numerical failures (factorization, eigensolve
-or quality breakdowns).
+files, bad config: ValueError, OSError), 3 on numerical failures
+(factorization, eigensolve or quality breakdowns), 4 when memory runs
+out (MemoryError).  Any other exception is a bug: it propagates with its
+traceback, and Python exits 1.
 """
 
 import argparse
@@ -11,25 +13,15 @@ import os
 import sys
 
 from .cell_spectral import read_spectrum_csv
-from .fem import SolverError
-from .meshing import (
-    EllipseSpec,
-    MeshQualityError,
-    gen_cell_mesh,
-    gen_rect_mesh,
-    write_mesh,
-)
+from .meshing import EllipseSpec, gen_cell_mesh, gen_rect_mesh, write_mesh
 from .pipeline import (
     PipelineError,
+    _NUMERICAL,
     _StageFiles,
     parse_config,
     run_pipeline,
     run_stage,
 )
-
-
-# Failures of the numerics rather than of the input (exit code 3).
-_NUMERICAL = (SolverError, MeshQualityError, ArithmeticError)
 
 
 def _cmd_mesh(args):
@@ -174,9 +166,14 @@ def main(argv=None):
         log.setLevel(logging.DEBUG)
     try:
         args.func(args)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 4
     except (PipelineError, ValueError, OSError, *_NUMERICAL) as exc:
         print(f"error: {exc}", file=sys.stderr)
         cause = exc.__cause__ if isinstance(exc, PipelineError) else exc
+        if isinstance(cause, MemoryError):
+            return 4
         return 3 if isinstance(cause, _NUMERICAL) else 2
     finally:
         log.removeHandler(handler)

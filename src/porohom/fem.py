@@ -344,26 +344,27 @@ def _saddle_symmetry(mesh, dofmap, velocity_of_full, pressure_of_full, mat):
          (dest, np.arange(dest.size))), shape=(dest.size, dest.size))
 
 
-def _orbit_bases(group):
+def _orbit_bases(t_r, t_s):
     """Orthonormal bases (N, m_chi) of the ranges of the projectors
-    (1/4) sum_g chi(g) T_g, one per character in CHARACTERS.
+    (1/4) sum_g chi(g) T_g, keyed by character in CHARACTERS order.
 
-    group holds the signed permutations T_g (CSC) for g = I, R, S, RS.
-    Each orbit of the group adds at most one column: the projection of
-    its first entry, which vanishes when chi conflicts with the entry's
-    stabilizer.
+    t_r and t_s are the signed permutations T_R and T_S (CSC), which
+    generate the group I, R, S, RS.  Each orbit of the group adds at
+    most one column: the projection of its first entry, which vanishes
+    when chi conflicts with the entry's stabilizer.
     """
-    n = group[0].shape[0]
+    n = t_r.shape[0]
+    group = [sp.identity(n, format="csc"), t_r, t_s, (t_r @ t_s).tocsc()]
     reps = np.flatnonzero(np.min([t.indices for t in group], axis=0)
                           == np.arange(n))
     t_i, t_r, t_s, t_rs = (t[:, reps] for t in group)
-    bases = []
+    bases = {}
     for chi_r, chi_s in CHARACTERS:
         q = t_i + chi_r * t_r + chi_s * t_s + chi_r * chi_s * t_rs
         q.eliminate_zeros()
         q = q[:, np.diff(q.indptr) > 0]
         norms = np.sqrt(np.asarray(q.multiply(q).sum(axis=0)).ravel())
-        bases.append(q @ sp.diags(1.0 / norms))
+        bases[chi_r, chi_s] = q @ sp.diags(1.0 / norms)
     return bases
 
 
@@ -374,11 +375,11 @@ class CellBlock:
     that is not an orbit, size is the block's dimension m, and forces
     (k, 2) are the unit body forces whose constant fields lie in the
     block.  Those are known at once.  The rest is built on the first
-    read of any of it, by build() -> (basis, operator, mass), with one
-    DEBUG line: basis (n, m) lifts block coordinates to reduced saddle
-    vectors, operator and mass are the pencil restricted to it, (m, m),
-    and loads (m, k) are the forces' block loads, from unit_loads (n, 2),
-    the reduced loads of e_x and e_y.  The factorization of operator is
+    read of any of it, by build(), a _block_pencil call, with one DEBUG
+    line: basis (n, m) lifts block coordinates to reduced saddle vectors,
+    operator and mass are the pencil restricted to it, (m, m), and loads
+    (m, k) are the forces' block loads, from unit_loads (n, 2), the
+    reduced loads of e_x and e_y.  The factorization of operator is
     built on first use and kept until free_factor.
     """
 
@@ -439,16 +440,9 @@ class CellBlock:
         return (averages @ f.T / (f ** 2).sum(axis=1)) @ f
 
 
-def _pinned_pencil(saddle, mass):
-    """The one block of a cell that is not an orbit: the identity basis
-    and the pencil without the last pressure dof."""
-    return (sp.identity(saddle.shape[0] - 1, format="csr"),
-            saddle[:-1, :-1].tocsc(), mass[:-1, :-1])
-
-
 def _block_pencil(saddle, mass, pin, q):
-    """The block on the orthonormal orbit basis q (CSC): its pinned
-    basis pin @ q and the pencil Q^T A Q, Q^T M Q."""
+    """The block on the orthonormal basis q (CSC) of unpinned vectors:
+    its pinned basis pin @ q and the pencil Q^T A Q, Q^T M Q."""
     qt, q = q.T, q.tocsr()
     return pin @ q, (qt @ (saddle @ q)).tocsc(), qt @ (mass @ q)
 
@@ -462,10 +456,8 @@ class StokesSystem:
     operator but kept in bx_r and by_r.  The operator matrix is
     symmetric; the companion mass matrix carries the velocity mass in
     its leading blocks.  pencil holds both (CSR) before the pin, on
-    every pressure dof; operator (CSC) and mass_saddle are their pinned
-    slices, made on first read.  Cell averages are cell integrals, so
-    the mesh must span 1 along each axis (within 1e-12), else
-    ValueError.
+    every pressure dof.  Cell averages are cell integrals, so the mesh
+    must span 1 along each axis (within 1e-12), else ValueError.
 
     The solvers work on blocks.  A mesh that the half-turn R and the
     diagonal reflection S map onto itself (every gen_cell_mesh cell)
@@ -476,10 +468,10 @@ class StokesSystem:
     so the pin moves there: that block leaves out the orbit of the last
     pressure dof.  symmetries holds the signed permutations (T_R, T_S)
     on unpinned (ux, uy, p) vectors.  Any other mesh gets one block, the
-    pinned operator itself, with symmetries None and the reason in
-    fallback.  The symmetries and the orbit bases are found at once, so
-    each block's character, size and forces are known; its matrices are
-    built when a solver first reads them.
+    pinned operator itself, on the basis that selects all dofs but the
+    last, with symmetries None and the reason in fallback.  The bases
+    are found at once, so each block's character, size and forces are
+    known; _block_pencil builds its matrices when a solver reads them.
     """
 
     def __init__(self, mesh):
@@ -518,6 +510,13 @@ class StokesSystem:
             format="csr")
         self.pencil = (saddle, mass)
         unit = np.column_stack([self.unit_load(0), self.unit_load(1)])
+        n = saddle.shape[0]
+        # from unpinned to pinned vectors: shift p to zero its last dof,
+        # which the operator cannot see (B^T 1 = 0), then drop that dof
+        pin = sp.hstack([
+            sp.identity(n - 1, format="csr"),
+            sp.csr_matrix(np.r_[np.zeros(2 * nvr), -np.ones(npr - 1)][:, None]),
+        ], format="csr")
         try:
             self.symmetries = tuple(
                 _saddle_symmetry(mesh, dofmap, velocity_of_full,
@@ -525,51 +524,28 @@ class StokesSystem:
                 for mat in (HALF_TURN, DIAGONAL))
         except NotAnOrbit as exc:
             self.symmetries, self.fallback = None, f"not an orbit: {exc}"
-            self.blocks = [CellBlock(
-                None, unit.shape[0],
-                functools.partial(_pinned_pencil, saddle, mass), unit)]
-            _log.debug("cell operator: one block of %d, %s",
-                       unit.shape[0], self.fallback)
+            bases = {None: sp.identity(n, format="csc")[:, :-1]}
+            _log.debug("cell operator: one block of %d, %s", n - 1,
+                       self.fallback)
         else:
             self.fallback = None
-            self.blocks = self._symmetry_blocks(unit)
-            _log.debug("cell operator: %d symmetry blocks of %s",
-                       len(self.blocks), [b.size for b in self.blocks])
+            bases = _orbit_bases(*self.symmetries)
+            q = bases[(1, 1)]
+            bases[(1, 1)] = q[:, q[[-1]].toarray().ravel() == 0.0]
+            _log.debug("cell operator: %d symmetry blocks of %s", len(bases),
+                       [q.shape[1] for q in bases.values()])
+        self.blocks = [
+            CellBlock(character, q.shape[1],
+                      functools.partial(_block_pencil, saddle, mass, pin, q),
+                      unit)
+            for character, q in bases.items()]
         self.block_sizes = tuple(b.size for b in self.blocks)
-
-    def _symmetry_blocks(self, unit):
-        saddle, mass = self.pencil
-        t_r, t_s = self.symmetries
-        n = saddle.shape[0]
-        group = [sp.identity(n, format="csc"), t_r, t_s, (t_r @ t_s).tocsc()]
-        # from unpinned to pinned vectors: shift p to zero its last dof,
-        # which the operator cannot see (B^T 1 = 0), then drop that dof
-        pin = sp.hstack([
-            sp.identity(n - 1, format="csr"),
-            sp.csr_matrix(np.r_[np.zeros(2 * self.n_velocity),
-                                -np.ones(self.n_pressure - 1)][:, None]),
-        ], format="csr")
-        blocks = []
-        for character, q in zip(CHARACTERS, _orbit_bases(group)):
-            if character == (1, 1):
-                q = q[:, q[[-1]].toarray().ravel() == 0.0]
-            blocks.append(CellBlock(
-                character, q.shape[1],
-                functools.partial(_block_pencil, saddle, mass, pin, q), unit))
-        return blocks
 
     @functools.cached_property
     def operator(self):
-        # on a cell that is not an orbit, the one block holds the slices
-        if self.symmetries is None:
-            return self.blocks[0].operator
+        """The pinned operator (CSC), made on first read.  No stage reads
+        it; only tests and perfbench's StokesSystem probe do."""
         return self.pencil[0][:-1, :-1].tocsc()
-
-    @functools.cached_property
-    def mass_saddle(self):
-        if self.symmetries is None:
-            return self.blocks[0].mass
-        return self.pencil[1][:-1, :-1]
 
     def unit_load(self, axis):
         """Reduced load for a constant unit body force along an axis."""
@@ -580,7 +556,7 @@ class StokesSystem:
 
     def residual_norms(self, x, lams):
         """||K x_j - lams_j M x_j|| for the columns x_j of the reduced
-        saddle vectors x (n, m), with the operator K and mass_saddle M,
+        saddle vectors x (n, m), with the pinned operator K and mass M,
         applied through the pencil so that neither slice is made."""
         saddle, mass = self.pencil
         padded = np.zeros((x.shape[0] + 1, x.shape[1]))  # the pinned dof

@@ -71,19 +71,20 @@ class KernelModel:
     def num_modes(self):
         return self.lams.size
 
-    def eval_kernel(self, t):
-        """K(t) = sum_k D^k exp(-lambda_k t); t scalar or array."""
+    def _exp_sum(self, tensors, t):
+        """sum_k tensors_k exp(-lambda_k t); t scalar or array."""
         t = np.asarray(t, dtype=float)
         decay = np.exp(-np.outer(t.ravel(), self.lams))
-        out = np.einsum("nk,kij->nij", decay, self.d_tensors)
+        out = np.einsum("nk,kij->nij", decay, tensors)
         return out.reshape(t.shape + (2, 2))
+
+    def eval_kernel(self, t):
+        """K(t) = sum_k D^k exp(-lambda_k t); t scalar or array."""
+        return self._exp_sum(self.d_tensors, t)
 
     def eval_phi(self, t):
         """Phi(t) = sum_k (D^k / lambda_k) exp(-lambda_k t)."""
-        t = np.asarray(t, dtype=float)
-        decay = np.exp(-np.outer(t.ravel(), self.lams))
-        out = np.einsum("nk,kij->nij", decay, self.d_scaled)
-        return out.reshape(t.shape + (2, 2))
+        return self._exp_sum(self.d_scaled, t)
 
     def forcing_vector(self, f, t):
         """g(t) = (K_bar - Phi(t)) f for a constant body force f."""

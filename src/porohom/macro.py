@@ -210,8 +210,8 @@ class MacroState:
     """One time level: pressure, auxiliary fields, ledger accumulators.
 
     energies holds the per-mode memory energies (D^k grad v_k, grad v_k)
-    that MacroProblem.step carries forward.  A state built by hand has
-    none (None); the problem then evaluates them directly.
+    that the march carries forward.  A state built by hand has none
+    (None); run evaluates them once, on its copy of the state.
     """
 
     def __init__(self, t, v, v_aux, dissipation=0.0, source_work=0.0):
@@ -379,12 +379,6 @@ class MacroProblem:
                          * np.einsum("kn,nk->k", block, s_b @ block.T))
         return energies
 
-    def _energies(self, state):
-        """The state's per-mode memory energies, stored or evaluated."""
-        if state.energies is None:
-            return self._mode_energies(state.v_aux)
-        return state.energies
-
     def init_state(self):
         """Elliptic solve at t = 0 with all auxiliary fields zero.
 
@@ -401,18 +395,12 @@ class MacroProblem:
         state.energies = np.zeros(self.model.num_modes)
         return state
 
-    def step(self, state):
-        """Advance one time level; state is left untouched."""
-        new = _copy_state(state)
-        self._step_in_place(new)
-        return new
-
     def _step_in_place(self, state):
         """Advance state one time level, overwriting it.
 
         Everything that reads the old auxiliary fields comes first: the
-        memory load, the cross term and any directly evaluated energies.
-        Only then do they advance in place, v_k <- q_k v_k + p_k w."""
+        memory load and the cross term.  Only then do they advance in
+        place, v_k <- q_k v_k + p_k w."""
         tau = self.tau
         sigma = self.sigma
         if sigma == 0.0:
@@ -428,7 +416,7 @@ class MacroProblem:
         cross = np.einsum("bk,kb->k", self._mode_weights,
                           state.v_aux @ s_mid.T)
         q, p = self._q, self._p
-        energies = (q * q * self._energies(state) + 2.0 * p * q * cross
+        energies = (q * q * state.energies + 2.0 * p * q * cross
                     + p * p * (forms @ self._mode_weights))
         state.v_aux *= q[:, None]
         for row, p_k in zip(state.v_aux, p):
@@ -444,13 +432,23 @@ class MacroProblem:
         state.source_work += tau * self._source_rate(t_mid)
         state.energies = energies
 
+    def _energy_rounding(self, v_aux):
+        """eps sum_k sum_b |w_bk| max|v_k|^2 sum|S_b|: the rounding level
+        of the memory energies, which is all they hold when every field
+        is constant (S_b 1 = 0)."""
+        peak = np.maximum(v_aux.max(axis=1), -v_aux.min(axis=1)) ** 2
+        sizes = np.array([abs(s_b).sum() for s_b in self._basis])
+        return np.finfo(float).eps * float(
+            sizes @ (np.abs(self._mode_weights) @ peak))
+
     def memory_energy(self, state):
         """sum_k (D^k grad v_k, grad v_k) at the state's time level,
         evaluated directly from the auxiliary fields."""
         return float(self._mode_energies(state.v_aux).sum())
 
     def ledger_row(self, state, n):
-        lhs = state.dissipation + float(self._energies(state).sum())
+        """Ledger row (n, t, lhs, rhs, margin) of a marched state."""
+        lhs = state.dissipation + float(state.energies.sum())
         rhs = state.source_work
         return (n, state.t, lhs, rhs, rhs - lhs)
 
@@ -479,12 +477,14 @@ def run(problem, t_final, snapshot_times=(), initial_state=None):
     rhs) in the guaranteed regime (all-natural homogeneous-flux data,
     sigma >= 1/2) raises SolverError, since it would signal an assembly
     or update bug.  So does a final memory energy whose recurrence
-    differs from a direct evaluation by more than 1e-10 * max(lhs, rhs)
-    of the last ledger row.
+    differs from a direct evaluation by more than 1e-10 * max(lhs,
+    rhs) of the last ledger row, or than the energies' rounding level
+    where that is larger.
 
-    initial_state is left untouched.  The snapshots share no array with
-    it or with each other, except that requests for one time share one
-    state.
+    initial_state is left untouched: the march starts from a copy, on
+    which the energies of a state built by hand are evaluated once.  The
+    snapshots share no array with it or with each other, except that
+    requests for one time share one state.
 
     Returns a MacroRun.
     """
@@ -510,6 +510,8 @@ def run(problem, t_final, snapshot_times=(), initial_state=None):
     # copied once, and so is every snapshot but one at the last step.
     if initial_state is not None:
         state = _copy_state(state)
+        if state.energies is None:
+            state.energies = problem._mode_energies(state.v_aux)
     wanted = {index for index, _ in requests}
     copies = len(wanted - {nsteps})
     taken = {}
@@ -539,7 +541,7 @@ def run(problem, t_final, snapshot_times=(), initial_state=None):
         carried = float(state.energies.sum())
         drift = abs(problem.memory_energy(state) - carried)
         scale = max(lhs, rhs)
-        if drift > 1e-10 * scale:
+        if drift > max(1e-10 * scale, problem._energy_rounding(state.v_aux)):
             raise SolverError(
                 f"memory energy recurrence drifted by {drift:.3e} "
                 f"(ledger scale {scale:.3e}) over {nsteps} steps")

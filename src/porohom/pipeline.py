@@ -20,14 +20,25 @@ from .cell_steady import (
     write_permeability_csv,
 )
 from .cell_unsteady import solve_cell_unsteady, write_samples_csv
-from .fem import StokesSystem
+from .fem import SolverError, StokesSystem
 from .kernel_model import build_kernel_model, read_model_csv, write_model_csv
 from .macro import (MacroProblem, parse_bc, run, write_ledger_csv,
                     write_state_csv)
-from .meshing import EllipseSpec, gen_cell_mesh, gen_rect_mesh, read_mesh, write_mesh
+from .meshing import (
+    EllipseSpec,
+    MeshQualityError,
+    gen_cell_mesh,
+    gen_rect_mesh,
+    read_mesh,
+    write_mesh,
+)
 from .svgplot import render_field_svg
 
 STAGES = ("mesh", "cell-steady", "eigen", "kernel", "oracle", "macro")
+
+
+# Failures of the numerics rather than of the input (exit code 3).
+_NUMERICAL = (SolverError, MeshQualityError, ArithmeticError)
 
 
 class PipelineError(RuntimeError):
@@ -284,6 +295,20 @@ _STAGE_RUNNERS = {
 _SYSTEM_STAGES = ("cell-steady", "eigen", "oracle")
 
 
+def _run_runner(stage, config, files):
+    """Run a stage, wrapping in PipelineError the exceptions the exit
+    codes cover: an input fault (ValueError, FormatError, OSError), a
+    numerical failure (_NUMERICAL) or a MemoryError, named "out of
+    memory".  Anything else is a bug and propagates with its traceback;
+    either way the stage's outputs stay .partial files."""
+    try:
+        _STAGE_RUNNERS[stage](config, files)
+    except MemoryError as exc:
+        raise PipelineError(stage, "out of memory") from exc
+    except (ValueError, OSError, *_NUMERICAL) as exc:
+        raise PipelineError(stage, str(exc)) from exc
+
+
 def run_stage(stage, config, paths):
     """Run one stage on its own, outside a pipeline run.
 
@@ -292,7 +317,7 @@ def run_stage(stage, config, paths):
     pairs of the files written.
     """
     files = _StageFiles(config["out_dir"], paths)
-    _STAGE_RUNNERS[stage](config, files)
+    _run_runner(stage, config, files)
     return files.commit()
 
 
@@ -307,10 +332,7 @@ def run_pipeline(config):
     stages = config["stages"]
     artifacts = {}
     for pos, stage in enumerate(stages):
-        try:
-            _STAGE_RUNNERS[stage](config, files)
-        except Exception as exc:
-            raise PipelineError(stage, str(exc)) from exc
+        _run_runner(stage, config, files)
         if not set(_SYSTEM_STAGES) & set(stages[pos + 1:]):
             files.system = None
         for name, path in files.commit():

@@ -166,9 +166,9 @@ def test_02_eigenvalue_mesh_convergence(spectrum100, chain_coarse):
 
 
 def test_02_fine_mesh_lambda1_shift(spectrum100):
-    # The h = 0.005 mesh and one-mode eigensolve peak at 0.71 GB RSS
+    # The h = 0.005 mesh and one-mode eigensolve peak at 0.59 GB RSS
     # (four symmetry blocks of 22 M LU fill, factored one at a time),
-    # and this file's process at 0.87 GB with the fixtures it holds;
+    # and this file's process at 0.69 GB with the fixtures it holds;
     # the probe asks for 2 GB, which leaves a margin.
     # With less memory only the h = 0.02 / h = 0.01 pair is checked.
     if _mem_available_gb() < 2.0:

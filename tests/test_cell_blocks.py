@@ -77,6 +77,23 @@ def test_each_path_says_which_ran(caplog, cell_mesh_g3, cell_mesh_nudged):
     ]
 
 
+def test_the_one_block_is_the_pinned_pencil(system_nudged):
+    # the one block of a cell that is not an orbit comes from the builder
+    # of the symmetry blocks, on the pinned selection I[:, :-1], and
+    # holds the pinned slices of the pencil entry for entry
+    (block,) = system_nudged.blocks
+    saddle, mass = system_nudged.pencil
+    n = saddle.shape[0] - 1
+    for got, want in ((block.operator, saddle[:-1, :-1].tocsc()),
+                      (block.mass, mass[:-1, :-1]),
+                      (block.basis, sp.identity(n, format="csr"))):
+        assert got.format == want.format and got.shape == want.shape
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
+    assert block.character is None
+    assert np.array_equal(block.forces, np.eye(2))
+
+
 def test_a_block_is_built_on_first_read(caplog, cell_mesh_g3):
     # what a block is (its character, size and forces) is known at
     # once; its matrices are built, and logged, when first read

@@ -211,9 +211,10 @@ def test_uniform_dirichlet_scalar_recurrence(rect_mesh, model3, sigma):
     prob = MacroProblem(rect_mesh, model3, bc, sigma=sigma, tau=tau)
     state = prob.init_state()
     assert np.max(np.abs(state.v - c)) < 1e-12
+    state = run(prob, nsteps * tau,
+                snapshot_times=[nsteps * tau]).snapshots[0][1]
     alpha = np.zeros(3)
     for _ in range(nsteps):
-        state = prob.step(state)
         if sigma == 0.0:
             alpha = alpha + tau * (c - LAMS3 * alpha)
         else:
@@ -239,9 +240,10 @@ def test_all_natural_forcing_reduces_to_two_vector_recurrence(
 
     c_now = np.linalg.solve(k_tilde, model3.forcing_vector(f, 0.0))
     assert np.max(np.abs(state.v - linear_field(rect_mesh, c_now))) < 1e-12
+    state = run(prob, nsteps * tau,
+                snapshot_times=[nsteps * tau]).snapshots[0][1]
     a_now = np.zeros((3, 2))
     for n in range(nsteps):
-        state = prob.step(state)
         t_mid = n * tau + sigma * tau
         rhs = model3.forcing_vector(f, t_mid) - np.einsum(
             "kij,kj->i", d_tensors, a_now / denom[:, None])
@@ -264,7 +266,11 @@ def test_relaxed_profile_is_a_fixed_point(rect_mesh, model3):
     v_aux = np.stack([linear_field(rect_mesh, f / lam) for lam in LAMS3])
     state = MacroState(1.0, v, v_aux)
     prob = MacroProblem(rect_mesh, model3, BC_NAT, f=f, sigma=0.5, tau=1e-3)
-    after = prob.step(state)
+    # a profile relaxed from rest has done at least its memory energy in
+    # work, which keeps the guarded ledger's margin nonnegative
+    state.source_work = prob.memory_energy(state)
+    after = run(prob, 1.001, snapshot_times=[1.001],
+                initial_state=state).snapshots[0][1]
     assert np.max(np.abs(after.v - state.v)) < 1e-9
     assert np.max(np.abs(after.v_aux - state.v_aux)) < 1e-9
 
@@ -351,14 +357,8 @@ def test_energy_recurrence_matches_direct_evaluation(rect_mesh, model3,
                                                      sigma):
     prob = MacroProblem(rect_mesh, model3, BC_NAT, f=(1.0, 0.25),
                         sigma=sigma, tau=1e-3)
-    state = prob.init_state()
-    assert np.array_equal(state.energies, np.zeros(3))
-    for _ in range(20):
-        before = state.v_aux.copy()
-        after = prob.step(state)
-        # snapshots hold earlier states, so a step must not write to them
-        assert np.array_equal(state.v_aux, before)
-        state = after
+    assert np.array_equal(prob.init_state().energies, np.zeros(3))
+    state = run(prob, 0.02, snapshot_times=[0.02]).snapshots[0][1]
     direct = prob.memory_energy(state)
     assert direct > 0.0
     assert state.energies.sum() == pytest.approx(direct, rel=1e-12)
@@ -375,10 +375,12 @@ def test_hand_built_state_seeds_energies_directly(rect_mesh, model3):
     # the ledger of a state with memory but no accumulated work carries
     # no guarantee, so use data outside the guarded regime
     prob = MacroProblem(rect_mesh, model3, BC_DIR, sigma=0.5, tau=1e-3)
-    first = prob.ledger_row(state, 0)
-    assert first[2] == pytest.approx(prob.memory_energy(state), rel=1e-14)
-    res = run(prob, 0.01, snapshot_times=[0.01], initial_state=state)
-    final = res.snapshots[0][1]
+    res = run(prob, 0.01, snapshot_times=[0.0, 0.01], initial_state=state)
+    (_, first), (_, final) = res.snapshots
+    # run evaluates the energies once, on its copy of the state
+    assert state.energies is None
+    assert first.energies.sum() == pytest.approx(prob.memory_energy(state),
+                                                 rel=1e-14)
     assert final.energies.sum() == pytest.approx(prob.memory_energy(final),
                                                  rel=1e-12)
     assert res.memory_check < 1e-12
@@ -450,9 +452,9 @@ def test_time_stepping_orders(rect_mesh, model3):
 def test_memoryless_model_reproduces_steady_state(rect_mesh):
     model0 = build_kernel_model(KBAR3, [], np.zeros((0, 2)))
     prob = MacroProblem(rect_mesh, model0, BC_DIR, sigma=0.5, tau=1e-3)
-    state = prob.init_state()
+    res = run(prob, 1e-3, snapshot_times=[0.0, 1e-3])
+    (_, state), (_, after) = res.snapshots
     assert state.v_aux.shape == (0, rect_mesh.num_vertices)
-    after = prob.step(state)
     assert np.max(np.abs(after.v - state.v)) < 1e-12
 
 

@@ -12,15 +12,17 @@ import numpy as np
 import pytest
 
 import porohom
+from porohom import pipeline
 from porohom.cli import main
 from porohom.cell_spectral import read_spectrum_csv
+from porohom.fem import SolverError
 from porohom.kernel_model import (
     KernelModel,
     build_kernel_model,
     read_model_csv,
     write_model_csv,
 )
-from porohom.meshing import gen_rect_mesh, write_mesh
+from porohom.meshing import MeshQualityError, gen_rect_mesh, write_mesh
 from porohom.pipeline import (
     DEFAULTS,
     STAGES,
@@ -29,6 +31,7 @@ from porohom.pipeline import (
     render_table,
     run_pipeline,
 )
+from porohom.textio import FormatError
 
 from conftest import COEF3, KBAR3, LAMS3
 
@@ -392,6 +395,50 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert code == 2
     assert "unknown boundary kind 'warp'" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def failing_runner(error):
+    """A stage runner that stages one output file, then raises error."""
+    def runner(config, files):
+        with open(files.path("probe.txt"), "w", encoding="ascii") as handle:
+            handle.write("unfinished\n")
+        raise error
+    return runner
+
+
+@pytest.mark.parametrize("error, code, message", [
+    pytest.param(error, code, message, id=type(error).__name__)
+    for error, code, message in (
+        (ValueError("bad value"), 2, "bad value"),
+        (FormatError("bad field", line=3), 2, "line 3: bad field"),
+        (FileNotFoundError("no such file"), 2, "no such file"),
+        (SolverError("no convergence"), 3, "no convergence"),
+        (MeshQualityError("a sliver"), 3, "a sliver"),
+        (ZeroDivisionError("division by zero"), 3, "division by zero"),
+        (MemoryError(), 4, "out of memory"),
+        (IndexError("simulated bug"), None, None))])
+@pytest.mark.parametrize("stage", ["mesh", "cell-steady"])
+def test_exit_code_follows_the_exception_class(tmp_path, capsys, monkeypatch,
+                                               error, code, message, stage):
+    # input faults exit 2, numerical failures 3 and a lack of memory 4,
+    # on the pipeline path and on a subcommand alike; any other
+    # exception is a bug and escapes with its traceback (exit 1).  The
+    # failed stage's outputs stay .partial files either way
+    monkeypatch.setitem(pipeline._STAGE_RUNNERS, stage, failing_runner(error))
+    out = tmp_path / "run"
+    if stage == "mesh":
+        argv = ["pipeline", "--only", "mesh", "--out", str(out)]
+    else:
+        argv = ["cell-steady", "--mesh", str(tmp_path / "cell.mesh"),
+                "--out", str(out / "k_bar.csv")]
+    if code is None:
+        with pytest.raises(type(error), match="simulated bug"):
+            main(argv)
+    else:
+        assert main(argv) == code
+        assert capsys.readouterr().err == f"error: stage {stage}: {message}\n"
+    assert (out / "probe.txt.partial").exists()
+    assert not (out / "probe.txt").exists()
 
 
 @pytest.mark.parametrize("line, message", [
