@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, eigh, eigh_tridiagonal
 
 from .fem import SolverError
-from .textio import INDEX, POSITIVE, FormatError, Records, write_rows
+from .textio import INDEX, POSITIVE, Records, write_rows
 
 _log = logging.getLogger(__name__)
 
@@ -306,10 +306,12 @@ def read_spectrum_csv(path):
     eigenfunctions themselves are not stored in the file.  Mode indices
     run 1, 2, ... in order and eigenvalues are positive.
     """
-    lines, (k, lams, a1, a2) = Records(path, header="k,lambda,a1,a2").table(
+    records = Records(path, header="k,lambda,a1,a2")
+    lines, (k, lams, a1, a2) = records.table(
         (("mode index", INDEX), ("eigenvalue", POSITIVE),
          ("coefficient", float), ("coefficient", float)))
     bad = np.flatnonzero(k != np.arange(1, k.size + 1))
     if bad.size:
-        raise FormatError(f"mode index {k[bad[0]]} out of order", lines[bad[0]])
+        raise records.error(f"mode index {k[bad[0]]} out of order",
+                            lines[bad[0]])
     return lams, np.column_stack((a1, a2))

@@ -112,12 +112,15 @@ def _march_block(system, block, tau, nsteps):
 
 
 def write_samples_csv(samples, path):
-    """CSV rows t,K11,K12,K22 (the sampled kernel is symmetric)."""
+    """CSV rows t,K11,K12,K22 (the sampled kernel is symmetric).
+
+    Samples asymmetric beyond 1e-8 of their largest entry are a fault of
+    the march, not of its input: SolverError."""
     k11, k01, k10, k22 = samples.values.reshape(-1, 4).T
     asym = np.max(np.abs(k01 - k10), initial=0.0)
     scale = max(1e-30, np.max(np.abs(samples.values), initial=0.0))
     if asym > 1e-8 * scale:
-        raise ValueError(f"kernel samples asymmetric by {asym:.2e}")
+        raise SolverError(f"kernel samples asymmetric by {asym:.2e}")
     k12 = np.where(k01 == k10, k01, 0.5 * k01 + 0.5 * k10)
     write_rows(path, np.column_stack((samples.times, k11, k12, k22)),
                header="t,K11,K12,K22")

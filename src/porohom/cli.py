@@ -61,8 +61,11 @@ def _cmd_stage(args):
     paths = {name: getattr(args, flag) for flag, name in flags.items()}
     if args.command == "kernel" and args.modes is None:
         # Without --modes the kernel keeps the whole spectrum.
-        spectrum = _StageFiles(".", paths).input("spectrum.csv")
-        overrides["modes"] = read_spectrum_csv(spectrum)[0].size
+        try:
+            spectrum = _StageFiles(".", paths).input("spectrum.csv")
+            overrides["modes"] = read_spectrum_csv(spectrum)[0].size
+        except (ValueError, OSError) as exc:
+            raise PipelineError("kernel", str(exc)) from exc
     os.makedirs(overrides["out_dir"], exist_ok=True)
     config = parse_config(overrides=overrides)
     for _, path in run_stage(args.command, config, paths):

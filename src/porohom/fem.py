@@ -1,11 +1,15 @@
-"""Taylor-Hood finite elements on triangle meshes.
+"""Taylor-Hood and degree-1 finite elements on triangle meshes.
 
 Velocity uses quadratic (P2) shape functions on vertices plus edge
-midpoints, pressure uses linear (P1) vertex functions.  All element
-integrals use a 6-point rule that is exact through degree 4, which covers
-every product assembled here.  Periodic and no-slip constraints are
-eliminated symbolically through a prolongation matrix so that reduced
-operators keep the spectrum of the constrained problem.
+midpoints, pressure uses linear (P1) vertex functions.  Each mesh gets
+one pass over its element geometry: assemble_taylor_hood builds the
+cell's four Taylor-Hood matrices in one loop over the quadrature
+points, and P1Forms the macro problem's stiffness matrices, nodal
+integrals and gradient loads.  The Taylor-Hood integrals use a 6-point
+rule that is exact through degree 4, which covers every product
+assembled there.  Periodic and no-slip constraints are eliminated
+symbolically through a prolongation matrix so that reduced operators
+keep the spectrum of the constrained problem.
 """
 
 import functools
@@ -133,79 +137,71 @@ def _physical_grads(inv_t, gref):
     return gx, gy
 
 
-def _accumulate(rows, cols, vals, shape):
-    mat = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
-    return mat.tocsr()
+def _assemble(rows, cols, elem, shape):
+    """CSR sum of the element matrices elem (e, r, c), whose entry
+    [e, i, j] lands at (rows[e, i], cols[e, j])."""
+    rows = np.repeat(rows, cols.shape[1], axis=1)
+    cols = np.tile(cols, (1, elem.shape[1]))
+    return sp.coo_matrix((elem.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=shape).tocsr()
 
 
-def _element_matrix_to_coo(cell_dofs, elem):
-    ld = cell_dofs.shape[1]
-    rows = np.repeat(cell_dofs, ld, axis=1)
-    cols = np.tile(cell_dofs, (1, ld))
-    return rows, cols, elem.reshape(cell_dofs.shape[0], ld * ld)
-
-
-def assemble_p2_stiffness_mass(mesh):
-    """Scalar P2 stiffness and mass matrices (full space) and their dofs."""
+def assemble_taylor_hood(mesh):
+    """The Taylor-Hood matrices of a mesh from one pass over its
+    elements: the scalar P2 stiffness and mass (full space), the
+    divergence blocks Bx, By with (Bc)[q, u] = integral of
+    psi_q * d(phi_u)/dx_c, and the P2 dof map."""
     dofmap = DofMapP2(mesh)
     _, det, inv_t = _geometry(mesh)
     gref = p2_grads(QUAD_POINTS)          # (q, 6, 2)
     nref = p2_shape(QUAD_POINTS)          # (q, 6)
+    p1 = p1_shape(QUAD_POINTS)            # (q, 3)
     nt = mesh.num_triangles
     stiff = np.zeros((nt, 6, 6))
     mass = np.zeros((nt, 6, 6))
-    for q, w in enumerate(QUAD_WEIGHTS):
-        gx, gy = _physical_grads(inv_t, gref[q])   # (e, 6) each
-        stiff += w * det[:, None, None] * (gx[:, :, None] * gx[:, None, :]
-                                           + gy[:, :, None] * gy[:, None, :])
-        mass += w * det[:, None, None] * np.outer(nref[q], nref[q])[None, :, :]
-    rows, cols, vals = _element_matrix_to_coo(dofmap.cell_dofs, stiff)
-    k = _accumulate(rows, cols, vals, (dofmap.num_dofs, dofmap.num_dofs))
-    rows, cols, vals = _element_matrix_to_coo(dofmap.cell_dofs, mass)
-    m = _accumulate(rows, cols, vals, (dofmap.num_dofs, dofmap.num_dofs))
-    return k, m, dofmap
-
-
-def assemble_divergence(mesh, dofmap):
-    """Blocks Bx, By with (Bc)[q, u] = integral of psi_q * d(phi_u)/dx_c."""
-    _, det, inv_t = _geometry(mesh)
-    gref = p2_grads(QUAD_POINTS)
-    p1 = p1_shape(QUAD_POINTS)
-    nt = mesh.num_triangles
     bx = np.zeros((nt, 3, 6))
     by = np.zeros((nt, 3, 6))
     for q, w in enumerate(QUAD_WEIGHTS):
-        gx, gy = _physical_grads(inv_t, gref[q])
-        bx += w * det[:, None, None] * p1[q][None, :, None] * gx[:, None, :]
-        by += w * det[:, None, None] * p1[q][None, :, None] * gy[:, None, :]
-    tris = mesh.triangles
-    nv = mesh.num_vertices
-    rows = np.repeat(tris, 6, axis=1)
-    cols = np.tile(dofmap.cell_dofs, (1, 3))
-    shape = (nv, dofmap.num_dofs)
-    bx = _accumulate(rows, cols, bx.reshape(nt, 18), shape)
-    by = _accumulate(rows, cols, by.reshape(nt, 18), shape)
-    return bx, by
+        gx, gy = _physical_grads(inv_t, gref[q])   # (e, 6) each
+        wdet = w * det[:, None, None]
+        stiff += wdet * (gx[:, :, None] * gx[:, None, :]
+                         + gy[:, :, None] * gy[:, None, :])
+        mass += wdet * np.outer(nref[q], nref[q])[None, :, :]
+        bx += wdet * p1[q][None, :, None] * gx[:, None, :]
+        by += wdet * p1[q][None, :, None] * gy[:, None, :]
+    dofs, nv, n = dofmap.cell_dofs, mesh.num_vertices, dofmap.num_dofs
+    return (_assemble(dofs, dofs, stiff, (n, n)),
+            _assemble(dofs, dofs, mass, (n, n)),
+            _assemble(mesh.triangles, dofs, bx, (nv, n)),
+            _assemble(mesh.triangles, dofs, by, (nv, n)), dofmap)
 
 
-class P1Stiffness:
-    """P1 stiffness matrices for constant 2x2 coefficient tensors.
+class P1Forms:
+    """The degree-1 forms of a mesh from one pass over its elements.
 
-    The per-triangle gradient products and the COO index arrays are
-    built once, so the matrices for many tensors on one mesh come from a
-    single geometric pass.
+    integrals (nv,) holds the integral of each P1 basis function psi_i,
+    and gradient_loads (2, nv) the loads integral of g . grad(psi_i) of
+    the unit vectors g = e_x, e_y.  matrix(tensor) gives the stiffness of
+    a constant 2x2 tensor from per-triangle gradient products kept with
+    the COO index arrays, so the matrices for many tensors on one mesh
+    come from the same pass.
     """
 
     def __init__(self, mesh):
         _, det, inv_t = _geometry(mesh)
         gphys = np.stack(_physical_grads(inv_t, P1_GRADS), axis=2)   # (e, 3, 2)
         area = 0.5 * det
+        tris, nv = mesh.triangles, mesh.num_vertices
+        vertex = tris.ravel()
+        self.integrals = np.bincount(vertex, np.repeat(area / 3.0, 3), nv)
+        self.gradient_loads = np.stack([np.bincount(
+            vertex, (area[:, None] * np.einsum("a,eia->ei", g, gphys)).ravel(),
+            nv) for g in np.eye(2)])
         # products[a, b][e, i, j] = area_e * d_a(phi_i) * d_b(phi_j)
         self._products = np.einsum("e,eia,ejb->abeij", area, gphys, gphys)
-        tris = mesh.triangles
         self._rows = np.repeat(tris, 3, axis=1).ravel()
         self._cols = np.tile(tris, (1, 3)).ravel()
-        self._nv = mesh.num_vertices
+        self._nv = nv
 
     def matrix(self, tensor):
         """CSR stiffness for a constant 2x2 tensor."""
@@ -216,26 +212,6 @@ class P1Stiffness:
         mat = sp.coo_matrix((vals.ravel(), (self._rows, self._cols)),
                             shape=(self._nv, self._nv))
         return mat.tocsr()
-
-
-def p1_integral_vector(mesh):
-    """Vector of integrals of each P1 basis function."""
-    areas = mesh.triangle_areas()
-    vec = np.zeros(mesh.num_vertices)
-    np.add.at(vec, mesh.triangles.ravel(),
-              np.repeat(areas / 3.0, 3))
-    return vec
-
-
-def p1_gradient_load(mesh, g):
-    """Load vector with entries integral of g . grad(psi_i), g constant."""
-    g = np.asarray(g, dtype=float)
-    _, det, inv_t = _geometry(mesh)
-    gphys = np.stack(_physical_grads(inv_t, P1_GRADS), axis=2)
-    elem = 0.5 * det[:, None] * np.einsum("a,eia->ei", g, gphys)
-    vec = np.zeros(mesh.num_vertices)
-    np.add.at(vec, mesh.triangles.ravel(), elem.ravel())
-    return vec
 
 
 def boundary_edge_load(mesh, tag, value):
@@ -480,8 +456,7 @@ class StokesSystem:
             raise ValueError(f"cell mesh spans {sx!r} by {sy!r}; the cell "
                              f"problems need the unit cell, 1 by 1")
         self.mesh = mesh
-        k2, m2, dofmap = assemble_p2_stiffness_mass(mesh)
-        bx, by = assemble_divergence(mesh, dofmap)
+        k2, m2, bx, by, dofmap = assemble_taylor_hood(mesh)
         pairs2, fixed2, pairs1 = cell_constraints(mesh, dofmap)
         rv, velocity_of_full = build_prolongation(dofmap.num_dofs, pairs2, fixed2)
         rp, pressure_of_full = build_prolongation(
@@ -539,7 +514,6 @@ class StokesSystem:
                       functools.partial(_block_pencil, saddle, mass, pin, q),
                       unit)
             for character, q in bases.items()]
-        self.block_sizes = tuple(b.size for b in self.blocks)
 
     @functools.cached_property
     def operator(self):

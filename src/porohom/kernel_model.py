@@ -146,16 +146,20 @@ def write_model_csv(model, path):
 
 
 def read_model_csv(path):
-    """The model written by write_model_csv, KTILDE checked against it."""
+    """The model written by write_model_csv, KTILDE checked against it.
+    Every refusal, KernelModel's of the file's data too, names the file."""
     records = Records(path, error=KernelModelError)
     k_bar = records.tensor(("record", ("KBAR",)))
     k_tilde = records.tensor(("record", ("KTILDE",)))
     _, (_, ids, lams, a1, a2) = records.table(
         (("record", ("MODE",)), ("mode id", INDEX), ("eigenvalue", POSITIVE),
          ("coefficient", float), ("coefficient", float)))
-    model = KernelModel(k_bar, lams, np.column_stack((a1, a2)), ids)
+    try:
+        model = KernelModel(k_bar, lams, np.column_stack((a1, a2)), ids)
+    except KernelModelError as exc:
+        raise records.error(str(exc)) from None
     dev = np.max(np.abs(model.k_tilde - k_tilde))
     if dev > 1e-12 * max(1e-30, float(np.abs(k_tilde).max())):
-        raise KernelModelError(f"stored KTILDE deviates from KBAR minus mode "
-                               f"sum by {dev:.2e}")
+        raise records.error(f"stored KTILDE deviates from KBAR minus mode "
+                            f"sum by {dev:.2e}")
     return model

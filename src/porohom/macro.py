@@ -63,14 +63,7 @@ import time
 
 import numpy as np
 
-from .fem import (
-    P1Stiffness,
-    SolverError,
-    SparseFactor,
-    boundary_edge_load,
-    p1_gradient_load,
-    p1_integral_vector,
-)
+from .fem import P1Forms, SolverError, SparseFactor, boundary_edge_load
 from .textio import write_numbered_table, write_rows
 
 _log = logging.getLogger(__name__)
@@ -123,9 +116,10 @@ def parse_bc(bc):
     return table
 
 
-def _boundary(mesh, bc, source=0.0):
+def _boundary(mesh, bc, integrals, source=0.0):
     """Boundary data of a spec on a rectangle mesh.
 
+    integrals are the mesh's P1 basis integrals (P1Forms.integrals).
     Returns (table, fixed_idx, fixed_val, free_idx, load): the parse_bc
     table, the Dirichlet vertices and their values, the other vertices,
     and the load of the source psi plus the natural fluxes.  All-natural
@@ -157,7 +151,7 @@ def _boundary(mesh, bc, source=0.0):
     fixed_val = values[fixed_idx]
     free_idx = np.flatnonzero(~fixed)
 
-    load = source * p1_integral_vector(mesh)
+    load = source * integrals
     for side, (kind, value) in table.items():
         if kind == "natural" and value != 0.0:
             load += boundary_edge_load(mesh, side, value)
@@ -177,15 +171,15 @@ class _EllipticSolver:
 
     Dirichlet values are imposed strongly.  When no node is fixed the
     operator is singular on constants: vertex 0 is pinned to zero for
-    the factorization and each solution is shifted to zero P1-weighted
-    mean.
+    the factorization and each solution is shifted to zero mean,
+    weighted by the P1 basis integrals.
     """
 
-    def __init__(self, matrix, mesh, fixed_idx, fixed_val, free_idx):
+    def __init__(self, matrix, integrals, fixed_idx, fixed_val, free_idx):
         self._n = matrix.shape[0]
         self._weights = None
         if fixed_idx.size == 0:
-            self._weights = p1_integral_vector(mesh)
+            self._weights = integrals
             fixed_idx, fixed_val = np.zeros(1, dtype=np.int64), np.zeros(1)
             free_idx = np.arange(1, self._n)
         self._fixed_idx = fixed_idx
@@ -303,12 +297,14 @@ class MacroProblem:
         self.source = float(source)
         if not np.isfinite(self.source):
             raise ValueError(f"source must be finite, got {self.source}")
-        (self.bc, self._fixed_idx, self._fixed_val, self._free_idx,
-         self._static_load) = _boundary(mesh, bc, self.source)
-
-        stiffness = P1Stiffness(mesh)
+        forms = P1Forms(mesh)
+        self._grad_loads = forms.gradient_loads
+        self.bc, *nodes, self._static_load = _boundary(
+            mesh, bc, forms.integrals, self.source)
+        # what an _EllipticSolver takes besides its matrix
+        self._nodes = (forms.integrals, *nodes)
         # Sxx, Sxy, Syy: S(T) = T11 Sxx + T12 Sxy + T22 Syy, T symmetric
-        self._basis = [stiffness.matrix(e) for e in (
+        self._basis = [forms.matrix(e) for e in (
             ((1.0, 0.0), (0.0, 0.0)),
             ((0.0, 1.0), (1.0, 0.0)),
             ((0.0, 0.0), (0.0, 1.0)))]
@@ -326,18 +322,15 @@ class MacroProblem:
         k_eff = model.k_tilde + np.sum(
             (self.sigma * self.tau / denom)[:, None, None]
             * model.d_tensors, axis=0)
-        self._grad_load_x = p1_gradient_load(mesh, (1.0, 0.0))
-        self._grad_load_y = p1_gradient_load(mesh, (0.0, 1.0))
         # The march solves with K_eff when sigma > 0 and there are modes,
         # so K_tilde serves only init_state's one solve and is factored
         # there; otherwise K_eff is K_tilde and one factor serves both.
-        tilde = stiffness.matrix(model.k_tilde)
+        tilde = forms.matrix(model.k_tilde)
         separate = self.sigma > 0.0 and lam.size > 0
-        march = stiffness.matrix(k_eff) if separate else tilde
-        del stiffness  # release the element products before factoring
+        march = forms.matrix(k_eff) if separate else tilde
+        del forms  # release the element products before factoring
         self._tilde_matrix = tilde if separate else None
-        self._solver = _EllipticSolver(march, mesh, self._fixed_idx,
-                                      self._fixed_val, self._free_idx)
+        self._solver = _EllipticSolver(march, *self._nodes)
 
     @property
     def ledger_guaranteed(self):
@@ -350,7 +343,7 @@ class MacroProblem:
         load = self._static_load.copy()
         if self.f.any():
             g = self.model.forcing_vector(self.f, t)
-            load += g[0] * self._grad_load_x + g[1] * self._grad_load_y
+            load += g[0] * self._grad_loads[0] + g[1] * self._grad_loads[1]
         return load
 
     def _memory_load(self, v_aux):
@@ -387,9 +380,8 @@ class MacroProblem:
         if self._tilde_matrix is None:
             v0 = self._solver.solve(self._load(0.0))
         else:
-            v0 = _EllipticSolver(self._tilde_matrix, self.mesh,
-                                 self._fixed_idx, self._fixed_val,
-                                 self._free_idx).solve(self._load(0.0))
+            v0 = _EllipticSolver(self._tilde_matrix,
+                                 *self._nodes).solve(self._load(0.0))
         v_aux = np.zeros((self.model.num_modes, self.mesh.num_vertices))
         state = MacroState(0.0, v0, v_aux)
         state.energies = np.zeros(self.model.num_modes)
@@ -464,8 +456,9 @@ def solve_steady(mesh, tensor, bc):
     eigs = np.linalg.eigvalsh(0.5 * (tensor + tensor.T))
     if eigs[0] <= 0.0:
         raise ValueError("tensor must be positive definite")
-    _, *nodes, load = _boundary(mesh, bc)
-    return _EllipticSolver(P1Stiffness(mesh).matrix(tensor), mesh,
+    forms = P1Forms(mesh)
+    _, *nodes, load = _boundary(mesh, bc, forms.integrals)
+    return _EllipticSolver(forms.matrix(tensor), forms.integrals,
                            *nodes).solve(load)
 
 

@@ -675,10 +675,11 @@ def _section(records, keyword):
 
 
 def read_mesh(path):
-    """Read a MESH2D 1 file; errors carry 1-based line numbers.  The mesh
-    must keep the structural contract of validate_mesh (_contract_fault):
-    a break of it is reported at the line of the record it names, or of
-    the NT head for a mesh without triangles; angles are not checked."""
+    """Read a MESH2D 1 file; errors name the file and the 1-based line.
+    The mesh must keep the structural contract of validate_mesh
+    (_contract_fault): a break of it is reported at the line of the
+    record it names, or of the NT head for a mesh without triangles;
+    angles are not checked."""
     records = Records(path, header="MESH2D 1", sep=None)
     nv = _section(records, "NV")[1]
     lines = {}
@@ -698,5 +699,6 @@ def read_mesh(path):
     fault = _contract_fault(mesh)
     if fault is not None:
         message, kind, row = fault
-        raise FormatError(message, head if kind is None else lines[kind][row])
+        raise records.error(message,
+                            head if kind is None else lines[kind][row])
     return mesh

@@ -7,7 +7,7 @@ records; write_numbered_table writes a numbered float table, formatting
 a large one in forked worker processes.  The reader skips blank
 lines and checks the header, the field count of every record, that
 floats are finite and that integers lie in their field's range; every
-failure is a FormatError that names the 1-based line.
+failure is a FormatError that names the file and the 1-based line.
 """
 
 import os
@@ -32,13 +32,18 @@ _worker_tables = None
 
 
 class FormatError(ValueError):
-    """A text artifact that breaks its format; line is 1-based or None."""
+    """A text artifact that breaks its format; line is 1-based or None,
+    and path names the file, or is None.  The message reads
+    "<path>: line <n>: <message>", without the parts that are None."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
+        self.path = path
 
 
 def write_rows(path, rows, header=None, sep=","):
@@ -198,17 +203,18 @@ def _fault(token, name, kind):
 
 class Records:
     """The nonblank lines of an artifact, handed out in order; faults are
-    raised as error, FormatError or a subclass, naming the line."""
+    raised as error, FormatError or a subclass, naming the file and the
+    line."""
 
     def __init__(self, path, header=None, sep=",", error=FormatError):
-        self.error = error
+        self._path, self._error = path, error
         with open(path, "rb") as handle:
             data = handle.read()
         try:
             text = data.decode("ascii")
         except UnicodeDecodeError as exc:
-            raise error("not ASCII text",
-                        data.count(b"\n", 0, exc.start) + 1) from None
+            raise self.error("not ASCII text",
+                             data.count(b"\n", 0, exc.start) + 1) from None
         lines = text.splitlines()
         self.end = len(lines)
         self._numbers = range(1, self.end + 1)
@@ -221,8 +227,12 @@ class Records:
         if header is not None:
             [line], [text] = self._take(1)
             if text.split(sep) != header.split(sep):
-                raise error(f"bad header {text.strip()!r}, expected "
-                            f"{header!r}", line)
+                raise self.error(f"bad header {text.strip()!r}, expected "
+                                 f"{header!r}", line)
+
+    def error(self, message, line=None):
+        """The fault, naming this file, to raise."""
+        return self._error(message, line, self._path)
 
     def _take(self, count):
         start = self._pos

@@ -66,13 +66,15 @@ def test_each_path_says_which_ran(caplog, cell_mesh_g3, cell_mesh_nudged):
     lines = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("cell operator")]
     n = whole.operator.shape[0]
+    sizes = [b.size for b in blocks.blocks]
     assert blocks.fallback is None
     assert [b.character for b in blocks.blocks] == list(CHARACTERS)
-    assert sum(blocks.block_sizes) == blocks.operator.shape[0]
-    assert whole.symmetries is None and whole.block_sizes == (n,)
+    assert sum(sizes) == blocks.operator.shape[0]
+    assert whole.symmetries is None
+    assert tuple(b.size for b in whole.blocks) == (n,)
     assert whole.fallback.startswith("not an orbit: vertex ")
     assert lines == [
-        f"cell operator: 4 symmetry blocks of {list(blocks.block_sizes)}",
+        f"cell operator: 4 symmetry blocks of {sizes}",
         f"cell operator: one block of {n}, {whole.fallback}",
     ]
 
@@ -101,10 +103,11 @@ def test_a_block_is_built_on_first_read(caplog, cell_mesh_g3):
         system = StokesSystem(cell_mesh_g3)
         seen = [(b.character, b.size, b.forces.shape) for b in system.blocks]
         assert [s[0] for s in seen] == list(CHARACTERS)
-        assert [s[1] for s in seen] == list(system.block_sizes)
+        n = sum(s[1] for s in seen)
+        assert n == system.pencil[0].shape[0] - 1
         assert not [r for r in caplog.records if "built" in r.getMessage()]
         block = system.blocks[2]
-        assert block.lift(block.loads).shape == (sum(system.block_sizes), 1)
+        assert block.lift(block.loads).shape == (n, 1)
         assert block.operator.shape == block.mass.shape == (block.size,) * 2
     built = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("cell block")]
@@ -121,7 +124,8 @@ def test_a_shifted_cell_splits_into_blocks(cell_mesh_g1, system_g1):
                                    mesh.boundary_edges, mesh.boundary_tags,
                                    mesh.periodic_pairs))
     assert shifted.fallback is None
-    assert shifted.block_sizes == system_g1.block_sizes
+    assert ([b.size for b in shifted.blocks]
+            == [b.size for b in system_g1.blocks])
 
 
 @pytest.mark.parametrize("name", SYMMETRIC)

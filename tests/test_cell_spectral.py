@@ -148,7 +148,7 @@ def test_cluster_past_a_block_widens_that_block(monkeypatch, system_g1):
     # the even blocks return one cluster at 45 that holds mode 20: they
     # widen until the smaller one reaches the last mode it can compute,
     # and the odd blocks, whose windows reach past it, stay as asked
-    sizes = system_g1.block_sizes
+    sizes = tuple(b.size for b in system_g1.blocks)
     windows = []
 
     def cluster_in_two_blocks(block, window):
@@ -269,7 +269,7 @@ def test_a_run_past_the_finite_spectrum_breaks_down(tmp_path, capsys,
     # a block's window of size - 2 modes reaches past its finite
     # eigenvalues, one per divergence-free velocity: the Krylov space
     # runs out before the window converges
-    count = 4 * max(system_g1.block_sizes)
+    count = 4 * max(b.size for b in system_g1.blocks)
     with pytest.raises(SolverError, match="Lanczos breakdown"):
         solve_eigen(system_g1, count)
     mesh = tmp_path / "cell.mesh"
@@ -293,7 +293,7 @@ def test_whole_operator_keeps_both_copies_of_each_double(monkeypatch, caplog,
 
     monkeypatch.setattr(fem, "_saddle_symmetry", not_an_orbit)
     whole = StokesSystem(cell_mesh_g1)
-    assert whole.block_sizes == (whole.operator.shape[0],)
+    assert [b.size for b in whole.blocks] == [whole.operator.shape[0]]
     for count in (20, 60):
         want = solve_eigen(system_g1, count).eigenvalues
         caplog.clear()

@@ -9,7 +9,7 @@ import pytest
 from porohom.cell_steady import solve_cell_steady
 from porohom.cell_spectral import solve_eigen
 from porohom.cell_unsteady import solve_cell_unsteady, write_samples_csv
-from porohom.fem import StokesSystem
+from porohom.fem import SolverError, StokesSystem
 from porohom.kernel_model import build_kernel_model
 
 from conftest import kernel_time_integral, read_samples_csv
@@ -145,5 +145,5 @@ def test_samples_csv_rejects_asymmetry(tmp_path, samples_g1):
     vals = samples_g1.values.copy()
     vals[1, 0, 1] += 1.0
     bad = KernelSamples(samples_g1.times, vals)
-    with pytest.raises(ValueError, match="asymmetric"):
+    with pytest.raises(SolverError, match="asymmetric"):
         write_samples_csv(bad, tmp_path / "bad.csv")

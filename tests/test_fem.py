@@ -11,22 +11,19 @@ from porohom.fem import (
     QUAD_POINTS,
     QUAD_WEIGHTS,
     DofMapP2,
-    P1Stiffness,
+    P1Forms,
     SolverError,
     SparseFactor,
     StokesSystem,
-    assemble_divergence,
-    assemble_p2_stiffness_mass,
+    assemble_taylor_hood,
     boundary_edge_load,
     build_prolongation,
     cell_constraints,
-    p1_gradient_load,
-    p1_integral_vector,
     p1_shape,
     p2_grads,
     p2_shape,
 )
-from porohom.macro import MacroProblem
+from porohom.macro import MacroProblem, solve_steady
 from porohom.meshing import EllipseSpec, TriMesh, gen_cell_mesh, gen_rect_mesh
 
 from conftest import p1_mass
@@ -82,7 +79,7 @@ def test_p2_gradients_match_difference_quotients():
 
 def test_p2_mass_and_stiffness_on_reference_triangle():
     mesh = reference_triangle()
-    stiff, mass, dofmap = assemble_p2_stiffness_mass(mesh)
+    stiff, mass, _, _, dofmap = assemble_taylor_hood(mesh)
     assert dofmap.num_dofs == 6
     # exact values from symbolic integration
     assert mass.todense().trace() == pytest.approx(19.0 / 60.0, rel=1e-13)
@@ -103,7 +100,7 @@ def dof_coordinates(mesh, dofmap):
 def test_p2_interpolation_energy_of_quadratic(rect_mesh):
     # u = x^2 is in the P2 space, so the discrete energy is exact:
     # integral of |grad u|^2 = integral of 4 x^2 over the 2 x 1 rectangle
-    stiff, mass, dofmap = assemble_p2_stiffness_mass(rect_mesh)
+    stiff, mass, _, _, dofmap = assemble_taylor_hood(rect_mesh)
     coords = dof_coordinates(rect_mesh, dofmap)
     u = coords[:, 0] ** 2
     assert u @ (stiff @ u) == pytest.approx(32.0 / 3.0, rel=1e-12)
@@ -112,11 +109,10 @@ def test_p2_interpolation_energy_of_quadratic(rect_mesh):
 
 
 def test_divergence_of_linear_field(rect_mesh):
-    stiff, mass, dofmap = assemble_p2_stiffness_mass(rect_mesh)
-    bx, by = assemble_divergence(rect_mesh, dofmap)
+    _, _, bx, by, dofmap = assemble_taylor_hood(rect_mesh)
     coords = dof_coordinates(rect_mesh, dofmap)
     # u = (x, 0) has div u = 1, so rows integrate the P1 test functions
-    ints = p1_integral_vector(rect_mesh)
+    ints = P1Forms(rect_mesh).integrals
     assert np.allclose(bx @ coords[:, 0], ints, atol=1e-13)
     assert np.allclose(by @ coords[:, 0], 0.0, atol=1e-13)
     assert np.allclose(by @ coords[:, 1], ints, atol=1e-13)
@@ -156,8 +152,7 @@ def einsum_kernels(mesh, dofmap):
 
 def test_element_kernels_match_einsum_bit_for_bit():
     mesh = gen_cell_mesh(EllipseSpec(3.0), 0.05)
-    k, m, dofmap = assemble_p2_stiffness_mass(mesh)
-    got = (k, m, *assemble_divergence(mesh, dofmap))
+    *got, dofmap = assemble_taylor_hood(mesh)
     for name, new, ref in zip(("stiffness", "mass", "Bx", "By"), got,
                               einsum_kernels(mesh, dofmap)):
         assert new.shape == ref.shape, name
@@ -166,32 +161,49 @@ def test_element_kernels_match_einsum_bit_for_bit():
         assert np.array_equal(new.data, ref.data), name
 
 
+def test_each_mesh_gets_one_geometry_pass(monkeypatch, cell_mesh_g1,
+                                          rect_mesh, model3):
+    # the cell's four Taylor-Hood matrices, and the macro problem's
+    # stiffness matrices, loads and integrals, come from one pass each
+    calls = []
+    geometry = fem._geometry
+    monkeypatch.setattr(fem, "_geometry",
+                        lambda mesh: calls.append(mesh) or geometry(mesh))
+    natural = "left=natural:0,right=natural:0,top=natural:0,bottom=natural:0"
+    StokesSystem(cell_mesh_g1)
+    assert calls == [cell_mesh_g1]
+    MacroProblem(rect_mesh, model3, natural, f=(1.0, 0.5)).init_state()
+    assert calls[1:] == [rect_mesh]
+    solve_steady(rect_mesh, np.eye(2), natural)
+    assert calls[2:] == [rect_mesh]
+
+
 def test_p1_stiffness_matches_quadratic_form(rect_mesh):
     tensor = np.array([[2.0, 0.3], [0.3, 1.0]])
-    stiffness = P1Stiffness(rect_mesh)
-    stiff = stiffness.matrix(tensor)
+    forms = P1Forms(rect_mesh)
+    stiff = forms.matrix(tensor)
     c = np.array([0.7, -0.4])
     u = rect_mesh.vertices @ c
     exact = (c @ tensor @ c) * rect_mesh.area()
     assert u @ (stiff @ u) == pytest.approx(exact, rel=1e-12)
     # one pattern serves every tensor: the matrix is linear in it
     other = np.array([[0.5, -0.1], [-0.1, 3.0]])
-    combined = stiffness.matrix(tensor + 2.0 * other)
-    assert abs(combined - stiff - 2.0 * stiffness.matrix(other)).max() < 1e-12
+    combined = forms.matrix(tensor + 2.0 * other)
+    assert abs(combined - stiff - 2.0 * forms.matrix(other)).max() < 1e-12
     with pytest.raises(ValueError, match="2x2"):
-        stiffness.matrix(np.eye(3))
+        forms.matrix(np.eye(3))
 
 
 def test_p1_mass_row_sums(rect_mesh):
     mass = p1_mass(rect_mesh)
-    ints = p1_integral_vector(rect_mesh)
+    ints = P1Forms(rect_mesh).integrals
     assert np.allclose(np.asarray(mass.sum(axis=1)).ravel(), ints, atol=1e-13)
     assert ints.sum() == pytest.approx(rect_mesh.area(), rel=1e-14)
 
 
 def test_p1_gradient_load_pairs_with_linear_fields(rect_mesh):
     g = np.array([0.3, -1.2])
-    load = p1_gradient_load(rect_mesh, g)
+    load = g @ P1Forms(rect_mesh).gradient_loads
     c = np.array([2.0, 0.5])
     z = rect_mesh.vertices @ c
     assert load @ z == pytest.approx((g @ c) * rect_mesh.area(), rel=1e-12)

@@ -18,12 +18,7 @@ import numpy as np
 import pytest
 
 from porohom import textio
-from porohom.fem import (
-    P1Stiffness,
-    SolverError,
-    boundary_edge_load,
-    p1_integral_vector,
-)
+from porohom.fem import P1Forms, SolverError, boundary_edge_load
 from porohom.kernel_model import KernelModel, build_kernel_model
 from porohom.macro import (
     MacroProblem,
@@ -46,7 +41,7 @@ BC_NAT = "left=natural:0,right=natural:0,top=natural:0,bottom=natural:0"
 def linear_field(mesh, cvec):
     """Mean-zero nodal values of x -> cvec . x."""
     vals = mesh.vertices @ np.asarray(cvec, dtype=float)
-    ints = p1_integral_vector(mesh)
+    ints = P1Forms(mesh).integrals
     return vals - (ints @ vals) / mesh.area()
 
 
@@ -164,7 +159,7 @@ def test_steady_scale_invariance(rect_mesh):
 def test_steady_balanced_natural_data(rect_mesh):
     bc = "left=natural:0.5,right=natural:-0.5,top=natural:0,bottom=natural:0"
     v = solve_steady(rect_mesh, np.eye(2), bc)
-    ints = p1_integral_vector(rect_mesh)
+    ints = P1Forms(rect_mesh).integrals
     assert abs(ints @ v) < 1e-12
     # influx on the left drives the pressure down along x
     left = v[rect_mesh.vertices[:, 0] < 1e-12].mean()
@@ -180,12 +175,13 @@ def test_all_natural_steady_matches_bordered_reference(rect_mesh):
               "OuterBottom": 0.25, "OuterTop": -0.25}
     v = solve_steady(rect_mesh, tensor, ",".join(
         f"{tag}=natural:{flux!r}" for tag, flux in fluxes.items()))
-    weights = p1_integral_vector(rect_mesh)
+    forms = P1Forms(rect_mesh)
+    weights = forms.integrals
     load = sum(boundary_edge_load(rect_mesh, tag, flux)
                for tag, flux in fluxes.items())
     n = weights.size
     bordered = np.zeros((n + 1, n + 1))
-    bordered[:n, :n] = P1Stiffness(rect_mesh).matrix(tensor).toarray()
+    bordered[:n, :n] = forms.matrix(tensor).toarray()
     bordered[:n, n] = bordered[n, :n] = weights
     ref = np.linalg.solve(bordered, np.append(load, 0.0))[:n]
     assert np.max(np.abs(v - ref)) <= 1e-10 * np.max(np.abs(ref))
@@ -344,9 +340,9 @@ def test_rank_one_load_matches_per_mode_sum(rect_mesh, model3, sigma):
     prob = MacroProblem(rect_mesh, model3, BC_NAT, sigma=sigma, tau=tau)
     rng = np.random.default_rng(11)
     v_aux = rng.standard_normal((3, rect_mesh.num_vertices))
-    stiffness = P1Stiffness(rect_mesh)
+    forms = P1Forms(rect_mesh)
     denom = 1.0 + sigma * LAMS3 * tau
-    want = sum(stiffness.matrix(d) @ field / c for d, field, c
+    want = sum(forms.matrix(d) @ field / c for d, field, c
                in zip(model3.d_tensors, v_aux, denom))
     got = prob._memory_load(v_aux)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -539,7 +535,7 @@ def test_one_factor_is_alive_through_the_march(rect_mesh, model3,
     assert len(alive) == 1
     assert len(matrices) == built
     # K_tilde is factored last, for the t = 0 solve; vertex 0 is pinned
-    k_tilde = P1Stiffness(rect_mesh).matrix(model3.k_tilde)[1:, 1:]
+    k_tilde = P1Forms(rect_mesh).matrix(model3.k_tilde)[1:, 1:]
     assert abs(matrices[-1] - k_tilde).max() == 0.0
     if built == 2:
         assert abs(matrices[0] - k_tilde).max() > 0.0

@@ -15,6 +15,7 @@ import porohom
 from porohom import pipeline
 from porohom.cli import main
 from porohom.cell_spectral import read_spectrum_csv
+from porohom.cell_unsteady import KernelSamples
 from porohom.fem import SolverError
 from porohom.kernel_model import (
     KernelModel,
@@ -277,6 +278,22 @@ def test_oracle_stage_is_off_by_default_but_runs(tmp_path):
     assert "oracle.csv" in manifest["artifacts"]
 
 
+def test_asymmetric_oracle_samples_exit_3(tmp_path, capsys, monkeypatch,
+                                         cell_mesh_g1):
+    # asymmetric samples are a fault of the march, not of its input
+    def asymmetric(system, tau, horizon):
+        return KernelSamples([tau], [[[1.0, 0.5], [0.0, 1.0]]])
+
+    monkeypatch.setattr(pipeline, "solve_cell_unsteady", asymmetric)
+    mesh = tmp_path / "cell.mesh"
+    write_mesh(cell_mesh_g1, mesh)
+    assert main(["oracle", "--mesh", str(mesh), "--tau", "1e-3",
+                 "--horizon", "1e-3", "--out", str(tmp_path / "o.csv")]) == 3
+    assert capsys.readouterr().err == (
+        "error: stage oracle: kernel samples asymmetric by 5.00e-01\n")
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_failed_stage_keeps_partial_files_only(tmp_path):
     out = tmp_path / "run"
     run_pipeline(fast_config(out, stages="mesh,cell-steady,eigen"))
@@ -395,6 +412,35 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert code == 2
     assert "unknown boundary kind 'warp'" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def _kernel_inputs(tmp_path, spectrum="k,lambda,a1,a2\n1,4.0,0.1,0.1\n",
+                   kbar="i,j,value\n1,1,1.0\n1,2,0.0\n2,1,0.0\n2,2,1.0\n"):
+    """Write the kernel subcommand's two inputs; returns its arguments."""
+    paths = tmp_path / "s.csv", tmp_path / "k.csv"
+    for path, text in zip(paths, (spectrum, kbar)):
+        path.write_text(text)
+    return ["kernel", "--spectrum", str(paths[0]), "--kbar", str(paths[1]),
+            "--out", str(tmp_path / "o.csv")]
+
+
+def test_a_bad_spectrum_is_named_without_modes(tmp_path, capsys):
+    # with two inputs, the message names the file at fault and the stage
+    # that read it, also when the spectrum is read to count its modes
+    args = _kernel_inputs(tmp_path,
+                          spectrum="k,lambda,a1,a2\n1,-4.0,0.1,0.1\n")
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        f"error: stage kernel: {tmp_path / 's.csv'}: line 2: eigenvalue "
+        "must be finite and positive, got -4.0\n")
+
+
+def test_a_bad_permeability_header_is_named(tmp_path, capsys):
+    args = _kernel_inputs(tmp_path, kbar="x\n")
+    assert main(args + ["--modes", "1"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: stage kernel: {tmp_path / 'k.csv'}: line 1: bad header "
+        "'x', expected 'i,j,value'\n")
 
 
 def failing_runner(error):
@@ -566,6 +612,63 @@ def test_cell_artifact_bytes_are_pinned(tmp_path):
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in PINNED_CELL_SHA256}
     assert got == PINNED_CELL_SHA256
+
+
+# sha256 of the kernel and macro artifacts of a gamma = 3, h = 0.05,
+# 20-mode cell, marched with two boundary specs whose data reach the
+# gradient loads and the nodal integrals (the default config's f = 0 and
+# source = 0 reach neither), recorded with numpy 2.4 and scipy 1.17 on
+# x86-64: a change of the macro numerics at the rounding level moves them
+PINNED_MACRO_SHA256 = {
+    "kernel.csv":
+        "b67b35e12c8d5b3f17f8153909354d01166747e8f1b23b8b14cbc9c38b5922f6",
+    "all-natural, f = (1, 0.5)": {
+        "macro_ledger.csv":
+            "a81012f4d77f349b57c9dabb08e5a08931dfb4e2cafcd9079fcdd3b4cb805c56",
+        "macro_state_0.csv":
+            "26bec19c6909473ff5d05355f3de6731883b0777b63a852d96994a4823146a6e",
+        "macro_state_0.00025.csv":
+            "f569f797919548d5d20530953de8196d8fb6f57adbe7c61b150619afce2c8fba",
+        "macro_state_0.0005.csv":
+            "f914001201ca5336a6efb2695fb92ca2bd2f87b41f215ab8ff4e6a2881e5b268",
+        "macro_state_0.00075.csv":
+            "57d73922b3eb66fe5747445338a8aaf3d6a5fb8df2a240f2489038caa51fbc6e",
+    },
+    "natural flux, Dirichlet side, source 0.3": {
+        "macro_ledger.csv":
+            "f560f984020533643b2cd41f7a1cffc5647d17112be4a060ed204c7e71447767",
+        "macro_state_0.csv":
+            "20bfcded5cdb6fb3acbb05bcc65f4d9ac1ef74a20414ff81a99aa48675fdd4c3",
+        "macro_state_0.00025.csv":
+            "cc714b2d939f9b1b167c452c1b14ed5b165167ed64e34e67a05c54261ae575da",
+        "macro_state_0.0005.csv":
+            "b109b666cfb941c0fdb27de1ff43efbfe7cc3eb66860b07ea48afd758b121322",
+        "macro_state_0.00075.csv":
+            "bb8c756c1cdeed6c300a1aab39033b10c62ef67d42bd01071436173de9d4a894",
+    },
+}
+_PINNED_MACRO_DATA = {
+    "all-natural, f = (1, 0.5)": {
+        "bc": "left=natural:0,right=natural:0,top=natural:0,"
+              "bottom=natural:0",
+        "f": "1,0.5"},
+    "natural flux, Dirichlet side, source 0.3": {
+        "bc": "left=natural:0.5,right=dirichlet:1,top=natural:0,"
+              "bottom=natural:0",
+        "source": "0.3"},
+}
+
+
+def test_macro_artifact_bytes_are_pinned(tmp_path):
+    base = {"cell_h": "0.05", "modes": "20", "svg": "false",
+            "out_dir": str(tmp_path)}
+    got = run_pipeline(parse_config(overrides=dict(
+        base, stages="mesh,cell-steady,eigen,kernel")))["artifacts"]
+    got = {"kernel.csv": got["kernel.csv"]}
+    for case, data in _PINNED_MACRO_DATA.items():
+        got[case] = run_pipeline(parse_config(overrides=dict(
+            base, stages="macro", **data)))["artifacts"]
+    assert got == PINNED_MACRO_SHA256
 
 
 def test_cli_stages_match_the_pipeline(tmp_path, capsys):

@@ -400,7 +400,8 @@ CONTRACT_CASES = {
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
 def test_read_and_validate_share_one_contract(tmp_path, cell_mesh_g3, case):
     # the broken mesh built in memory, written, then read back: the
-    # reader names the same fault as validate_mesh, plus a line
+    # reader names the same fault as validate_mesh, plus the file and a
+    # line
     cell, edit = CONTRACT_CASES[case]
     good = cell_mesh_g3 if cell else gen_rect_mesh(2.0, 1.0, 0.5)
     path = tmp_path / "m.mesh"
@@ -413,7 +414,8 @@ def test_read_and_validate_share_one_contract(tmp_path, cell_mesh_g3, case):
         read_mesh(path)
     with pytest.raises(MeshQualityError) as valid:
         validate_mesh(mesh)
-    assert str(read.value) == f"line {read.value.line}: {valid.value}"
+    assert str(read.value) == (f"{path}: line {read.value.line}: "
+                               f"{valid.value}")
 
 
 def test_blank_lines_are_skipped(tmp_path, good, capsys):
