@@ -50,6 +50,8 @@ class PipelineError(RuntimeError):
 
 
 def _parse_float_list(text):
+    if isinstance(text, (tuple, list)):
+        return tuple(float(x) for x in text)
     items = [part.strip() for part in str(text).split(",")]
     return tuple(float(part) for part in items if part)
 
@@ -144,16 +146,20 @@ def parse_config(path=None, overrides=None):
     config = dict(DEFAULTS)
     raw = {}
     if path is not None:
-        with open(path, encoding="ascii") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, value = line.split("=", 1)
-                raw[key.strip()] = value.strip()
+        with open(path, "rb") as handle:
+            lines = handle.read().splitlines()
+        for lineno, data in enumerate(lines, start=1):
+            try:
+                line = data.decode("ascii").strip()
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}:{lineno}: not ASCII text") from None
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(
+                    f"{path}:{lineno}: expected key=value, got {line!r}")
+            key, value = line.split("=", 1)
+            raw[key.strip()] = value.strip()
     if overrides:
         raw.update(overrides)
     for key, value in raw.items():

@@ -3,15 +3,15 @@
 Every artifact is ASCII: an optional header line, then one record per
 line, fields joined by a comma (blanks in the mesh format).  Floats are
 written by repr, so they read back bit for bit.  write_rows writes any
-records; write_numbered_table writes a numbered float table, formatting
-a large one in forked worker processes.  The reader skips blank
+records; write_numbered_table writes a numbered float table, forking
+children to format a large one.  The reader skips blank
 lines and checks the header, the field count of every record, that
 floats are finite and that integers lie in their field's range; every
 failure is a FormatError that names the file and the 1-based line.
 """
 
 import os
-from collections import deque
+import shutil
 from itertools import repeat
 
 import numpy as np
@@ -22,13 +22,11 @@ import numpy as np
 POSITIVE = "positive"
 INDEX = range(1, 2 ** 31)
 
-# A numbered table of fewer values is formatted in this process: forking
-# the workers would cost more than the quarter second of repr it saves.
-# A worker formats about this many values per task.
-_POOL_MIN_VALUES = 2 ** 18
+# A numbered table of fewer values is formatted in this process alone:
+# forking would cost more than the quarter second of repr it saves.
+# Rows are formatted about this many values at a time.
+_FORK_MIN_VALUES = 2 ** 18
 _BLOCK_VALUES = 2 ** 14
-# The tables a forked worker formats from, set only in the worker.
-_worker_tables = None
 
 
 class FormatError(ValueError):
@@ -66,15 +64,6 @@ def numbered_lines(tables, start, stop):
                     for i, row in zip(range(start, stop), block.tolist())])
 
 
-def _adopt(tables):
-    global _worker_tables
-    _worker_tables = tables
-
-
-def _worker_lines(start, stop):
-    return numbered_lines(_worker_tables, start, stop)
-
-
 def _cpus():
     """The number of CPUs this process may run on."""
     try:
@@ -83,87 +72,73 @@ def _cpus():
         return os.cpu_count() or 1
 
 
-def _write_in_workers(handle, tables, blocks, workers):
-    """Write the blocks' lines in order, formatted by forked workers.
+def _write_slice(handle, tables, start, stop):
+    """Write rows start..stop-1 as numbered_lines, a block at a time."""
+    step = max(1, _BLOCK_VALUES // max(1, sum(t[:1].size for t in tables)))
+    for first in range(start, stop, step):
+        handle.write(numbered_lines(tables, first, min(first + step, stop)))
 
-    The workers inherit the tables through fork, so a task is a
-    (start, stop) pair and no array is pickled; at most two tasks per
-    worker are in flight.  Fork, not spawn: a worker only copies numbers
-    and calls repr, touching no lock a BLAS thread could hold, where a
-    spawned one would import the package again and be sent the arrays.
-    Returns the number of blocks written and, if the pool could not
-    start or broke, why.
-    """
-    # Imported here: these modules hold 2.6 MB of resident memory, which
-    # only a process that forks should pay.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
 
+def _reap(pid):
+    """Wait for a child to end: None if it exited 0, else why not."""
     try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:
-        return 0, "no fork start method"
-    others = set(multiprocessing.active_children())
-    pool = ProcessPoolExecutor(workers, mp_context=context,
-                               initializer=_adopt, initargs=(tables,))
-    todo = iter(blocks)
-    queued = deque()
-    done, failure = 0, None
-    try:
-        while True:
-            try:
-                for block in todo:
-                    queued.append(pool.submit(_worker_lines, *block))
-                    if len(queued) == 2 * workers:
-                        break
-                if not queued:
-                    break
-                text = queued.popleft().result()
-            except (OSError, BrokenProcessPool) as exc:
-                failure = f"{type(exc).__name__}: {exc}"
-                break
-            handle.write(text)
-            done += 1
-    finally:
-        pool.shutdown(cancel_futures=True)
-    if failure is not None:
-        # A fork that fails after the first leaves the workers already
-        # started waiting for tasks, and shutdown does not join them.
-        for child in set(multiprocessing.active_children()) - others:
-            child.terminate()
-            child.join()
-    return done, failure
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    except ChildProcessError as exc:
+        return f"ChildProcessError: {exc}"
+    return f"child {pid} exit status {code}" if code else None
 
 
 def write_numbered_table(path, header, tables):
     """Write the header line, then one numbered_lines line per row.
 
     tables are float arrays whose first axis runs over the rows.  A large
-    table is formatted by one forked worker per CPU this process may run
-    on, in blocks of rows written in order, so the bytes do not depend on
-    the number of workers; a pool that cannot start or breaks leaves the
-    rest to this process.  Returns the number of processes that
+    table is cut into one slice of rows per CPU.  This process writes the
+    first; a forked child writes each later slice k to "<path>.<k>", which
+    is appended here in order, or formatted here if the fork fails or the
+    child does not exit 0.  Returns the number of processes that
     formatted the rows and the reason for a fallback, or None.
     """
     rows = len(tables[0])
-    width = max(1, sum(t[:1].size for t in tables))
-    step = max(1, _BLOCK_VALUES // width)
-    blocks = [(start, min(start + step, rows))
-              for start in range(0, rows, step)]
-    workers = min(_cpus(), len(blocks))
-    processes, done, fallback = 1, 0, None
+    big = sum(t.size for t in tables) >= _FORK_MIN_VALUES
+    count = max(1, min(_cpus(), rows)) if big else 1
+    cuts = [rows * k // count for k in range(count + 1)]
+    sides = {k: f"{path}.{k}" for k in range(2, count + 1)}
+    processes, fallback, pids = 1, None, {}
     with open(path, "w", encoding="ascii") as handle:
         handle.write(header + "\n")
-        if workers > 1 and rows * width >= _POOL_MIN_VALUES:
-            # a forked worker must not inherit unwritten text
-            handle.flush()
-            done, fallback = _write_in_workers(handle, tables, blocks,
-                                               workers)
-            if fallback is None:
-                processes = workers
-        for start, stop in blocks[done:]:
-            handle.write(numbered_lines(tables, start, stop))
+        handle.flush()  # a forked child must not inherit unwritten text
+        try:
+            for k, side in sides.items():
+                try:
+                    pids[k] = os.fork()
+                except (AttributeError, OSError) as exc:  # no os.fork
+                    fallback = fallback or f"{type(exc).__name__}: {exc}"
+                    continue
+                if pids[k] == 0:  # the child; os._exit flushes nothing
+                    status = 1
+                    try:
+                        with open(side, "w", encoding="ascii") as text:
+                            _write_slice(text, tables, cuts[k - 1], cuts[k])
+                        status = 0
+                    finally:
+                        os._exit(status)
+            _write_slice(handle, tables, 0, cuts[1])
+            for k, side in sides.items():
+                # a slice that was not forked fails for the fork's reason
+                failure = _reap(pids.pop(k)) if k in pids else fallback
+                if failure is None:
+                    with open(side, encoding="ascii") as text:
+                        shutil.copyfileobj(text, handle)
+                    processes += 1
+                else:
+                    fallback = fallback or failure
+                    _write_slice(handle, tables, cuts[k - 1], cuts[k])
+        finally:
+            for pid in pids.values():
+                _reap(pid)
+            for side in sides.values():
+                if os.path.exists(side):
+                    os.remove(side)
     return processes, fallback
 
 

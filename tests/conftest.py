@@ -5,7 +5,7 @@ macroscopic rectangle, which keeps the module tests fast.  The
 acceptance tests build their own fine meshes.
 """
 
-import multiprocessing
+import os
 import weakref
 
 import numpy as np
@@ -99,25 +99,37 @@ def kept_modes(modes, spectrum):
     return lams[order], vecs, [owners[i] for i in order]
 
 
+def reap_children():
+    """Reap every child of this process, waiting for any still running;
+    the pids reaped.  The only children the package makes write one
+    slice of a table and exit."""
+    pids = []
+    while True:
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+            if pid == 0:
+                pid, _ = os.waitpid(-1, 0)
+        except ChildProcessError:
+            return pids
+        pids.append(pid)
+
+
 @pytest.fixture(autouse=True)
 def no_child_left_running():
-    """Fail a test after which a child process is still alive, and stop
-    that child so the tests after it start clean."""
+    """Fail a test after which this process still has a child, running or
+    not yet reaped, and reap it so the tests after it start clean."""
     yield
-    children = multiprocessing.active_children()
-    for child in children:
-        child.terminate()
-        child.join(10)
-    if children:
-        pytest.fail(f"child processes left running: {children}")
+    left = reap_children()
+    if left:
+        pytest.fail(f"child processes left: {left}")
 
 
 @pytest.fixture
 def pooled(monkeypatch):
-    """Send even a coarse numbered table to the worker processes, about
-    ten rows per task; the test sets the CPU count, and one CPU keeps
-    the table in the test's process."""
-    monkeypatch.setattr(textio, "_POOL_MIN_VALUES", 0)
+    """Fork even a coarse numbered table into one row slice per CPU, in
+    blocks of about ten rows; the test sets the CPU count, and one CPU
+    keeps the whole table in the test's process."""
+    monkeypatch.setattr(textio, "_FORK_MIN_VALUES", 0)
     monkeypatch.setattr(textio, "_BLOCK_VALUES", 70)
 
     def cpus(count):

@@ -10,7 +10,6 @@ Dirichlet data reduce the same way to a scalar recurrence per mode.
 import errno
 import gc
 import logging
-import multiprocessing
 import os
 import tracemalloc
 
@@ -32,7 +31,7 @@ from porohom.macro import (
 from porohom.meshing import gen_rect_mesh
 from porohom.textio import Records, write_rows
 
-from conftest import COEF3, KBAR3, LAMS3, p1_mass
+from conftest import COEF3, KBAR3, LAMS3, p1_mass, reap_children
 
 BC_DIR = "left=dirichlet:0,right=dirichlet:1,top=natural:0,bottom=natural:0"
 BC_NAT = "left=natural:0,right=natural:0,top=natural:0,bottom=natural:0"
@@ -636,6 +635,8 @@ def test_state_csv_bytes_do_not_depend_on_processes(
     assert f"{path.stat().st_size} bytes" in message
     assert f"{cpus} processes" in message
     assert "fallback" not in message
+    assert not reap_children()
+    assert sorted(os.listdir(tmp_path)) == ["reference.csv", "state.csv"]
 
 
 def test_state_csv_reads_back_bit_for_bit(tmp_path, rect_mesh, march_state,
@@ -654,13 +655,6 @@ def test_state_csv_reads_back_bit_for_bit(tmp_path, rect_mesh, march_state,
     assert np.stack(v_aux).tobytes() == march_state.v_aux.tobytes()
 
 
-def lines_then_exit(start, stop):
-    """A worker task that ends its worker past the first blocks."""
-    if start >= 40:
-        os._exit(1)
-    return textio.numbered_lines(textio._worker_tables, start, stop)
-
-
 def failing_fork(succeed):
     """os.fork that raises EAGAIN after its first succeed calls."""
     real, calls = os.fork, []
@@ -673,24 +667,34 @@ def failing_fork(succeed):
     return fork
 
 
-def no_fork_context(method=None):
-    raise ValueError(f"cannot find context for {method!r}")
+def failing_in(children):
+    """numbered_lines that raises in every process but this one, or in
+    this one alone."""
+    real, parent = textio.numbered_lines, os.getpid()
+
+    def lines(tables, start, stop):
+        if (os.getpid() != parent) == children:
+            raise RuntimeError("numbered_lines fails")
+        return real(tables, start, stop)
+    return lines
 
 
 @pytest.mark.parametrize("fault, reason", [
-    ("no fork", "no fork start method"),
+    ("no fork", "has no attribute 'fork'"),
     ("fork fails", "[Errno 11] fork refused"),
     ("second fork fails", "[Errno 11] fork refused"),
-    ("worker exits", "BrokenProcessPool"),
+    ("child exits", "exit status 1"),
 ])
 def test_state_csv_falls_back_to_this_process(
         tmp_path, monkeypatch, caplog, rect_mesh, march_state, pooled,
         fault, reason):
-    pooled(2)
+    # on three CPUs the first child still writes its slice
+    processes = 2 if fault == "second fork fails" else 1
+    pooled(processes + 1)
     if fault == "no fork":
-        monkeypatch.setattr(multiprocessing, "get_context", no_fork_context)
-    elif fault == "worker exits":
-        monkeypatch.setattr(textio, "_worker_lines", lines_then_exit)
+        monkeypatch.delattr(os, "fork")
+    elif fault == "child exits":
+        monkeypatch.setattr(textio, "numbered_lines", failing_in(True))
     else:
         monkeypatch.setattr(os, "fork", failing_fork(
             0 if fault == "fork fails" else 1))
@@ -700,6 +704,17 @@ def test_state_csv_falls_back_to_this_process(
         write_state_csv(path, rect_mesh, march_state)
     assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
     message = state_log(caplog)
-    assert "1 processes" in message
+    assert f"{processes} processes" in message
     assert "fallback: " in message and reason in message
-    assert not multiprocessing.active_children()
+    assert not reap_children()
+    assert sorted(os.listdir(tmp_path)) == ["reference.csv", "state.csv"]
+
+
+def test_state_csv_failure_here_reaps_the_children(
+        tmp_path, monkeypatch, rect_mesh, march_state, pooled):
+    pooled(3)
+    monkeypatch.setattr(textio, "numbered_lines", failing_in(False))
+    with pytest.raises(RuntimeError, match="numbered_lines fails"):
+        write_state_csv(tmp_path / "state.csv", rect_mesh, march_state)
+    assert not reap_children()
+    assert os.listdir(tmp_path) == ["state.csv"]

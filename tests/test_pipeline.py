@@ -3,7 +3,6 @@
 import hashlib
 import json
 import logging
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -34,7 +33,7 @@ from porohom.pipeline import (
 )
 from porohom.textio import FormatError
 
-from conftest import COEF3, KBAR3, LAMS3
+from conftest import COEF3, KBAR3, LAMS3, reap_children
 
 # coarse settings so one full pipeline run takes a few seconds
 FAST = {
@@ -71,6 +70,16 @@ def test_config_file_and_overrides(tmp_path):
     config = parse_config(path, overrides={"modes": "9"})
     assert config["gamma"] == 2.5
     assert config["modes"] == 9
+
+
+def test_config_takes_typed_overrides(tmp_path):
+    config = parse_config(overrides={"f": (1.0, 0.5), "snapshots": [0, 2e-4]})
+    assert config["f"] == (1.0, 0.5)
+    assert config["snapshots"] == (0.0, 2e-4)
+    # a run's manifest holds its config with lists; it parses back as is
+    manifest = run_pipeline(fast_config(tmp_path / "run", stages="mesh"))
+    assert parse_config(overrides=manifest["config"]) == fast_config(
+        tmp_path / "run", stages="mesh")
 
 
 def test_config_rejects_unknown_and_malformed(tmp_path):
@@ -145,10 +154,10 @@ def test_full_pipeline_products(tmp_path):
 def test_pipeline_is_deterministic(tmp_path, pooled):
     pooled(1)
     m1 = run_pipeline(fast_config(tmp_path / "a"))
-    pooled(2)  # the second run formats its states in two workers
+    pooled(2)  # the second run formats its states in two processes
     m2 = run_pipeline(fast_config(tmp_path / "b"))
     assert m1["artifacts"] == m2["artifacts"]
-    assert not multiprocessing.active_children()
+    assert not reap_children()
 
 
 def test_stage_subsets_resume_from_artifacts(tmp_path):
@@ -403,6 +412,13 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     code = main(["pipeline", "--config", str(cfg),
                  "--out", str(tmp_path / "run")])
     assert code == 2
+
+    # a config file that is not ASCII is named with its line
+    cfg.write_text("gamma = 1.0\ngamma = 3.0\u00e9\n", encoding="utf-8")
+    code = main(["pipeline", "--config", str(cfg),
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert f"{cfg}:2: not ASCII text" in capsys.readouterr().err
 
     # a bad boundary spec stops the run before its first stage
     cfg.write_text("".join(f"{k}={v}\n" for k, v in FAST.items())
