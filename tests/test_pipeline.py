@@ -630,6 +630,31 @@ def test_cell_artifact_bytes_are_pinned(tmp_path):
     assert got == PINNED_CELL_SHA256
 
 
+# sha256 of the same cell artifacts on the nudged gamma = 3, h = 0.1 cell
+# of conftest.cell_mesh_nudged, which is no orbit of the cell symmetries,
+# so its solvers run on the one block of the whole operator; recorded as
+# PINNED_CELL_SHA256 was
+PINNED_NUDGED_SHA256 = {
+    "k_bar.csv":
+        "9448a4a561c5f252a14311b7f4fddbfc161ab77c732fd6f6498885abc1ba414a",
+    "spectrum.csv":
+        "42bab75f8a5b02aee19c47ed9b1ff1b6ab4f291e47b5176d9f141621b7519a53",
+    "table3.txt":
+        "915c06b00d50402f0b6182e9e4b0f10f61d3ff5faaf0e95bad8acccae6db770f",
+    "oracle.csv":
+        "a1b474c5ac01d78e3c0f50984f221011f3f1541281efcbbd799993ae2caf9340",
+}
+
+
+def test_whole_operator_artifact_bytes_are_pinned(tmp_path,
+                                                  cell_mesh_nudged):
+    write_mesh(cell_mesh_nudged, tmp_path / "cell.mesh")
+    got = run_pipeline(parse_config(overrides={
+        "modes": "12", "oracle_horizon": "2e-3",
+        "stages": "cell-steady,eigen,oracle", "out_dir": str(tmp_path)}))
+    assert got["artifacts"] == PINNED_NUDGED_SHA256
+
+
 # sha256 of the kernel and macro artifacts of a gamma = 3, h = 0.05,
 # 20-mode cell, marched with two boundary specs whose data reach the
 # gradient loads and the nodal integrals (the default config's f = 0 and
