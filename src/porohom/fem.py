@@ -303,8 +303,8 @@ def _reduced_image(image, reduced_of_full, what):
 
 def _saddle_symmetry(mesh, dofmap, velocity_of_full, pressure_of_full, mat):
     """The signed permutation matrix T (CSC) of one cell symmetry on
-    unpinned reduced saddle vectors (ux, uy, p): T moves each entry of a
-    field to the image of its dof, the velocity turned by mat."""
+    reduced saddle vectors (ux, uy, p): T moves each entry of a field to
+    the image of its dof, the velocity turned by mat."""
     vertex = vertex_image(mesh, mat)
     p2 = np.concatenate([vertex, dofmap.edge_dof(vertex[dofmap.edges])])
     vel = _reduced_image(p2, velocity_of_full, "velocity")
@@ -416,38 +416,36 @@ class CellBlock:
         return (averages @ f.T / (f ** 2).sum(axis=1)) @ f
 
 
-def _block_pencil(saddle, mass, pin, q):
-    """The block on the orthonormal basis q (CSC) of unpinned vectors:
-    its pinned basis pin @ q and the pencil Q^T A Q, Q^T M Q."""
+def _block_pencil(saddle, mass, q):
+    """The block on the orthonormal basis q (CSC) of saddle vectors: q
+    itself (CSR) and the pencil Q^T A Q, Q^T M Q."""
     qt, q = q.T, q.tocsr()
-    return pin @ q, (qt @ (saddle @ q)).tocsc(), qt @ (mass @ q)
+    return q, (qt @ (saddle @ q)).tocsc(), qt @ (mass @ q)
 
 
 class StokesSystem:
-    """Constrained Taylor-Hood saddle operator on the perforated cell.
+    """Constrained Taylor-Hood saddle pencil on the perforated cell.
 
-    The reduced unknown is (ux, uy, p) with the last reduced pressure
-    dof pinned to zero, so p is defined up to a constant.  That dof's
-    divergence row, minus the sum of the others, is left out of the
-    operator but kept in bx_r and by_r.  The operator matrix is
-    symmetric; the companion mass matrix carries the velocity mass in
-    its leading blocks.  pencil holds both (CSR) before the pin, on
-    every pressure dof.  Cell averages are cell integrals, so the mesh
+    The reduced unknown is (ux, uy, p), n entries, on which every block
+    vector, load and residual lives.  pencil holds the symmetric saddle
+    operator and its mass (CSR), the velocity mass in its leading
+    blocks.  The divergence rows bx_r, by_r sum to zero, so p is defined
+    up to a constant.  Cell averages are cell integrals, so the mesh
     must span 1 along each axis (within 1e-12), else ValueError.
 
     The solvers work on blocks.  A mesh that the half-turn R and the
     diagonal reflection S map onto itself (every gen_cell_mesh cell)
     splits the pencil into four blocks, one per character
     chi = (chi(R), chi(S)): block chi is Q^T A Q on the orthonormal
-    orbit basis Q of the unpinned operator A's fields that transform
-    by chi (Bossavit 1986).  The pressure constant lies in block (1, 1),
-    so the pin moves there: that block leaves out the orbit of the last
-    pressure dof.  symmetries holds the signed permutations (T_R, T_S)
-    on unpinned (ux, uy, p) vectors.  Any other mesh gets one block, the
-    pinned operator itself, on the basis that selects all dofs but the
-    last, with symmetries None and the reason in fallback.  The bases
-    are found at once, so each block's character, size and forces are
-    known; _block_pencil builds its matrices when a solver reads them.
+    orbit basis Q of the saddle operator A's fields that transform by
+    chi (Bossavit 1986).  symmetries holds the signed permutations
+    (T_R, T_S) on (ux, uy, p) vectors.  Any other mesh gets one block on
+    the basis I, with symmetries None and the reason in fallback.  The
+    pressure constant lies in the first block, (1, 1) or the one block,
+    which drops the columns of its basis that touch the last pressure
+    dof.  The bases are found at once, so each block's character, size
+    and forces are known; _block_pencil builds its matrices when a
+    solver reads them.
     """
 
     def __init__(self, mesh):
@@ -471,10 +469,8 @@ class StokesSystem:
         # the P2 assembly is spent: free it before the saddle is stacked
         del k2, m2, bx, by, rv, rp
 
-        nvr = stiff.shape[0]
-        npr = self.bx_r.shape[0]
-        self.n_velocity = nvr
-        self.n_pressure = npr
+        self.n_velocity = stiff.shape[0]
+        self.n_pressure = npr = self.bx_r.shape[0]
         saddle = sp.bmat([
             [stiff, None, self.bx_r.T],
             [None, stiff, self.by_r.T],
@@ -486,12 +482,6 @@ class StokesSystem:
         self.pencil = (saddle, mass)
         unit = np.column_stack([self.unit_load(0), self.unit_load(1)])
         n = saddle.shape[0]
-        # from unpinned to pinned vectors: shift p to zero its last dof,
-        # which the operator cannot see (B^T 1 = 0), then drop that dof
-        pin = sp.hstack([
-            sp.identity(n - 1, format="csr"),
-            sp.csr_matrix(np.r_[np.zeros(2 * nvr), -np.ones(npr - 1)][:, None]),
-        ], format="csr")
         try:
             self.symmetries = tuple(
                 _saddle_symmetry(mesh, dofmap, velocity_of_full,
@@ -499,46 +489,46 @@ class StokesSystem:
                 for mat in (HALF_TURN, DIAGONAL))
         except NotAnOrbit as exc:
             self.symmetries, self.fallback = None, f"not an orbit: {exc}"
-            bases = {None: sp.identity(n, format="csc")[:, :-1]}
-            _log.debug("cell operator: one block of %d, %s", n - 1,
-                       self.fallback)
+            bases = {None: sp.identity(n, format="csc")}
         else:
             self.fallback = None
             bases = _orbit_bases(*self.symmetries)
-            q = bases[(1, 1)]
-            bases[(1, 1)] = q[:, q[[-1]].toarray().ravel() == 0.0]
+        # the pressure constant lies in the first block, which drops the
+        # columns of its basis that touch the last pressure dof
+        first, q = next(iter(bases.items()))
+        bases[first] = q[:, q[[-1]].toarray().ravel() == 0.0]
+        if self.fallback:
+            _log.debug("cell operator: one block of %d, %s", n - 1,
+                       self.fallback)
+        else:
             _log.debug("cell operator: %d symmetry blocks of %s", len(bases),
                        [q.shape[1] for q in bases.values()])
         self.blocks = [
             CellBlock(character, q.shape[1],
-                      functools.partial(_block_pencil, saddle, mass, pin, q),
-                      unit)
+                      functools.partial(_block_pencil, saddle, mass, q), unit)
             for character, q in bases.items()]
 
     @functools.cached_property
     def operator(self):
-        """The pinned operator (CSC), made on first read.  No stage reads
-        it; only tests and perfbench's StokesSystem probe do."""
+        """The saddle without its last pressure dof (CSC), made on first
+        read; its only reader is perfbench's StokesSystem probe."""
         return self.pencil[0][:-1, :-1].tocsc()
 
     def unit_load(self, axis):
-        """Reduced load for a constant unit body force along an axis."""
-        rhs = np.zeros(2 * self.n_velocity + self.n_pressure - 1)
+        """Reduced load (n,) for a constant unit body force along an axis."""
+        rhs = np.zeros(2 * self.n_velocity + self.n_pressure)
         start = axis * self.n_velocity
         rhs[start:start + self.n_velocity] = self.velocity_weights
         return rhs
 
     def residual_norms(self, x, lams):
         """||K x_j - lams_j M x_j|| for the columns x_j of the reduced
-        saddle vectors x (n, m), with the pinned operator K and mass M,
-        applied through the pencil so that neither slice is made."""
+        saddle vectors x (n, m), with the pencil (K, M)."""
         saddle, mass = self.pencil
-        padded = np.zeros((x.shape[0] + 1, x.shape[1]))  # the pinned dof
-        padded[:-1] = x
-        residual = mass @ padded
+        residual = mass @ x
         residual *= lams
-        residual -= saddle @ padded
-        return np.linalg.norm(residual[:-1], axis=0)
+        residual -= saddle @ x
+        return np.linalg.norm(residual, axis=0)
 
     def velocity_average(self, x):
         """Cell integral of the velocity in a saddle vector, per component."""

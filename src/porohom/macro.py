@@ -462,6 +462,29 @@ def solve_steady(mesh, tensor, bc):
                            *nodes).solve(load)
 
 
+def time_grid(t_start, t_final, tau, snapshot_times=()):
+    """The step count of a march from t_start to t_final in steps of tau,
+    and the (step, time) of each snapshot request, at the nearest grid
+    point.  ValueError when t_final lies before t_start or is not close
+    to a whole number of steps past it, or when a snapshot time lies
+    outside [t_start, t_final]."""
+    span = t_final - t_start
+    if span < -1e-12:
+        raise ValueError("t_final lies before the initial state")
+    nsteps = int(round(span / tau))
+    if abs(nsteps * tau - span) > 1e-8 * max(tau, abs(span)):
+        raise ValueError(f"t_final - t_start = {span} is not close to a "
+                         f"multiple of tau = {tau}")
+    requests = []
+    for t_req in snapshot_times:
+        t_req = float(t_req)
+        if t_req < t_start - 1e-12 or t_req > t_final + 1e-12:
+            raise ValueError(f"snapshot time {t_req} outside "
+                             f"[{t_start}, {t_final}]")
+        requests.append((int(round((t_req - t_start) / tau)), t_req))
+    return nsteps, requests
+
+
 def run(problem, t_final, snapshot_times=(), initial_state=None):
     """March to t_final collecting snapshots and the energy ledger.
 
@@ -482,22 +505,8 @@ def run(problem, t_final, snapshot_times=(), initial_state=None):
     Returns a MacroRun.
     """
     state = problem.init_state() if initial_state is None else initial_state
-    t_start = state.t
-    span = t_final - t_start
-    if span < -1e-12:
-        raise ValueError("t_final lies before the initial state")
-    nsteps = int(round(span / problem.tau))
-    if abs(nsteps * problem.tau - span) > 1e-8 * max(problem.tau, abs(span)):
-        raise ValueError(
-            f"t_final - t_start = {span} is not close to a multiple of "
-            f"tau = {problem.tau}")
-    requests = []
-    for t_req in snapshot_times:
-        t_req = float(t_req)
-        if t_req < t_start - 1e-12 or t_req > t_final + 1e-12:
-            raise ValueError(f"snapshot time {t_req} outside "
-                             f"[{t_start}, {t_final}]")
-        requests.append((int(round((t_req - t_start) / problem.tau)), t_req))
+    nsteps, requests = time_grid(state.t, t_final, problem.tau,
+                                 snapshot_times)
 
     # The march advances one state in place: a caller's initial state is
     # copied once, and so is every snapshot but one at the last step.

@@ -7,6 +7,7 @@ format (``MESH2D 1``) is plain ASCII and round-trips exactly.
 """
 
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -14,6 +15,8 @@ from scipy.sparse import coo_matrix
 from scipy.spatial import Delaunay, cKDTree
 
 from .textio import FormatError, Records, write_rows
+
+_log = logging.getLogger(__name__)
 
 BOUNDARY_TAGS = ("OuterLeft", "OuterRight", "OuterBottom", "OuterTop", "Inclusion")
 # Smallest triangle angle validate_mesh accepts.
@@ -595,6 +598,10 @@ def gen_cell_mesh(spec, h):
     spec : EllipseSpec
     h : float
         Target edge length, 0.002 <= h <= 0.1.
+
+    Four settings of the ring clearance (drop factor) and the smoothing
+    iterations are tried in turn; each failed attempt logs a DEBUG line,
+    and MeshQualityError names every setting with its fault.
     """
     if not 0.002 <= h <= 0.1:
         raise ValueError(f"h={h} outside the supported range [0.002, 0.1]")
@@ -603,7 +610,9 @@ def gen_cell_mesh(spec, h):
         try:
             return _CellBuilder(spec, h, drop_factor, smooth_iters).build()
         except MeshQualityError as exc:
-            errors.append(str(exc))
+            errors.append(f"drop {drop_factor}, smoothing {smooth_iters}: "
+                          f"{exc}")
+            _log.debug("cell mesh attempt failed, %s", errors[-1])
     raise MeshQualityError(
         "cell meshing failed after retries: " + "; ".join(errors)
     )

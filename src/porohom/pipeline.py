@@ -22,8 +22,8 @@ from .cell_steady import (
 from .cell_unsteady import solve_cell_unsteady, write_samples_csv
 from .fem import SolverError, StokesSystem
 from .kernel_model import build_kernel_model, read_model_csv, write_model_csv
-from .macro import (MacroProblem, parse_bc, run, write_ledger_csv,
-                    write_state_csv)
+from .macro import (MacroProblem, parse_bc, run, time_grid,
+                    write_ledger_csv, write_state_csv)
 from .meshing import (
     EllipseSpec,
     MeshQualityError,
@@ -141,10 +141,14 @@ def parse_config(path=None, overrides=None):
 
     The file holds one key=value pair per line; blank lines and lines
     starting with # are skipped.  Overrides is a dict of raw string (or
-    already typed) values applied last.  Unknown keys are rejected.
+    already typed) values applied last.  A fault of a value (an unknown
+    key, a value that does not parse, is not finite or breaks its rule)
+    raises ValueError, which starts "path:line: key = value: " for a
+    value from the file.  With macro among the stages, the macro stage's
+    time grid check (macro.time_grid) runs here as well.
     """
     config = dict(DEFAULTS)
-    raw = {}
+    raw = {}   # key: (value, where it was set, "" for an override)
     if path is not None:
         with open(path, "rb") as handle:
             lines = handle.read().splitlines()
@@ -159,21 +163,32 @@ def parse_config(path=None, overrides=None):
                 raise ValueError(
                     f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = line.split("=", 1)
-            raw[key.strip()] = value.strip()
-    if overrides:
-        raw.update(overrides)
-    for key, value in raw.items():
-        if key not in _KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-        config[key] = _KEYS[key][1](value)
-    for key, (_, parse, rule) in _KEYS.items():
-        value = config[key]
-        if parse in (float, _parse_float_list) and not np.isfinite(
-                value).all():
-            raise ValueError(f"{key} must be finite")
-        if rule and not rule[0](value):
-            raise ValueError(f"{key} {rule[1]}")
+            raw[key.strip()] = value.strip(), f"{path}:{lineno}: "
+    for key, value in (overrides or {}).items():
+        raw[key] = value, ""
+    for key, (value, where) in raw.items():
+        try:
+            config[key] = _parse_value(key, value)
+        except ValueError as exc:
+            raise ValueError(f"{where}{key} = {value}: {exc}") from None
+    if "macro" in config["stages"]:
+        time_grid(0.0, config["t_final"], config["tau"], config["snapshots"])
     return config
+
+
+def _parse_value(key, value):
+    """The value of a config key, parsed and checked; ValueError for an
+    unknown key, a value that does not parse and one that is not finite
+    or breaks its rule."""
+    if key not in _KEYS:
+        raise ValueError("unknown config key")
+    _, parse, rule = _KEYS[key]
+    value = parse(value)
+    if parse in (float, _parse_float_list) and not np.isfinite(value).all():
+        raise ValueError(f"{key} must be finite")
+    if rule and not rule[0](value):
+        raise ValueError(f"{key} {rule[1]}")
+    return value
 
 
 def _sha256(path):

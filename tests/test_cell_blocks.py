@@ -2,7 +2,7 @@
 
 The h = 0.1 cells of gen_cell_mesh are orbits of the half-turn R and the
 diagonal reflection S, so their solvers run on four blocks; the nudged
-gamma = 3 cell is not, and runs on the one block of the whole pinned
+gamma = 3 cell is not, and runs on the one block of the whole
 operator.  Both paths must agree with a dense reference that eliminates
 the divergence constraint through the null space Z of B.
 """
@@ -65,11 +65,11 @@ def test_each_path_says_which_ran(caplog, cell_mesh_g3, cell_mesh_nudged):
         whole = StokesSystem(cell_mesh_nudged)
     lines = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("cell operator")]
-    n = whole.operator.shape[0]
+    n = whole.pencil[0].shape[0] - 1
     sizes = [b.size for b in blocks.blocks]
     assert blocks.fallback is None
     assert [b.character for b in blocks.blocks] == list(CHARACTERS)
-    assert sum(sizes) == blocks.operator.shape[0]
+    assert sum(sizes) == blocks.pencil[0].shape[0] - 1
     assert whole.symmetries is None
     assert tuple(b.size for b in whole.blocks) == (n,)
     assert whole.fallback.startswith("not an orbit: vertex ")
@@ -81,14 +81,15 @@ def test_each_path_says_which_ran(caplog, cell_mesh_g3, cell_mesh_nudged):
 
 def test_the_one_block_is_the_pinned_pencil(system_nudged):
     # the one block of a cell that is not an orbit comes from the builder
-    # of the symmetry blocks, on the pinned selection I[:, :-1], and
-    # holds the pinned slices of the pencil entry for entry
+    # of the symmetry blocks, on the selection I[:, :-1] that cuts the
+    # last pressure dof, and holds the pencil without that dof entry for
+    # entry
     (block,) = system_nudged.blocks
     saddle, mass = system_nudged.pencil
-    n = saddle.shape[0] - 1
+    n = saddle.shape[0]
     for got, want in ((block.operator, saddle[:-1, :-1].tocsc()),
                       (block.mass, mass[:-1, :-1]),
-                      (block.basis, sp.identity(n, format="csr"))):
+                      (block.basis, sp.identity(n, format="csr")[:, :-1])):
         assert got.format == want.format and got.shape == want.shape
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, part), getattr(want, part))
@@ -103,8 +104,8 @@ def test_a_block_is_built_on_first_read(caplog, cell_mesh_g3):
         system = StokesSystem(cell_mesh_g3)
         seen = [(b.character, b.size, b.forces.shape) for b in system.blocks]
         assert [s[0] for s in seen] == list(CHARACTERS)
-        n = sum(s[1] for s in seen)
-        assert n == system.pencil[0].shape[0] - 1
+        n = system.pencil[0].shape[0]
+        assert sum(s[1] for s in seen) == n - 1
         assert not [r for r in caplog.records if "built" in r.getMessage()]
         block = system.blocks[2]
         assert block.lift(block.loads).shape == (n, 1)
@@ -141,15 +142,18 @@ def test_symmetries_commute_with_the_pencil(request, name):
 
 @pytest.mark.parametrize("name", SYMMETRIC)
 def test_block_bases_split_the_space(request, name):
-    # the lifted bases of the four blocks, with the pinned orbit, span
-    # the pinned space, and the blocks carry their pieces of the pencil
+    # the lifted bases of the four blocks, with the constant pressure,
+    # span the space, and the blocks carry their pieces of the pencil
     system = request.getfixturevalue(name)
+    saddle = system.pencil[0]
+    n = saddle.shape[0]
+    constant = np.r_[np.zeros(2 * system.n_velocity),
+                     np.ones(system.n_pressure)]
     basis = sp.hstack([b.basis for b in system.blocks]).toarray()
-    n = system.operator.shape[0]
-    assert basis.shape == (n, n)
-    assert np.linalg.matrix_rank(basis) == n
+    assert basis.shape == (n, n - 1)
+    assert np.linalg.matrix_rank(np.column_stack([basis, constant])) == n
     for block in system.blocks:
-        k = block.basis.T @ (system.operator @ block.basis)
+        k = block.basis.T @ (saddle @ block.basis)
         assert (abs(k - block.operator).max()
                 <= 1e-13 * abs(block.operator).max())
 

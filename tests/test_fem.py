@@ -420,9 +420,10 @@ def test_no_factorization_falls_back(monkeypatch, cell_mesh_g3, rect_mesh,
 
 
 def test_stokes_system_shapes_and_symmetry(system_g1):
-    op = system_g1.operator
-    # one pressure dof is pinned, and no multiplier is added
-    assert op.shape[0] == 2 * system_g1.n_velocity + system_g1.n_pressure - 1
+    op = system_g1.pencil[0]
+    # no multiplier is added, and the blocks cut one pressure dof
+    assert op.shape[0] == 2 * system_g1.n_velocity + system_g1.n_pressure
+    assert sum(b.size for b in system_g1.blocks) == op.shape[0] - 1
     asym = abs(op - op.T).max()
     assert asym < 1e-14
     # Taylor-Hood rows couple a few dozen neighbours whatever the mesh
@@ -431,7 +432,7 @@ def test_stokes_system_shapes_and_symmetry(system_g1):
     assert system_g1.n_pressure > 80
     assert row_nnz.max() <= 64
     # the saddle mass only weights velocity blocks
-    mass = system_g1.pencil[1][:-1, :-1]
+    mass = system_g1.pencil[1]
     n2 = 2 * system_g1.n_velocity
     assert mass[n2:, :].nnz == 0
 
@@ -447,8 +448,8 @@ def test_stokes_system_shapes_and_symmetry(system_g1):
 
 def test_divergence_rows_sum_to_zero(system_g1):
     # the integral of div u vanishes for periodic, no-slip velocities, so
-    # the pinned pressure dof's divergence row is minus the sum of the
-    # others and leaving it out of the operator loses no constraint
+    # the last pressure dof's divergence row is minus the sum of the
+    # others and leaving it out of the first block loses no constraint
     for block in (system_g1.bx_r, system_g1.by_r):
         col_sums = np.ones(system_g1.n_pressure) @ block
         assert np.abs(col_sums).max() <= 1e-12 * np.linalg.norm(block.data)

@@ -1,6 +1,7 @@
 """Mesh generation, validation and file round trips."""
 
 import hashlib
+import logging
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from porohom.cli import main
 from porohom.meshing import (
     BOUNDARY_TAGS,
+    MIN_ANGLE_DEG,
     EllipseSpec,
     MeshFormatError,
     MeshQualityError,
@@ -360,6 +362,47 @@ class _DentedSpec(EllipseSpec):
 def test_non_convex_ring_is_rejected():
     with pytest.raises(MeshQualityError, match="not convex"):
         gen_cell_mesh(_DentedSpec(2.0), 0.1)
+
+
+# The four (drop factor, smoothing iterations) settings gen_cell_mesh
+# tries, in order.
+SETTINGS = ["drop 0.7, smoothing 30", "drop 0.55, smoothing 40",
+            "drop 0.85, smoothing 40", "drop 0.62, smoothing 60"]
+
+
+def test_a_cell_that_meshes_on_a_retry_logs_the_failed_attempts(caplog):
+    # gamma = 4 at h = 0.025 keeps the angle bound on the third setting
+    # only: the first two attempts each leave one DEBUG line
+    with caplog.at_level(logging.DEBUG, logger="porohom.meshing"):
+        mesh = gen_cell_mesh(EllipseSpec(4.0), 0.025)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"cell mesh attempt failed, {setting}: minimum angle 19.34 deg "
+        f"below {MIN_ANGLE_DEG} deg" for setting in SETTINGS[:2]]
+    third = _CellBuilder(EllipseSpec(4.0), 0.025, 0.85, 40).build()
+    assert np.array_equal(mesh.vertices, third.vertices)
+    assert np.array_equal(mesh.triangles, third.triangles)
+    assert validate_mesh(mesh)["min_angle"] >= MIN_ANGLE_DEG
+
+
+def test_a_cell_that_fails_every_setting_names_each(tmp_path, capsys,
+                                                    caplog):
+    # gamma = 5 at h = 0.05 misses the angle bound on all four settings;
+    # the error names each with its fault, and the CLI exits 3
+    with caplog.at_level(logging.DEBUG, logger="porohom.meshing"):
+        with pytest.raises(MeshQualityError) as info:
+            gen_cell_mesh(EllipseSpec(5.0), 0.05)
+    faults = [f"{setting}: minimum angle 18.82 deg below {MIN_ANGLE_DEG} deg"
+              for setting in SETTINGS]
+    assert str(info.value) == ("cell meshing failed after retries: "
+                               + "; ".join(faults))
+    assert [r.getMessage() for r in caplog.records] == [
+        f"cell mesh attempt failed, {fault}" for fault in faults]
+    code = main(["mesh", "--geometry", "cell", "--gamma", "5", "--h",
+                 "0.05", "--out", str(tmp_path / "cell.mesh")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert all(setting in err for setting in SETTINGS)
+    assert not (tmp_path / "cell.mesh").exists()
 
 
 def _mesh_sha256(tmp_path, gamma, h):

@@ -406,12 +406,23 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert code == 2
     assert "epsilon must be finite" in capsys.readouterr().err
 
-    # pipeline config errors are validation errors as well
+    # pipeline config errors are validation errors as well, and a value
+    # from the file is named with its line and key: an unknown key, a
+    # value that does not parse and one that breaks its rule
     cfg = tmp_path / "p.cfg"
-    cfg.write_text("made_up=1\n")
-    code = main(["pipeline", "--config", str(cfg),
-                 "--out", str(tmp_path / "run")])
-    assert code == 2
+    for text, message in (
+            ("made_up=1\n", "made_up = 1: unknown config key"),
+            ("# gamma\ngamma = abc\n",
+             "gamma = abc: could not convert string to float: 'abc'"),
+            ("gamma = 1.0\n\ncell_h = 0\n",
+             "cell_h = 0: cell_h must be positive"),
+            ("svg = maybe\n", "svg = maybe: expected a boolean")):
+        cfg.write_text(text)
+        code = main(["pipeline", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        line = text.count("\n")
+        assert f"{cfg}:{line}: {message}" in capsys.readouterr().err
 
     # a config file that is not ASCII is named with its line
     cfg.write_text("gamma = 1.0\ngamma = 3.0\u00e9\n", encoding="utf-8")
@@ -428,6 +439,25 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert code == 2
     assert "unknown boundary kind 'warp'" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_a_bad_macro_time_grid_stops_the_run_before_its_first_stage(
+        tmp_path, capsys):
+    # the default snapshots reach 7.5e-4, past t_final: the macro stage's
+    # own grid check refuses the config before the mesh stage runs
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("cell_h = 0.1\nmodes = 2\nt_final = 5e-4\n")
+    code = main(["pipeline", "--config", str(cfg),
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert ("snapshot time 0.00075 outside [0.0, 0.0005]"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "run" / "cell.mesh").exists()
+    # a t_final that is no whole number of steps, and a grid that only
+    # the macro stage reads, which a run without it does not check
+    with pytest.raises(ValueError, match="not close to a multiple of tau"):
+        parse_config(overrides={"t_final": "7.55e-4", "snapshots": "0"})
+    assert parse_config(overrides={"t_final": "5e-4", "stages": "mesh"})
 
 
 def _kernel_inputs(tmp_path, spectrum="k,lambda,a1,a2\n1,4.0,0.1,0.1\n",
