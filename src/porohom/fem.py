@@ -508,11 +508,11 @@ class StokesSystem:
                       functools.partial(_block_pencil, saddle, mass, q), unit)
             for character, q in bases.items()]
 
-    @functools.cached_property
+    @property
     def operator(self):
-        """The saddle without its last pressure dof (CSC), made on first
-        read; its only reader is perfbench's StokesSystem probe."""
-        return self.pencil[0][:-1, :-1].tocsc()
+        """The saddle operator, pencil[0] itself; its only reader is
+        perfbench's StokesSystem probe, which reads its shape and nnz."""
+        return self.pencil[0]
 
     def unit_load(self, axis):
         """Reduced load (n,) for a constant unit body force along an axis."""

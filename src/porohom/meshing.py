@@ -381,24 +381,24 @@ def _nearest_on_polyline(points, poly):
 
 
 class _CellBuilder:
-    """One attempt at meshing the perforated cell; see gen_cell_mesh."""
+    """The cell's square sides and inclusion ring, built and checked once;
+    each build call makes one attempt at the mesh (see gen_cell_mesh)."""
 
-    def __init__(self, spec, h, drop_factor, smooth_iters):
+    def __init__(self, spec, h):
         self.spec = spec
         self.h = h
-        self.drop_factor = drop_factor
-        self.smooth_iters = smooth_iters
         self.n_side = max(4, int(round(1.0 / h)))
         per = spec.perimeter()
         n_ring = int(math.ceil(per / h))
         n_ring += (-n_ring) % 4  # multiple of 4 keeps the ring symmetric
         self.n_ring = n_ring
         self.sym = _SYM_CORE + (_SYM_EXTRA if spec.circular else ())
-
-    def build(self):
         self._make_boundary()
-        self._make_interior()
-        self._smooth()
+
+    def build(self, drop_factor, smooth_iters):
+        """One attempt at the interior; MeshQualityError if it fails."""
+        self._make_interior(drop_factor)
+        self._smooth(smooth_iters)
         return self._finalize()
 
     # -- construction ---------------------------------------------------
@@ -449,17 +449,17 @@ class _CellBuilder:
                     done[j] = True
         return out
 
-    def _make_interior(self):
+    def _make_interior(self, drop_factor):
         n = self.n_side
         x = self.grid_x
         ii, jj = np.meshgrid(np.arange(1, n), np.arange(1, n), indexing="ij")
         ii, jj = ii.ravel(), jj.ravel()
         cand = np.column_stack([x[ii], x[jj]])
 
-        reach = self.drop_factor * max(self.ring_seglen.max(), 0.5 * self.h)
+        reach = drop_factor * max(self.ring_seglen.max(), 0.5 * self.h)
         inside, dist, segidx, _ = self._near_ring(cand, reach)
         local = self.ring_seglen[segidx]
-        drop = inside | (dist < self.drop_factor * np.maximum(local, 0.5 * self.h))
+        drop = inside | (dist < drop_factor * np.maximum(local, 0.5 * self.h))
 
         # images[g, k]: flat index of candidate k's image under element g,
         # which swaps and mirrors (i -> n - i) the grid indices.
@@ -517,11 +517,11 @@ class _CellBuilder:
             pts[bad] = nearest[bad] + margin[bad][:, None] * d
         return pts
 
-    def _smooth(self):
+    def _smooth(self, smooth_iters):
         pts = np.vstack([self.points, self.interior])
         nf = self.n_fixed
         nbr = None
-        for it in range(self.smooth_iters):
+        for it in range(smooth_iters):
             if it % 5 == 0:
                 nbr = self._adjacency(pts)
             mean = nbr @ pts
@@ -599,19 +599,19 @@ def gen_cell_mesh(spec, h):
     h : float
         Target edge length, 0.002 <= h <= 0.1.
 
-    Four settings of the ring clearance (drop factor) and the smoothing
-    iterations are tried in turn; each failed attempt logs a DEBUG line,
-    and MeshQualityError names every setting with its fault.
+    Sides and ring are built and checked once; the interior is tried with
+    (drop factor, smoothing iterations) (0.7, 30), then (0.85, 40).  Each
+    failure logs a DEBUG line and is named in MeshQualityError.
     """
     if not 0.002 <= h <= 0.1:
         raise ValueError(f"h={h} outside the supported range [0.002, 0.1]")
+    builder = _CellBuilder(spec, h)
     errors = []
-    for drop_factor, smooth_iters in ((0.7, 30), (0.55, 40), (0.85, 40), (0.62, 60)):
+    for drop_factor, smooth_iters in ((0.7, 30), (0.85, 40)):
         try:
-            return _CellBuilder(spec, h, drop_factor, smooth_iters).build()
+            return builder.build(drop_factor, smooth_iters)
         except MeshQualityError as exc:
-            errors.append(f"drop {drop_factor}, smoothing {smooth_iters}: "
-                          f"{exc}")
+            errors.append(f"drop {drop_factor}, smoothing {smooth_iters}: {exc}")
             _log.debug("cell mesh attempt failed, %s", errors[-1])
     raise MeshQualityError(
         "cell meshing failed after retries: " + "; ".join(errors)

@@ -70,6 +70,9 @@ def _parse_stages(text):
         names = [str(x) for x in text]
     else:
         names = [part.strip() for part in str(text).split(",") if part.strip()]
+    if not names:
+        raise ValueError("no stage named, expected one or more of "
+                         f"{', '.join(STAGES)}")
     for name in names:
         if name not in STAGES:
             raise ValueError(f"unknown stage {name!r}, expected one of "

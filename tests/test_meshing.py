@@ -323,8 +323,7 @@ def _all_pairs_nearest(points, poly):
 @pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0, 4.0])
 def test_ring_queries_match_all_pairs_scans(gamma):
     h = 0.05
-    builder = _CellBuilder(EllipseSpec(gamma), h, 0.7, 30)
-    builder._make_boundary()
+    builder = _CellBuilder(EllipseSpec(gamma), h)
     ring = builder.ring_poly
     rng = np.random.default_rng(int(gamma))
     # uniform points in the cell, and points within 2h of the ring
@@ -359,35 +358,40 @@ class _DentedSpec(EllipseSpec):
         return ring
 
 
-def test_non_convex_ring_is_rejected():
-    with pytest.raises(MeshQualityError, match="not convex"):
-        gen_cell_mesh(_DentedSpec(2.0), 0.1)
+def test_non_convex_ring_is_rejected(caplog):
+    # the ring is checked once, before any attempt, and its error is not
+    # wrapped in the per-setting one
+    with caplog.at_level(logging.DEBUG, logger="porohom.meshing"):
+        with pytest.raises(MeshQualityError) as info:
+            gen_cell_mesh(_DentedSpec(2.0), 0.1)
+    assert str(info.value) == ("inclusion ring is not convex and "
+                               "counterclockwise about the cell center")
+    assert not caplog.records
 
 
-# The four (drop factor, smoothing iterations) settings gen_cell_mesh
+# The two (drop factor, smoothing iterations) settings gen_cell_mesh
 # tries, in order.
-SETTINGS = ["drop 0.7, smoothing 30", "drop 0.55, smoothing 40",
-            "drop 0.85, smoothing 40", "drop 0.62, smoothing 60"]
+SETTINGS = ["drop 0.7, smoothing 30", "drop 0.85, smoothing 40"]
 
 
 def test_a_cell_that_meshes_on_a_retry_logs_the_failed_attempts(caplog):
-    # gamma = 4 at h = 0.025 keeps the angle bound on the third setting
-    # only: the first two attempts each leave one DEBUG line
+    # gamma = 4 at h = 0.025 keeps the angle bound on the second setting
+    # only: the first attempt leaves one DEBUG line
     with caplog.at_level(logging.DEBUG, logger="porohom.meshing"):
         mesh = gen_cell_mesh(EllipseSpec(4.0), 0.025)
     assert [r.getMessage() for r in caplog.records] == [
-        f"cell mesh attempt failed, {setting}: minimum angle 19.34 deg "
-        f"below {MIN_ANGLE_DEG} deg" for setting in SETTINGS[:2]]
-    third = _CellBuilder(EllipseSpec(4.0), 0.025, 0.85, 40).build()
-    assert np.array_equal(mesh.vertices, third.vertices)
-    assert np.array_equal(mesh.triangles, third.triangles)
+        f"cell mesh attempt failed, {SETTINGS[0]}: minimum angle 19.34 deg "
+        f"below {MIN_ANGLE_DEG} deg"]
+    second = _CellBuilder(EllipseSpec(4.0), 0.025).build(0.85, 40)
+    assert np.array_equal(mesh.vertices, second.vertices)
+    assert np.array_equal(mesh.triangles, second.triangles)
     assert validate_mesh(mesh)["min_angle"] >= MIN_ANGLE_DEG
 
 
 def test_a_cell_that_fails_every_setting_names_each(tmp_path, capsys,
                                                     caplog):
-    # gamma = 5 at h = 0.05 misses the angle bound on all four settings;
-    # the error names each with its fault, and the CLI exits 3
+    # gamma = 5 at h = 0.05 misses the angle bound on both settings; the
+    # error names each with its fault, and the CLI exits 3
     with caplog.at_level(logging.DEBUG, logger="porohom.meshing"):
         with pytest.raises(MeshQualityError) as info:
             gen_cell_mesh(EllipseSpec(5.0), 0.05)
@@ -423,6 +427,9 @@ MESH_SHA256 = {
     (2.0, 0.01): "1db3c121575a7b99121e6822f2ee0285155545157fd9c1b113bc0578c3db0750",
     (3.0, 0.01): "450f52afa8ad2ef76d0a7c9cedc70deb215e25c31cd832818a1b43645e71dc03",
     (4.0, 0.01): "4d5882c8c94fdaf1e53d03b565907b44f919740865666bbcf61dcbed2b207748",
+    # the one swept cell that meshes on the retry setting only, recorded
+    # while every attempt still rebuilt the ring
+    (4.0, 0.025): "3a6b04a74ce19284f6ba047e396da76bf5d3f8b758bbf71599d177763c240795",
 }
 
 
@@ -435,6 +442,10 @@ def test_cell_mesh_bytes_are_pinned(tmp_path, gamma):
 @pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0, 4.0])
 def test_fine_cell_mesh_bytes_are_pinned(tmp_path, gamma):
     assert _mesh_sha256(tmp_path, gamma, 0.01) == MESH_SHA256[gamma, 0.01]
+
+
+def test_retried_cell_mesh_bytes_are_pinned(tmp_path):
+    assert _mesh_sha256(tmp_path, 4.0, 0.025) == MESH_SHA256[4.0, 0.025]
 
 
 # -- the edge table ----------------------------------------------------------

@@ -574,6 +574,38 @@ def test_snapshots_that_share_a_file_stamp_are_refused(tmp_path, capsys,
     assert not any(name.endswith(".partial") for name in before)
 
 
+@pytest.mark.parametrize("stages", [",", "", " , ", ()])
+def test_an_empty_stage_list_is_refused(tmp_path, stages):
+    # no stage at all used to run nothing and rewrite the manifest empty
+    with pytest.raises(ValueError, match="stages = .*: no stage named"):
+        parse_config(overrides={"stages": stages})
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("gamma = 1.0\nstages =\n")
+    with pytest.raises(ValueError, match=f"{cfg}:2: stages = : no stage "):
+        parse_config(cfg)
+
+
+@pytest.mark.parametrize("only", [",", ""])
+def test_cli_empty_stage_list_leaves_the_run_untouched(tmp_path, capsys,
+                                                       only):
+    out = tmp_path / "run"
+    run_pipeline(fast_config(out, stages="mesh"))
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in FAST.items()))
+    code = main(["pipeline", "--config", str(cfg), "--out", str(out),
+                 "--only", only])
+    assert code == 2
+    assert "no stage named" in capsys.readouterr().err
+    cfg.write_text(cfg.read_text() + "stages =\n")
+    code = main(["pipeline", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert f"{cfg}:{len(FAST) + 1}: stages = : no stage named" in (
+        capsys.readouterr().err)
+    assert {name: (out / name).read_bytes()
+            for name in os.listdir(out)} == before
+
+
 def test_cli_pipeline_and_resume(tmp_path, capsys):
     out = tmp_path / "run"
     cfg = tmp_path / "p.cfg"
