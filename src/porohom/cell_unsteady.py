@@ -17,6 +17,7 @@ import time
 import numpy as np
 
 from .fem import SolverError, SparseFactor
+from .macro import whole_steps
 from .textio import write_rows
 
 _log = logging.getLogger(__name__)
@@ -46,7 +47,7 @@ def solve_cell_unsteady(system, tau, horizon):
     tau : float
         Time step; must resolve the slowest mode, tau <= 0.1/LAMBDA1_HINT.
     horizon : float
-        Final time; the number of steps is round(horizon / tau).
+        Final time, a whole number of steps (oracle_steps).
 
     Returns KernelSamples whose first row is the raw t=0 average, equal
     to the fluid area times the identity.  Every block's cached steady
@@ -65,9 +66,7 @@ def solve_cell_unsteady(system, tau, horizon):
             f"tau={tau} too coarse for the slowest mode "
             f"(requires tau <= {0.1 / LAMBDA1_HINT:.2e})"
         )
-    nsteps = int(round(horizon / tau))
-    if nsteps < 1:
-        raise ValueError("horizon shorter than one step")
+    nsteps = oracle_steps(tau, horizon)
 
     for block in system.blocks:
         block.free_factor()  # no steady factor beside a stepper
@@ -82,6 +81,19 @@ def solve_cell_unsteady(system, tau, horizon):
     area = system.mesh.area()
     values = np.concatenate([[area * np.eye(2)], values.transpose(0, 2, 1)])
     return KernelSamples(tau * np.arange(nsteps + 1), values)
+
+
+def oracle_steps(tau, horizon):
+    """The step count of a march to horizon in steps of tau; ValueError
+    when horizon is shorter than one step or, as the macro stage's
+    t_final, not close to a whole number of steps (macro.whole_steps)."""
+    if int(round(horizon / tau)) < 1:
+        raise ValueError("horizon shorter than one step")
+    nsteps = whole_steps(horizon, tau)
+    if nsteps is None:
+        raise ValueError(f"oracle_horizon = {horizon} is not close to a "
+                         f"multiple of oracle_tau = {tau}")
+    return nsteps
 
 
 def _march_block(system, block, tau, nsteps):

@@ -434,7 +434,8 @@ class StokesSystem:
     must span 1 along each axis (within 1e-12), else ValueError.
 
     The solvers work on blocks.  A mesh that the half-turn R and the
-    diagonal reflection S map onto itself (every gen_cell_mesh cell)
+    diagonal reflection S map onto itself (most gen_cell_mesh cells,
+    but not all: the gamma = 1 cell at h = 0.06 or 0.04 is no orbit)
     splits the pencil into four blocks, one per character
     chi = (chi(R), chi(S)): block chi is Q^T A Q on the orthonormal
     orbit basis Q of the saddle operator A's fields that transform by

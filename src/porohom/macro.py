@@ -462,6 +462,15 @@ def solve_steady(mesh, tensor, bc):
                            *nodes).solve(load)
 
 
+def whole_steps(span, tau):
+    """round(span / tau), or None when span is not within 1e-8 (relative
+    to the larger of tau and |span|) of that many steps."""
+    nsteps = int(round(span / tau))
+    if abs(nsteps * tau - span) > 1e-8 * max(tau, abs(span)):
+        return None
+    return nsteps
+
+
 def time_grid(t_start, t_final, tau, snapshot_times=()):
     """The step count of a march from t_start to t_final in steps of tau,
     and the (step, time) of each snapshot request, at the nearest grid
@@ -471,8 +480,8 @@ def time_grid(t_start, t_final, tau, snapshot_times=()):
     span = t_final - t_start
     if span < -1e-12:
         raise ValueError("t_final lies before the initial state")
-    nsteps = int(round(span / tau))
-    if abs(nsteps * tau - span) > 1e-8 * max(tau, abs(span)):
+    nsteps = whole_steps(span, tau)
+    if nsteps is None:
         raise ValueError(f"t_final - t_start = {span} is not close to a "
                          f"multiple of tau = {tau}")
     requests = []

@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.spatial import Delaunay, cKDTree
 
 from .textio import FormatError, Records, write_rows
 
@@ -202,6 +201,8 @@ def vertex_image(mesh, mat):
     the center c of the mesh's bounding box; NotAnOrbit unless it maps
     every vertex onto a vertex within ORBIT_ATOL and triangles onto
     triangles."""
+    # Imported here: scipy.spatial costs a macro-only run 7 MB it never uses.
+    from scipy.spatial import cKDTree
     pts = mesh.vertices
     center = (pts.min(axis=0) + pts.max(axis=0)) / 2.0
     dist, image = cKDTree(pts).query(center + (pts - center) @ mat.T)
@@ -404,6 +405,8 @@ class _CellBuilder:
     # -- construction ---------------------------------------------------
 
     def _make_boundary(self):
+        # Imported here, as in vertex_image: only cell meshing needs it.
+        from scipy.spatial import cKDTree
         n = self.n_side
         x = _symmetric_linspace(n)
         self.grid_x = x
@@ -535,6 +538,8 @@ class _CellBuilder:
 
     def _triangulate(self, pts):
         """Delaunay triangles of pts whose centroid lies outside the ring."""
+        # Imported here, as in vertex_image: only cell meshing needs it.
+        from scipy.spatial import Delaunay
         simp = Delaunay(pts).simplices.astype(np.int64)
         return simp[~_inside_ring(pts[simp].mean(axis=1), self.ring_poly)]
 

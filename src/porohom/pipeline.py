@@ -19,7 +19,8 @@ from .cell_steady import (
     solve_cell_steady,
     write_permeability_csv,
 )
-from .cell_unsteady import solve_cell_unsteady, write_samples_csv
+from .cell_unsteady import (oracle_steps, solve_cell_unsteady,
+                            write_samples_csv)
 from .fem import SolverError, StokesSystem
 from .kernel_model import build_kernel_model, read_model_csv, write_model_csv
 from .macro import (MacroProblem, parse_bc, run, time_grid,
@@ -148,7 +149,8 @@ def parse_config(path=None, overrides=None):
     key, a value that does not parse, is not finite or breaks its rule)
     raises ValueError, which starts "path:line: key = value: " for a
     value from the file.  With macro among the stages, the macro stage's
-    time grid check (macro.time_grid) runs here as well.
+    time grid check (macro.time_grid) runs here as well, and with oracle
+    the oracle's (cell_unsteady.oracle_steps).
     """
     config = dict(DEFAULTS)
     raw = {}   # key: (value, where it was set, "" for an override)
@@ -176,6 +178,8 @@ def parse_config(path=None, overrides=None):
             raise ValueError(f"{where}{key} = {value}: {exc}") from None
     if "macro" in config["stages"]:
         time_grid(0.0, config["t_final"], config["tau"], config["snapshots"])
+    if "oracle" in config["stages"]:
+        oracle_steps(config["oracle_tau"], config["oracle_horizon"])
     return config
 
 

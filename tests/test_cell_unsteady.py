@@ -108,6 +108,10 @@ def test_tau_guards(system_g1):
         solve_cell_unsteady(system_g1, 0.05, 0.1)
     with pytest.raises(ValueError, match="shorter than one step"):
         solve_cell_unsteady(system_g1, 1e-3, 1e-5)
+    # the macro stage's rule: the horizon is a whole number of steps
+    with pytest.raises(ValueError, match="oracle_horizon = 0.021 is not "
+                       "close to a multiple of oracle_tau = 0.002"):
+        solve_cell_unsteady(system_g1, 2e-3, 0.021)
 
 
 @pytest.mark.parametrize("tau, horizon, name", [

@@ -460,6 +460,24 @@ def test_a_bad_macro_time_grid_stops_the_run_before_its_first_stage(
     assert parse_config(overrides={"t_final": "5e-4", "stages": "mesh"})
 
 
+def test_an_off_grid_oracle_horizon_stops_the_run_before_its_first_stage(
+        tmp_path, capsys):
+    # 0.021 is 10.5 steps of 2e-3: the oracle would sample only to 0.02
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in FAST.items())
+                   + "oracle_horizon=0.021\n")
+    code = main(["pipeline", "--config", str(cfg),
+                 "--out", str(tmp_path / "run"), "--only", "mesh,oracle"])
+    assert code == 2
+    assert ("oracle_horizon = 0.021 is not close to a multiple of "
+            "oracle_tau = 0.002" in capsys.readouterr().err)
+    assert not (tmp_path / "run" / "cell.mesh").exists()
+    # a whole number of steps passes, and a run without the oracle does
+    # not check its grid
+    assert parse_config(overrides={**FAST, "stages": "oracle"})
+    assert parse_config(overrides={**FAST, "oracle_horizon": "0.021"})
+
+
 def _kernel_inputs(tmp_path, spectrum="k,lambda,a1,a2\n1,4.0,0.1,0.1\n",
                    kbar="i,j,value\n1,1,1.0\n1,2,0.0\n2,1,0.0\n2,2,1.0\n"):
     """Write the kernel subcommand's two inputs; returns its arguments."""
@@ -810,9 +828,13 @@ def test_cli_stages_match_the_pipeline(tmp_path, capsys):
         n.replace("macro_", "run_") for n in ref_names)
 
 
-def test_cli_macro_run_imports_no_heavy_modules(tmp_path, model3):
-    # textio, fem and svgplot import these lazily, or not at all, to keep
-    # the resident memory of a run down; a fresh interpreter shows them
+@pytest.mark.parametrize("stage", ["macro", "kernel"])
+def test_cli_macro_run_imports_no_heavy_modules(tmp_path, model3, stage):
+    # textio, fem, meshing and svgplot import these lazily, or not at
+    # all, to keep the resident memory of a run that reuses a kernel
+    # down; a fresh interpreter shows them
+    from porohom.cell_spectral import write_spectrum_csv
+    from porohom.cell_steady import write_permeability_csv
     from porohom.kernel_model import write_model_csv
     from porohom.meshing import gen_rect_mesh, write_mesh
 
@@ -820,12 +842,16 @@ def test_cli_macro_run_imports_no_heavy_modules(tmp_path, model3):
     out.mkdir()
     write_mesh(gen_rect_mesh(2.0, 1.0, 0.25), out / "macro.mesh")
     write_model_csv(model3, out / "kernel.csv")
+    write_spectrum_csv(LAMS3, COEF3, out / "spectrum.csv")
+    write_permeability_csv(KBAR3, out / "k_bar.csv")
     cfg = tmp_path / "p.cfg"
-    cfg.write_text("".join(f"{k}={v}\n" for k, v in FAST.items()))
+    config = {**FAST, "modes": str(LAMS3.size)}
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in config.items()))
     heavy = ("multiprocessing", "concurrent.futures.process",
-             "scipy.sparse.csgraph", "xml.sax")
+             "scipy.sparse.csgraph", "xml.sax", "scipy.spatial",
+             "scipy.special")
     args = ["pipeline", "--config", str(cfg), "--out", str(out),
-            "--only", "macro"]
+            "--only", stage]
     script = ("import sys\n"
               "from porohom.cli import main\n"
               f"assert main({args!r}) == 0\n"
@@ -833,8 +859,11 @@ def test_cli_macro_run_imports_no_heavy_modules(tmp_path, model3):
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(porohom.__file__))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    product = out / {"macro": "macro_field_0.0004.svg",
+                     "kernel": "kernel.csv"}[stage]
+    product.unlink(missing_ok=True)
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert (out / "macro_field_0.0004.svg").exists()
+    assert product.exists()
     assert done.stdout.splitlines()[-1] == "[]"
