@@ -66,8 +66,8 @@ def _cmd_stage(args):
             overrides["modes"] = read_spectrum_csv(spectrum)[0].size
         except (ValueError, OSError) as exc:
             raise PipelineError("kernel", str(exc)) from exc
-    os.makedirs(overrides["out_dir"], exist_ok=True)
     config = parse_config(overrides=overrides)
+    os.makedirs(config["out_dir"], exist_ok=True)
     for _, path in run_stage(args.command, config, paths):
         print(f"wrote {path}")
 

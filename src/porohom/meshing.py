@@ -366,24 +366,24 @@ def _nearest_on_polyline(points, poly):
     seglen2 = np.sum(seg * seg, axis=1)
     dist = np.full(len(points), np.inf)
     segidx = np.zeros(len(points), dtype=np.int64)
-    nearest = np.zeros_like(points)
     for lo in range(0, len(points), 2048):
         p = points[lo:lo + 2048]
         w = p[:, None, :] - poly[None, :, :]
         t = np.clip(np.sum(w * seg[None, :, :], axis=2) / seglen2[None, :], 0.0, 1.0)
         proj = poly[None, :, :] + t[:, :, None] * seg[None, :, :]
         d2 = np.sum((p[:, None, :] - proj) ** 2, axis=2)
-        k = np.argmin(d2, axis=1)
-        rows = np.arange(len(p))
-        dist[lo:lo + 2048] = np.sqrt(d2[rows, k])
-        segidx[lo:lo + 2048] = k
-        nearest[lo:lo + 2048] = proj[rows, k]
-    return dist, segidx, nearest
+        dist[lo:lo + 2048] = np.sqrt(d2.min(axis=1))
+        segidx[lo:lo + 2048] = np.argmin(d2, axis=1)
+    return dist, segidx
 
 
 class _CellBuilder:
     """The cell's square sides and inclusion ring, built and checked once;
-    each build call makes one attempt at the mesh (see gen_cell_mesh)."""
+    each build call makes one attempt at the mesh (see gen_cell_mesh): the
+    grid points at least drop_factor >= 0.7 times max(segment, h/2) off the
+    ring, then smoothing passes that move each to its neighbours' mean and
+    average it over its orbit (Persson and Strang 2004).  No clamp is
+    needed: the mesh contract refuses a bad placement (MeshQualityError)."""
 
     def __init__(self, spec, h):
         self.spec = spec
@@ -460,7 +460,7 @@ class _CellBuilder:
         cand = np.column_stack([x[ii], x[jj]])
 
         reach = drop_factor * max(self.ring_seglen.max(), 0.5 * self.h)
-        inside, dist, segidx, _ = self._near_ring(cand, reach)
+        inside, dist, segidx = self._near_ring(cand, reach)
         local = self.ring_seglen[segidx]
         drop = inside | (dist < drop_factor * np.maximum(local, 0.5 * self.h))
 
@@ -488,7 +488,7 @@ class _CellBuilder:
         return _CENTER + acc / len(self.sym)
 
     def _near_ring(self, pts, reach):
-        """Inside flags, then distance, segment and nearest point on the ring.
+        """Inside flags, then distance to the ring and its nearest segment.
 
         The nearer end of a segment is at most half its length from any
         point on it, so an outside point whose nearest ring vertex is
@@ -500,25 +500,9 @@ class _CellBuilder:
         near = inside | (vertex_dist <= reach + 0.5 * self.ring_seglen.max())
         dist = np.full(len(pts), np.inf)
         segidx = np.zeros(len(pts), dtype=np.int64)
-        nearest = np.zeros_like(pts)
-        dist[near], segidx[near], nearest[near] = _nearest_on_polyline(
-            pts[near], self.ring_poly)
-        return inside, dist, segidx, nearest
-
-    def _clamp(self, pts):
-        m = 0.3 / self.n_side
-        np.clip(pts, m, 1.0 - m, out=pts)
-        inside, dist, segidx, nearest = self._near_ring(pts, 0.45 * self.h)
-        margin = 0.45 * np.minimum(self.ring_seglen[segidx], self.h)
-        bad = inside | (dist < margin)
-        if np.any(bad):
-            d = pts[bad] - nearest[bad]
-            norm = np.linalg.norm(d, axis=1, keepdims=True)
-            norm[norm == 0.0] = 1.0
-            d /= norm
-            d[inside[bad]] *= -1.0
-            pts[bad] = nearest[bad] + margin[bad][:, None] * d
-        return pts
+        dist[near], segidx[near] = _nearest_on_polyline(pts[near],
+                                                         self.ring_poly)
+        return inside, dist, segidx
 
     def _smooth(self, smooth_iters):
         pts = np.vstack([self.points, self.interior])
@@ -530,14 +514,13 @@ class _CellBuilder:
             mean = nbr @ pts
             deg = nbr @ np.ones(len(pts))
             deg[deg == 0.0] = 1.0
-            moved = mean[nf:] / deg[nf:, None]
-            moved = self._clamp(moved)
-            pts[nf:] = self._orbit_average(moved)
-        pts[nf:] = self._orbit_average(self._clamp(pts[nf:]))
+            pts[nf:] = self._orbit_average(mean[nf:] / deg[nf:, None])
+        pts[nf:] = self._orbit_average(pts[nf:])
         self.all_points = pts
 
     def _triangulate(self, pts):
-        """Delaunay triangles of pts whose centroid lies outside the ring."""
+        """Delaunay triangles of pts whose centroid lies outside the ring,
+        counterclockwise as SciPy lists 2-D simplices."""
         # Imported here, as in vertex_image: only cell meshing needs it.
         from scipy.spatial import Delaunay
         simp = Delaunay(pts).simplices.astype(np.int64)
@@ -554,9 +537,6 @@ class _CellBuilder:
     def _finalize(self):
         pts = self.all_points
         simp = self._triangulate(pts)
-        flip = _cross(pts[simp[:, 1]] - pts[simp[:, 0]],
-                      pts[simp[:, 2]] - pts[simp[:, 0]]) < 0.0
-        simp[flip] = simp[flip][:, [0, 2, 1]]
 
         edges, _, counts = edge_table(simp, len(pts))
         bedges, btags = self._classify_boundary(edges[counts == 1])

@@ -8,6 +8,7 @@ from porohom.cell_steady import (
     solve_cell_steady,
     write_permeability_csv,
 )
+from porohom.fem import SolverError, StokesSystem
 
 # frozen regression value from this solver at gamma = 1, h = 0.1
 KBAR11_G1_H01 = 1.30261410e-2
@@ -39,6 +40,25 @@ def saddle_vectors(system):
 def test_velocity_solutions_are_divergence_free(system_g1):
     for vec in saddle_vectors(system_g1):
         assert system_g1.divergence_norm(vec) < 1e-10
+
+
+def test_a_divergent_solution_is_refused(monkeypatch, system_g1):
+    monkeypatch.setattr(StokesSystem, "divergence_norm", lambda self, x: 1.0)
+    with pytest.raises(SolverError, match=r"^cell solution for force .* "
+                                          r"divergence residual 1\.00e\+00$"):
+        solve_cell_steady(system_g1)
+
+
+def test_an_asymmetric_tensor_is_refused(monkeypatch, system_g1):
+    # a constant drift c e_y in every average adds c to raw[1, 0] alone,
+    # whichever two forces the blocks carry
+    average = StokesSystem.velocity_average
+    monkeypatch.setattr(StokesSystem, "velocity_average",
+                        lambda self, x: average(self, x) + [0.0, 1e-4])
+    with pytest.raises(SolverError, match=r"^permeability asymmetry "
+                                          r"1\.00e-04 exceeds 1e-08 "
+                                          r"relative tolerance$"):
+        solve_cell_steady(system_g1)
 
 
 def energy_tensor(system):

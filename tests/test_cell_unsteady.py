@@ -114,6 +114,13 @@ def test_tau_guards(system_g1):
         solve_cell_unsteady(system_g1, 2e-3, 0.021)
 
 
+def test_a_divergent_step_is_refused(monkeypatch, system_g1):
+    monkeypatch.setattr(StokesSystem, "divergence_norm", lambda self, x: 1.0)
+    with pytest.raises(SolverError, match=r"^unsteady step 1 force .*: "
+                                          r"divergence 1\.00e\+00$"):
+        solve_cell_unsteady(system_g1, TAU, 2 * TAU)
+
+
 @pytest.mark.parametrize("tau, horizon, name", [
     (np.nan, 0.1, "tau"), (np.inf, 0.1, "tau"),
     (1e-3, np.nan, "horizon"), (1e-3, np.inf, "horizon"),

@@ -394,6 +394,23 @@ def test_tampered_energies_fail_the_final_check(rect_mesh, model3):
         run(prob, 0.01, initial_state=tampered)
 
 
+def test_a_step_that_breaks_the_ledger_stops_the_run(rect_mesh, model3):
+    f = np.array([1.0, 0.25])
+    prob = MacroProblem(rect_mesh, model3, BC_NAT, f=f, sigma=0.5, tau=1e-3)
+    assert prob.ledger_guaranteed
+    step = prob._step_in_place
+
+    def dissipating(state):
+        # dissipation the source never paid for: lhs exceeds rhs by 1
+        step(state)
+        state.dissipation += 1.0
+
+    prob._step_in_place = dissipating
+    with pytest.raises(SolverError, match=r"^energy ledger violated at step "
+                                          r"1: margin -1\.000e\+00$"):
+        run(prob, 0.005)
+
+
 def test_run_statistics(rect_mesh, model3, caplog):
     prob = MacroProblem(rect_mesh, model3, BC_NAT, f=(1.0, 0.25),
                         sigma=0.5, tau=1e-3)

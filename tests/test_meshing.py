@@ -316,8 +316,7 @@ def _all_pairs_nearest(points, poly):
     proj = poly[None, :, :] + t[:, :, None] * seg[None, :, :]
     d2 = np.sum((points[:, None, :] - proj) ** 2, axis=2)
     k = np.argmin(d2, axis=1)
-    rows = np.arange(len(points))
-    return np.sqrt(d2[rows, k]), k, proj[rows, k]
+    return np.sqrt(d2[np.arange(len(points)), k]), k
 
 
 @pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0, 4.0])
@@ -330,23 +329,37 @@ def test_ring_queries_match_all_pairs_scans(gamma):
     near = ring[rng.integers(len(ring), size=3000)]
     near += rng.uniform(-2.0 * h, 2.0 * h, size=near.shape)
     pts = np.vstack([rng.uniform(0.0, 1.0, size=(3000, 2)), near])
-    dist, segidx, nearest = _all_pairs_nearest(pts, ring)
+    dist, segidx = _all_pairs_nearest(pts, ring)
     keep = dist > 1e-12  # points on an edge are inside by neither test
-    pts, dist, segidx, nearest = pts[keep], dist[keep], segidx[keep], nearest[keep]
+    pts, dist, segidx = pts[keep], dist[keep], segidx[keep]
     inside = _crossing_number(pts, ring)
     assert 0 < inside.sum() < len(pts)
     assert np.array_equal(_inside_ring(pts, ring), inside)
 
-    # the reach of _clamp, then the reach of _make_interior
-    for reach in (0.45 * h, 0.7 * max(builder.ring_seglen.max(), 0.5 * h)):
-        got_inside, got_dist, got_seg, got_near = builder._near_ring(pts, reach)
-        assert np.array_equal(got_inside, inside)
-        scanned = np.isfinite(got_dist)
-        assert np.all(scanned[inside | (dist <= reach)])
-        assert np.array_equal(got_dist[scanned], dist[scanned])
-        assert np.array_equal(got_seg[scanned], segidx[scanned])
-        assert np.array_equal(got_near[scanned], nearest[scanned])
-        assert np.all(dist[~scanned] > reach)
+    # the reach of _make_interior
+    reach = 0.7 * max(builder.ring_seglen.max(), 0.5 * h)
+    got_inside, got_dist, got_seg = builder._near_ring(pts, reach)
+    assert np.array_equal(got_inside, inside)
+    scanned = np.isfinite(got_dist)
+    assert np.all(scanned[inside | (dist <= reach)])
+    assert np.array_equal(got_dist[scanned], dist[scanned])
+    assert np.array_equal(got_seg[scanned], segidx[scanned])
+    assert np.all(dist[~scanned] > reach)
+
+
+@pytest.mark.parametrize("gamma, h", [(0.25, 0.05), (1.0, 0.05), (3.0, 0.05),
+                                      (5.5, 0.05), (3.0, 0.02)])
+def test_interior_vertices_keep_clear_of_the_ring_and_sides(gamma, h):
+    # the smoothing has no clamp: its points stay outside the ring by
+    # 0.45 min(local segment, h) and off the sides by 0.3 / n all the same
+    builder = _CellBuilder(EllipseSpec(gamma), h)
+    mesh = gen_cell_mesh(EllipseSpec(gamma), h)
+    assert np.array_equal(mesh.vertices[:builder.n_fixed], builder.points)
+    pts, ring = mesh.vertices[builder.n_fixed:], builder.ring_poly
+    dist, segidx = _all_pairs_nearest(pts, ring)
+    assert not _crossing_number(pts, ring).any()
+    assert np.all(dist >= 0.45 * np.minimum(builder.ring_seglen[segidx], h))
+    assert np.all(np.minimum(pts, 1.0 - pts) >= 0.3 / builder.n_side)
 
 
 class _DentedSpec(EllipseSpec):
@@ -430,6 +443,10 @@ MESH_SHA256 = {
     # the one swept cell that meshes on the retry setting only, recorded
     # while every attempt still rebuilt the ring
     (4.0, 0.025): "3a6b04a74ce19284f6ba047e396da76bf5d3f8b758bbf71599d177763c240795",
+    # the flattest and the most elongated inclusion, recorded while the
+    # smoothing still clamped its points and the triangles were reoriented
+    (0.25, 0.05): "a6c01da66815c159eb4d368a2431e6970e681ca1f67f9d994c9e994814acfb8f",
+    (5.5, 0.06): "b5feec2f1f88193978d0b2eeba401b109ff3fd7a87307deed08361fd1c62c465",
 }
 
 
@@ -446,6 +463,11 @@ def test_fine_cell_mesh_bytes_are_pinned(tmp_path, gamma):
 
 def test_retried_cell_mesh_bytes_are_pinned(tmp_path):
     assert _mesh_sha256(tmp_path, 4.0, 0.025) == MESH_SHA256[4.0, 0.025]
+
+
+@pytest.mark.parametrize("gamma, h", [(0.25, 0.05), (5.5, 0.06)])
+def test_extreme_cell_mesh_bytes_are_pinned(tmp_path, gamma, h):
+    assert _mesh_sha256(tmp_path, gamma, h) == MESH_SHA256[gamma, h]
 
 
 # -- the edge table ----------------------------------------------------------

@@ -441,6 +441,22 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("flags, out, message", [
+    (["oracle", "--mesh", "m", "--tau", "-1", "--horizon", "1"],
+     ("--out", "o.csv"), "oracle_tau must be positive"),
+    (["macro", "--mesh", "m", "--model", "k", "--sigma", "2", "--tau",
+      "1e-4", "--t-final", "4e-4", "--bc", "left=natural:0"],
+     ("--out-prefix", "macro"), "sigma must lie in [0, 1]")],
+    ids=["oracle", "macro"])
+def test_a_refused_stage_flag_makes_no_directory(tmp_path, capsys, flags,
+                                                 out, message):
+    # the output directory used to be made before the flags were checked
+    flag, name = out
+    assert main(flags + [flag, str(tmp_path / "new" / "sub" / name)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
 def test_a_bad_macro_time_grid_stops_the_run_before_its_first_stage(
         tmp_path, capsys):
     # the default snapshots reach 7.5e-4, past t_final: the macro stage's
