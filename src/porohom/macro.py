@@ -201,29 +201,24 @@ class _EllipticSolver:
 
 
 class MacroState:
-    """One time level: pressure, auxiliary fields, ledger accumulators.
+    """One time level: pressure, auxiliary fields, ledger accumulators
+    and the per-mode memory energies (D^k grad v_k, grad v_k) that the
+    march carries forward."""
 
-    energies holds the per-mode memory energies (D^k grad v_k, grad v_k)
-    that the march carries forward.  A state built by hand has none
-    (None); run evaluates them once, on its copy of the state.
-    """
-
-    def __init__(self, t, v, v_aux, dissipation=0.0, source_work=0.0):
+    def __init__(self, t, v, v_aux, dissipation, source_work, energies):
         self.t = float(t)
         self.v = np.asarray(v, dtype=float)
         self.v_aux = np.asarray(v_aux, dtype=float)
         self.dissipation = float(dissipation)
         self.source_work = float(source_work)
-        self.energies = None
+        self.energies = np.asarray(energies, dtype=float)
 
 
 def _copy_state(state):
     """A MacroState that shares no array with state."""
-    out = MacroState(state.t, state.v.copy(), state.v_aux.copy(),
-                     state.dissipation, state.source_work)
-    if state.energies is not None:
-        out.energies = state.energies.copy()
-    return out
+    return MacroState(state.t, state.v.copy(), state.v_aux.copy(),
+                      state.dissipation, state.source_work,
+                      state.energies.copy())
 
 
 class MacroRun:
@@ -382,10 +377,9 @@ class MacroProblem:
         else:
             v0 = _EllipticSolver(self._tilde_matrix,
                                  *self._nodes).solve(self._load(0.0))
-        v_aux = np.zeros((self.model.num_modes, self.mesh.num_vertices))
-        state = MacroState(0.0, v0, v_aux)
-        state.energies = np.zeros(self.model.num_modes)
-        return state
+        m = self.model.num_modes
+        return MacroState(0.0, v0, np.zeros((m, self.mesh.num_vertices)),
+                          0.0, 0.0, np.zeros(m))
 
     def _step_in_place(self, state):
         """Advance state one time level, overwriting it.
@@ -471,58 +465,48 @@ def whole_steps(span, tau):
     return nsteps
 
 
-def time_grid(t_start, t_final, tau, snapshot_times=()):
-    """The step count of a march from t_start to t_final in steps of tau,
-    and the (step, time) of each snapshot request, at the nearest grid
-    point.  ValueError when t_final lies before t_start or is not close
-    to a whole number of steps past it, or when a snapshot time lies
-    outside [t_start, t_final]."""
-    span = t_final - t_start
-    if span < -1e-12:
-        raise ValueError("t_final lies before the initial state")
-    nsteps = whole_steps(span, tau)
+def time_grid(t_final, tau, snapshot_times=()):
+    """The step count of a march from 0 to t_final in steps of tau, and
+    the (step, time) of each snapshot request, at the nearest grid
+    point.  ValueError when t_final is negative or not close to a whole
+    number of steps, or when a snapshot time lies outside [0, t_final]."""
+    if t_final < -1e-12:
+        raise ValueError(f"t_final = {t_final} is negative")
+    nsteps = whole_steps(t_final, tau)
     if nsteps is None:
-        raise ValueError(f"t_final - t_start = {span} is not close to a "
+        raise ValueError(f"t_final = {t_final} is not close to a "
                          f"multiple of tau = {tau}")
     requests = []
     for t_req in snapshot_times:
         t_req = float(t_req)
-        if t_req < t_start - 1e-12 or t_req > t_final + 1e-12:
+        if t_req < -1e-12 or t_req > t_final + 1e-12:
             raise ValueError(f"snapshot time {t_req} outside "
-                             f"[{t_start}, {t_final}]")
-        requests.append((int(round((t_req - t_start) / tau)), t_req))
+                             f"[0.0, {t_final}]")
+        requests.append((int(round(t_req / tau)), t_req))
     return nsteps, requests
 
 
-def run(problem, t_final, snapshot_times=(), initial_state=None):
-    """March to t_final collecting snapshots and the energy ledger.
+def run(problem, t_final, snapshot_times=()):
+    """March from problem.init_state() to t_final collecting snapshots
+    and the energy ledger.
 
-    Snapshot times must lie in [start, t_final] and are taken at the
+    Snapshot times must lie in [0, t_final] and are taken at the
     nearest time-grid point.  A ledger margin below -1e-10 * max(lhs,
     rhs) in the guaranteed regime (all-natural homogeneous-flux data,
     sigma >= 1/2) raises SolverError, since it would signal an assembly
     or update bug.  So does a final memory energy whose recurrence
     differs from a direct evaluation by more than 1e-10 * max(lhs,
     rhs) of the last ledger row, or than the energies' rounding level
-    where that is larger.
-
-    initial_state is left untouched: the march starts from a copy, on
-    which the energies of a state built by hand are evaluated once.  The
-    snapshots share no array with it or with each other, except that
-    requests for one time share one state.
+    where that is larger.  The snapshots share no array with each
+    other, except that requests for one time share one state.
 
     Returns a MacroRun.
     """
-    state = problem.init_state() if initial_state is None else initial_state
-    nsteps, requests = time_grid(state.t, t_final, problem.tau,
-                                 snapshot_times)
+    nsteps, requests = time_grid(t_final, problem.tau, snapshot_times)
+    state = problem.init_state()
 
-    # The march advances one state in place: a caller's initial state is
-    # copied once, and so is every snapshot but one at the last step.
-    if initial_state is not None:
-        state = _copy_state(state)
-        if state.energies is None:
-            state.energies = problem._mode_energies(state.v_aux)
+    # The march advances one state in place: every snapshot but one at
+    # the last step is a copy.
     wanted = {index for index, _ in requests}
     copies = len(wanted - {nsteps})
     taken = {}

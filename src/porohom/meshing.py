@@ -20,6 +20,8 @@ _log = logging.getLogger(__name__)
 BOUNDARY_TAGS = ("OuterLeft", "OuterRight", "OuterBottom", "OuterTop", "Inclusion")
 # Smallest triangle angle validate_mesh accepts.
 MIN_ANGLE_DEG = 20.0
+# The target edge lengths gen_cell_mesh accepts, (smallest, largest).
+CELL_H_RANGE = (0.002, 0.1)
 
 _CENTER = np.array([0.5, 0.5])
 # Each Outer* side's axis, and whether its line is the vertices' least (0)
@@ -582,14 +584,15 @@ def gen_cell_mesh(spec, h):
     ----------
     spec : EllipseSpec
     h : float
-        Target edge length, 0.002 <= h <= 0.1.
+        Target edge length within CELL_H_RANGE, [0.002, 0.1].
 
     Sides and ring are built and checked once; the interior is tried with
     (drop factor, smoothing iterations) (0.7, 30), then (0.85, 40).  Each
     failure logs a DEBUG line and is named in MeshQualityError.
     """
-    if not 0.002 <= h <= 0.1:
-        raise ValueError(f"h={h} outside the supported range [0.002, 0.1]")
+    lo, hi = CELL_H_RANGE
+    if not lo <= h <= hi:
+        raise ValueError(f"h={h} outside the supported range [{lo}, {hi}]")
     builder = _CellBuilder(spec, h)
     errors = []
     for drop_factor, smooth_iters in ((0.7, 30), (0.85, 40)):

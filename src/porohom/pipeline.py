@@ -26,6 +26,7 @@ from .kernel_model import build_kernel_model, read_model_csv, write_model_csv
 from .macro import (MacroProblem, parse_bc, run, time_grid,
                     write_ledger_csv, write_state_csv)
 from .meshing import (
+    CELL_H_RANGE,
     EllipseSpec,
     MeshQualityError,
     gen_cell_mesh,
@@ -85,13 +86,15 @@ def _parse_stages(text):
 
 # Rules on a parsed value: a test it must pass and what a failure
 # says; _NONNEGATIVE holds for a number or for every entry of a list.
-# The bc rule is the macro stage's boundary parser and the snapshots
-# rule _snapshot_times; each raises its own error.
+# The bc rule is the macro stage's boundary parser, the gamma rule the
+# cell's EllipseSpec, and the cell_h and snapshots rules _cell_h and
+# _snapshot_times; each raises its own error.
 _POSITIVE = (lambda value: value > 0.0, "must be positive")
 _NONNEGATIVE = (lambda value: np.all(np.asarray(value) >= 0.0),
                 "must be nonnegative")
 _UNIT = (lambda value: 0.0 <= value <= 1.0, "must lie in [0, 1]")
 _PAIR = (lambda value: len(value) == 2, "must have two entries")
+_NONEMPTY = (lambda value: value != "", "must not be empty")
 _BOUNDARY = (parse_bc, None)
 
 
@@ -112,10 +115,21 @@ def _snapshot_times(times):
     return True
 
 
+def _cell_h(h):
+    """The cell_h rule: positive, and within the cell mesher's range."""
+    if not _POSITIVE[0](h):
+        raise ValueError(f"cell_h {_POSITIVE[1]}")
+    lo, hi = CELL_H_RANGE
+    if not lo <= h <= hi:
+        raise ValueError(f"cell_h must lie in [{lo}, {hi}], the cell "
+                         "mesher's range")
+    return True
+
+
 # key: (default, parser, rule or None); float values must be finite.
 _KEYS = {
-    "gamma": (3.0, float, None),
-    "cell_h": (0.01, float, _POSITIVE),
+    "gamma": (3.0, float, (EllipseSpec, None)),
+    "cell_h": (0.01, float, (_cell_h, None)),
     "macro_h": (0.05, float, _POSITIVE),
     "macro_lx": (2.0, float, _POSITIVE),
     "macro_ly": (1.0, float, _POSITIVE),
@@ -133,7 +147,7 @@ _KEYS = {
     "oracle_tau": (1e-4, float, _POSITIVE),
     "oracle_horizon": (0.2, float, _POSITIVE),
     "svg": (True, _parse_bool, None),
-    "out_dir": ("pipeline_out", str, None),
+    "out_dir": ("pipeline_out", str, _NONEMPTY),
     "stages": (("mesh", "cell-steady", "eigen", "kernel", "macro"),
                _parse_stages, None),
 }
@@ -144,8 +158,9 @@ def parse_config(path=None, overrides=None):
     """Resolve a pipeline config from defaults, a file and overrides.
 
     The file holds one key=value pair per line; blank lines and lines
-    starting with # are skipped.  Overrides is a dict of raw string (or
-    already typed) values applied last.  A fault of a value (an unknown
+    starting with # are skipped, and a key set on two lines is refused.
+    Overrides is a dict of raw string (or already typed) values applied
+    last, in place of the file's.  A fault of a value (an unknown
     key, a value that does not parse, is not finite or breaks its rule)
     raises ValueError, which starts "path:line: key = value: " for a
     value from the file.  With macro among the stages, the macro stage's
@@ -153,7 +168,7 @@ def parse_config(path=None, overrides=None):
     the oracle's (cell_unsteady.oracle_steps).
     """
     config = dict(DEFAULTS)
-    raw = {}   # key: (value, where it was set, "" for an override)
+    raw = {}   # key: (value, line it was set on, None for an override)
     if path is not None:
         with open(path, "rb") as handle:
             lines = handle.read().splitlines()
@@ -167,17 +182,21 @@ def parse_config(path=None, overrides=None):
             if "=" not in line:
                 raise ValueError(
                     f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            raw[key.strip()] = value.strip(), f"{path}:{lineno}: "
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in raw:
+                raise ValueError(f"{path}:{lineno}: {key} = {value}: {key} "
+                                 f"is already set on line {raw[key][1]}")
+            raw[key] = value, lineno
     for key, value in (overrides or {}).items():
-        raw[key] = value, ""
-    for key, (value, where) in raw.items():
+        raw[key] = value, None
+    for key, (value, lineno) in raw.items():
         try:
             config[key] = _parse_value(key, value)
         except ValueError as exc:
+            where = "" if lineno is None else f"{path}:{lineno}: "
             raise ValueError(f"{where}{key} = {value}: {exc}") from None
     if "macro" in config["stages"]:
-        time_grid(0.0, config["t_final"], config["tau"], config["snapshots"])
+        time_grid(config["t_final"], config["tau"], config["snapshots"])
     if "oracle" in config["stages"]:
         oracle_steps(config["oracle_tau"], config["oracle_horizon"])
     return config

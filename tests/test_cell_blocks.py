@@ -18,7 +18,7 @@ from porohom.cell_spectral import solve_eigen
 from porohom.cell_steady import solve_cell_steady
 from porohom.cell_unsteady import solve_cell_unsteady
 from porohom.fem import CHARACTERS, StokesSystem
-from porohom.meshing import TriMesh
+from porohom.meshing import EllipseSpec, TriMesh, gen_cell_mesh
 
 from conftest import kept_modes, ritz_modes
 
@@ -77,6 +77,17 @@ def test_each_path_says_which_ran(caplog, cell_mesh_g3, cell_mesh_nudged):
         f"cell operator: 4 symmetry blocks of {sizes}",
         f"cell operator: one block of {n}, {whole.fallback}",
     ]
+
+
+def test_a_generated_cell_that_is_no_orbit_runs_on_one_block():
+    # Delaunay breaks the ties of this circular cell's cocircular grid
+    # points without regard to symmetry
+    system = StokesSystem(gen_cell_mesh(EllipseSpec(1.0), 0.04))
+    n = system.pencil[0].shape[0] - 1
+    assert system.symmetries is None
+    assert tuple(b.size for b in system.blocks) == (n,)
+    assert system.fallback == ("not an orbit: the vertex map does not "
+                               "carry triangles to triangles")
 
 
 def test_the_one_block_is_the_pinned_pencil(system_nudged):

@@ -61,6 +61,18 @@ def test_an_asymmetric_tensor_is_refused(monkeypatch, system_g1):
         solve_cell_steady(system_g1)
 
 
+def test_a_tensor_that_is_not_positive_definite_is_refused(monkeypatch,
+                                                          system_g1):
+    # negated averages give the negated tensor, symmetric but with both
+    # eigenvalues negative
+    average = StokesSystem.velocity_average
+    monkeypatch.setattr(StokesSystem, "velocity_average",
+                        lambda self, x: -average(self, x))
+    with pytest.raises(SolverError,
+                       match=r"^permeability not positive definite: eigs "):
+        solve_cell_steady(system_g1)
+
+
 def energy_tensor(system):
     """Permeability recomputed from gradient energies of the solutions.
 

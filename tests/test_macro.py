@@ -125,9 +125,25 @@ def test_problem_validates_sides_and_parameters(rect_mesh, model3):
         MacroProblem(rect_mesh, model3, BC_NAT, sigma=-0.1)
     with pytest.raises(ValueError, match="tau"):
         MacroProblem(rect_mesh, model3, BC_NAT, tau=0.0)
+    with pytest.raises(ValueError, match="^f must be a 2-vector$"):
+        MacroProblem(rect_mesh, model3, BC_NAT, f=(1.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="incompatible"):
         MacroProblem(rect_mesh, model3, BC_NAT.replace("left=natural:0",
                                                        "left=natural:0.3"))
+
+
+def test_clashing_dirichlet_values_are_refused_at_the_corner(rect_mesh,
+                                                             model3):
+    # left = 0 and bottom = 1 both claim the corner (0, 0)
+    spec = "left=dirichlet:0,bottom=dirichlet:1,right=natural:0,top=natural:0"
+    for call in (lambda: MacroProblem(rect_mesh, model3, spec),
+                 lambda: solve_steady(rect_mesh, np.eye(2), spec)):
+        with pytest.raises(ValueError, match=r"^conflicting Dirichlet values "
+                                             r"0\.0 and 1\.0 meet at vertex "
+                                             r"(\d+)$") as info:
+            call()
+        vertex = int(str(info.value).rsplit(" ", 1)[1])
+        assert np.array_equal(rect_mesh.vertices[vertex], [0.0, 0.0])
 
 
 @pytest.mark.parametrize("name,value", [
@@ -259,15 +275,13 @@ def test_relaxed_profile_is_a_fixed_point(rect_mesh, model3):
     f = np.array([1.0, 0.25])
     v = linear_field(rect_mesh, f)
     v_aux = np.stack([linear_field(rect_mesh, f / lam) for lam in LAMS3])
-    state = MacroState(1.0, v, v_aux)
     prob = MacroProblem(rect_mesh, model3, BC_NAT, f=f, sigma=0.5, tau=1e-3)
-    # a profile relaxed from rest has done at least its memory energy in
-    # work, which keeps the guarded ledger's margin nonnegative
-    state.source_work = prob.memory_energy(state)
-    after = run(prob, 1.001, snapshot_times=[1.001],
-                initial_state=state).snapshots[0][1]
-    assert np.max(np.abs(after.v - state.v)) < 1e-9
-    assert np.max(np.abs(after.v_aux - state.v_aux)) < 1e-9
+    state = MacroState(1.0, v.copy(), v_aux.copy(), 0.0, 0.0,
+                       prob._mode_energies(v_aux))
+    prob._step_in_place(state)
+    assert state.t == pytest.approx(1.001)
+    assert np.max(np.abs(state.v - v)) < 1e-9
+    assert np.max(np.abs(state.v_aux - v_aux)) < 1e-9
 
 
 def test_weak_mass_update_matches_nodal_recurrence(rect_mesh):
@@ -324,7 +338,8 @@ def test_dirichlet_run_is_not_guaranteed(rect_mesh, model3):
 def test_memory_energy_closed_form(rect_mesh, model3):
     coeffs = np.array([[0.3, -0.2], [1.0, 0.5], [0.0, 0.7]])
     v_aux = np.stack([linear_field(rect_mesh, c) for c in coeffs])
-    state = MacroState(0.0, np.zeros(rect_mesh.num_vertices), v_aux)
+    state = MacroState(0.0, np.zeros(rect_mesh.num_vertices), v_aux, 0.0,
+                       0.0, np.zeros(3))
     prob = MacroProblem(rect_mesh, model3, BC_NAT, f=(1.0, 0.0))
     want = sum(c @ model3.d_tensors[k] @ c * rect_mesh.area()
                for k, c in enumerate(coeffs))
@@ -361,37 +376,20 @@ def test_energy_recurrence_matches_direct_evaluation(rect_mesh, model3,
                          - prob._mode_energies(state.v_aux))) <= 1e-12 * direct
 
 
-def test_hand_built_state_seeds_energies_directly(rect_mesh, model3):
-    f = np.array([1.0, 0.25])
-    v_aux = np.stack([linear_field(rect_mesh, f / (2.0 * lam))
-                      for lam in LAMS3])
-    state = MacroState(0.0, linear_field(rect_mesh, f), v_aux)
-    assert state.energies is None
-    # the ledger of a state with memory but no accumulated work carries
-    # no guarantee, so use data outside the guarded regime
-    prob = MacroProblem(rect_mesh, model3, BC_DIR, sigma=0.5, tau=1e-3)
-    res = run(prob, 0.01, snapshot_times=[0.0, 0.01], initial_state=state)
-    (_, first), (_, final) = res.snapshots
-    # run evaluates the energies once, on its copy of the state
-    assert state.energies is None
-    assert first.energies.sum() == pytest.approx(prob.memory_energy(state),
-                                                 rel=1e-14)
-    assert final.energies.sum() == pytest.approx(prob.memory_energy(final),
-                                                 rel=1e-12)
-    assert res.memory_check < 1e-12
-
-
 def test_tampered_energies_fail_the_final_check(rect_mesh, model3):
     f = np.array([1.0, 0.25])
     prob = MacroProblem(rect_mesh, model3, BC_NAT, f=f, sigma=0.5, tau=1e-3)
-    state = run(prob, 0.005, snapshot_times=[0.005]).snapshots[0][1]
-    tampered = MacroState(state.t, state.v, state.v_aux, state.dissipation,
-                          state.source_work)
-    # smaller energies widen every ledger margin, so only the final
-    # direct-versus-recurrence check can catch them
-    tampered.energies = 0.5 * state.energies
+    step = prob._step_in_place
+
+    def tampering(state):
+        # smaller energies widen every ledger margin, so only the final
+        # direct-versus-recurrence check can catch them
+        step(state)
+        state.energies *= 0.5
+
+    prob._step_in_place = tampering
     with pytest.raises(SolverError, match="memory energy recurrence"):
-        run(prob, 0.01, initial_state=tampered)
+        run(prob, 0.01)
 
 
 def test_a_step_that_breaks_the_ledger_stops_the_run(rect_mesh, model3):
@@ -500,20 +498,16 @@ def same_state(a, b):
 
 
 def test_run_owns_the_state_it_marches(rect_mesh, model3):
-    # the march advances one state in place, so the caller's initial
-    # state and every snapshot before the last step must be copies
+    # the march advances one state in place, so every snapshot before
+    # the last step must be a copy that equals a run to its own time
     prob = MacroProblem(rect_mesh, model3, BC_NAT, f=(1.0, 0.25),
                         sigma=0.5, tau=1e-3)
-    start = run(prob, 0.003, snapshot_times=[0.003]).snapshots[0][1]
-    given = state_arrays(start)
-    res = run(prob, 0.013, snapshot_times=[0.003, 0.008, 0.013],
-              initial_state=start)
-    assert same_state(state_arrays(start), given)
-    assert same_state(state_arrays(res.snapshots[0][1]), given)
-    alone = run(prob, 0.008, snapshot_times=[0.008], initial_state=start)
-    assert same_state(state_arrays(res.snapshots[1][1]),
-                      state_arrays(alone.snapshots[0][1]))
-    assert res.snapshots[2][1].t == pytest.approx(0.013)
+    times = [0.0, 0.003, 0.008, 0.013]
+    res = run(prob, 0.013, snapshot_times=times)
+    for t_req, (_, state) in zip(times[:-1], res.snapshots):
+        alone = run(prob, t_req, snapshot_times=[t_req]).snapshots[0][1]
+        assert same_state(state_arrays(state), state_arrays(alone))
+    assert res.snapshots[-1][1].t == pytest.approx(0.013)
 
 
 def test_run_holds_one_state_array(model3):
@@ -557,13 +551,18 @@ def test_one_factor_is_alive_through_the_march(rect_mesh, model3,
         assert abs(matrices[0] - k_tilde).max() > 0.0
 
 
-def test_run_validates_times(rect_mesh, model3):
+def test_run_validates_times(rect_mesh, model3, factor_spy):
     prob = MacroProblem(rect_mesh, model3, BC_NAT, f=(1.0, 0.0),
                         sigma=0.5, tau=1e-3)
+    built = len(factor_spy.matrices)
     with pytest.raises(ValueError, match="multiple of tau"):
         run(prob, 0.0105)
+    with pytest.raises(ValueError, match=r"^t_final = -0\.002 is negative$"):
+        run(prob, -0.002)
     with pytest.raises(ValueError, match="outside"):
         run(prob, 0.01, snapshot_times=[0.02])
+    # the grid is checked before init_state factors K_tilde
+    assert len(factor_spy.matrices) == built
 
 
 def test_snapshots_attach_to_grid_times(rect_mesh, model3):
@@ -575,18 +574,6 @@ def test_snapshots_attach_to_grid_times(rect_mesh, model3):
     assert res.snapshots[0][1].t == pytest.approx(0.003)
     assert res.snapshots[1][1].t == 0.0
     assert res.snapshots[2][1].t == pytest.approx(0.01)
-
-
-def test_restart_continues_the_trajectory(rect_mesh, model3):
-    prob = MacroProblem(rect_mesh, model3, BC_NAT, f=(1.0, 0.0),
-                        sigma=0.5, tau=1e-3)
-    full = run(prob, 0.01, snapshot_times=[0.01])
-    first = run(prob, 0.005, snapshot_times=[0.005])
-    second = run(prob, 0.01, snapshot_times=[0.01],
-                 initial_state=first.snapshots[0][1])
-    va = full.snapshots[0][1].v
-    vb = second.snapshots[0][1].v
-    assert np.max(np.abs(va - vb)) < 1e-12
 
 
 def test_state_and_ledger_csv(tmp_path, rect_mesh, model3):

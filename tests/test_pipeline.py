@@ -50,6 +50,11 @@ FAST = {
 }
 
 
+def fast_text(**extra):
+    """A config file's text: FAST with the extra keys, each on one line."""
+    return "".join(f"{k}={v}\n" for k, v in {**FAST, **extra}.items())
+
+
 def fast_config(out_dir, **extra):
     overrides = dict(FAST)
     overrides["out_dir"] = str(out_dir)
@@ -72,6 +77,48 @@ def test_config_file_and_overrides(tmp_path):
     assert config["modes"] == 9
 
 
+def test_a_key_set_twice_in_the_file_is_refused(tmp_path, capsys,
+                                                monkeypatch):
+    # a second line for a key is refused, not silently taken
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("gamma = 1\nout_dir = run\ngamma = 3\n")
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    assert (f"{cfg}:3: gamma = 3: gamma is already set on line 1"
+            in capsys.readouterr().err)
+    assert os.listdir(tmp_path) == ["p.cfg"]
+    # an override still replaces the value the file sets, once
+    cfg.write_text("gamma = 1\nout_dir = run\n")
+    config = parse_config(cfg, overrides={"gamma": "3", "out_dir": "o"})
+    assert (config["gamma"], config["out_dir"]) == (3.0, "o")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("gamma = -1", "gamma must be positive, got -1.0"),
+    ("gamma = 100", "gamma=100.0 puts the inclusion in contact with the "
+                    "cell boundary"),
+    ("cell_h = 0.5", "cell_h must lie in [0.002, 0.1], the cell mesher's "
+                     "range"),
+    ("cell_h = 0.001", "cell_h must lie in [0.002, 0.1]"),
+    ("out_dir =", "out_dir must not be empty")],
+    ids=["gamma-negative", "gamma-touching", "cell_h-coarse", "cell_h-fine",
+         "out_dir-empty"])
+def test_a_cell_or_output_key_the_mesh_stage_would_refuse_makes_no_directory(
+        tmp_path, capsys, monkeypatch, text, message):
+    # the mesh stage would refuse these too, but only after run_pipeline
+    # has made the output directory; the config check comes first
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "p.cfg"
+    prefix = "" if text.startswith("out_dir") else "out_dir = run\n"
+    cfg.write_text(prefix + text + "\n")
+    line = prefix.count("\n") + 1
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    key, value = (part.strip() for part in text.split("="))
+    assert (f"error: {cfg}:{line}: {key} = {value}: {message}"
+            in capsys.readouterr().err)
+    assert os.listdir(tmp_path) == ["p.cfg"]
+
+
 def test_config_takes_typed_overrides(tmp_path):
     config = parse_config(overrides={"f": (1.0, 0.5), "snapshots": [0, 2e-4]})
     assert config["f"] == (1.0, 0.5)
@@ -91,6 +138,8 @@ def test_config_rejects_unknown_and_malformed(tmp_path):
         parse_config(path)
     with pytest.raises(ValueError, match="unknown stage"):
         parse_config(overrides={"stages": "mesh,warp"})
+    with pytest.raises(ValueError, match="duplicate stage names"):
+        parse_config(overrides={"stages": "mesh,eigen,mesh"})
     with pytest.raises(ValueError):
         parse_config(overrides={"sigma": "1.5"})
     with pytest.raises(ValueError):
@@ -336,6 +385,13 @@ def test_cli_mesh_and_validation(tmp_path, capsys):
     assert code == 2
     assert "--gamma is required" in capsys.readouterr().err
 
+    code = main(["mesh", "--geometry", "rect", "--h", "0.5", "--ly", "1",
+                 "--out", str(tmp_path / "r.mesh")])
+    assert code == 2
+    assert ("--lx and --ly are required for --geometry rect"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "r.mesh").exists()
+
     code = main(["mesh", "--geometry", "rect", "--h", "0.5", "--lx", "2",
                  "--ly", "1", "--out", str(tmp_path / "r.mesh")])
     assert code == 0
@@ -432,8 +488,7 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert f"{cfg}:2: not ASCII text" in capsys.readouterr().err
 
     # a bad boundary spec stops the run before its first stage
-    cfg.write_text("".join(f"{k}={v}\n" for k, v in FAST.items())
-                   + "bc=left=warp:0\n")
+    cfg.write_text(fast_text(bc="left=warp:0"))
     code = main(["pipeline", "--config", str(cfg),
                  "--out", str(tmp_path / "run")])
     assert code == 2
@@ -480,8 +535,7 @@ def test_an_off_grid_oracle_horizon_stops_the_run_before_its_first_stage(
         tmp_path, capsys):
     # 0.021 is 10.5 steps of 2e-3: the oracle would sample only to 0.02
     cfg = tmp_path / "p.cfg"
-    cfg.write_text("".join(f"{k}={v}\n" for k, v in FAST.items())
-                   + "oracle_horizon=0.021\n")
+    cfg.write_text(fast_text(oracle_horizon="0.021"))
     code = main(["pipeline", "--config", str(cfg),
                  "--out", str(tmp_path / "run"), "--only", "mesh,oracle"])
     assert code == 2
@@ -575,8 +629,8 @@ def test_cli_list_keys_fail_before_any_stage(tmp_path, capsys, line,
     # these used to be refused only by the macro stage, after the cell
     # stages had run
     cfg = tmp_path / "p.cfg"
-    cfg.write_text("".join(f"{k}={v}\n" for k, v in FAST.items())
-                   + line + "\n")
+    key, value = line.split("=", 1)
+    cfg.write_text(fast_text(**{key: value}))
     code = main(["pipeline", "--config", str(cfg),
                  "--out", str(tmp_path / "run")])
     assert code == 2
@@ -598,8 +652,7 @@ def test_snapshots_that_share_a_file_stamp_are_refused(tmp_path, capsys,
     run_pipeline(fast_config(out, stages="mesh,cell-steady,eigen,kernel"))
     before = sorted(os.listdir(out))
     cfg = tmp_path / "p.cfg"
-    cfg.write_text("".join(f"{k}={v}\n" for k, v in FAST.items())
-                   + f"snapshots={times}\n")
+    cfg.write_text(fast_text(snapshots=times))
     code = main(["pipeline", "--config", str(cfg), "--out", str(out),
                  "--only", "macro"])
     assert code == 2
@@ -626,7 +679,7 @@ def test_cli_empty_stage_list_leaves_the_run_untouched(tmp_path, capsys,
     run_pipeline(fast_config(out, stages="mesh"))
     before = {name: (out / name).read_bytes() for name in os.listdir(out)}
     cfg = tmp_path / "p.cfg"
-    cfg.write_text("".join(f"{k}={v}\n" for k, v in FAST.items()))
+    cfg.write_text(fast_text())
     code = main(["pipeline", "--config", str(cfg), "--out", str(out),
                  "--only", only])
     assert code == 2
@@ -643,8 +696,7 @@ def test_cli_empty_stage_list_leaves_the_run_untouched(tmp_path, capsys,
 def test_cli_pipeline_and_resume(tmp_path, capsys):
     out = tmp_path / "run"
     cfg = tmp_path / "p.cfg"
-    cfg.write_text("".join(f"{k}={v}\n" for k, v in FAST.items()
-                           if k != "svg") + "svg=false\n")
+    cfg.write_text(fast_text(svg="false"))
     code = main(["pipeline", "--config", str(cfg), "--out", str(out)])
     assert code == 0
     assert (out / "manifest.json").exists()
@@ -660,7 +712,7 @@ def test_cli_pipeline_and_resume(tmp_path, capsys):
 
 def test_cli_verbose_logs_each_block_it_builds(tmp_path, capsys):
     cfg = tmp_path / "p.cfg"
-    cfg.write_text("".join(f"{k}={v}\n" for k, v in FAST.items()))
+    cfg.write_text(fast_text())
     manifests = []
     for flags, built in (([], 0), (["-v"], 2)):
         out = tmp_path / f"run{len(flags)}"

@@ -77,6 +77,14 @@ def test_non_finite_field_raises(tmp_path, rect_mesh, bad):
     assert not path.exists()
 
 
+def test_a_field_that_is_not_nodal_is_refused(tmp_path, rect_mesh):
+    path = tmp_path / "field.svg"
+    with pytest.raises(ValueError,
+                       match=r"^values must be nodal \(one per vertex\)$"):
+        render_field_svg(path, rect_mesh, smooth(rect_mesh)[:-1])
+    assert not path.exists()
+
+
 def test_title_is_escaped(tmp_path, rect_mesh):
     title = "p < 1 & q > r"
     path = tmp_path / "field.svg"
